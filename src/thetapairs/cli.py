@@ -38,8 +38,8 @@ def main(argv=None) -> int:
     ver.add_argument("suite", help="|".join(SUITES))
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--pairs", default=None,
-                     help="comma-separated pair specs to restrict the catalog; "
-                          "an empty selection passes vacuously")
+                     help="comma-separated catalog pair specs to restrict the "
+                          "catalog; an empty selection passes vacuously")
 
     args = parser.parse_args(argv)
     try:
@@ -106,10 +106,13 @@ def _cmd_verify(args) -> int:
     if args.pairs is None:
         selected = set(FULL_CATALOG)
     else:
-        wanted = [s for s in args.pairs.split(",") if s]
-        for s in wanted:
-            PairSpec.parse(s)  # CatalogError -> exit 2 in main
-        selected = set(wanted) & set(FULL_CATALOG)
+        # CatalogError -> exit 2 in main
+        selected = {PairSpec.parse(s).render() for s in args.pairs.split(",") if s}
+        outside = sorted(selected - set(FULL_CATALOG))
+        if outside:
+            print(f"error: not in the verify catalog: {', '.join(outside)} "
+                  f"(choose from {', '.join(FULL_CATALOG)})", file=sys.stderr)
+            return 2
     checker = _Checker()
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     for suite in suites:

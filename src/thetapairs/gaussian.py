@@ -10,6 +10,8 @@ approximating.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -159,8 +161,6 @@ def rational_sqrt(q: Fraction):
 
 
 def _isqrt_exact(n: int):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -280,15 +280,158 @@ def poly_squarefree_part(coeffs):
 def gaussian_roots(coeffs):
     """All roots of a monic polynomial over Q(i), with multiplicity.
 
-    Raises SplittingFieldTooLarge when some root lies outside Q(i); the
-    factorization itself is exact (sympy over the domain QQ_I).
+    Raises SplittingFieldTooLarge when some root lies outside Q(i).  Roots
+    proposed by a floating-point iteration are kept only when exact division
+    confirms them; when they do not account for the whole polynomial, the
+    exact factorization over QQ_I (sympy) decides, and it alone can raise.
     """
-    from sympy import I as sympyI
-    from sympy import Poly, Rational, symbols
-
     coeffs = poly_monic(coeffs)
     if len(coeffs) == 1:
         return []
+    roots = _certified_roots(coeffs)
+    if roots is not None:
+        return roots
+    return _factored_roots(coeffs)
+
+
+# Aberth-Ehrlich sweeps before the candidates are rounded and certified.
+# Simple roots converge cubically within a few sweeps; the cap only bounds
+# the linear convergence of clustered (multiple) roots.
+_ABERTH_MAX_SWEEPS = 100
+# The scaled roots are Gaussian integers, so an approximation within 1/2
+# of one rounds to it; stop once every correction is far below that.
+_ABERTH_STEP_TOL = 1e-6
+
+
+def _certified_roots(coeffs):
+    """The sorted roots of a monic polynomial when all of them are found in
+    Q(i) and confirmed by exact division, else None.
+
+    After the zero roots are split off, q(y) = D^n p(y/D) with D from
+    `_root_denominator` is monic over Z[i], so every root of p in Q(i) is
+    s/D for a Gaussian integer s (Z[i] is integrally closed).  Complex-float
+    approximations of the roots of q are rounded to Z[i] and each candidate
+    is divided out of q exactly, as often as it divides.  The floats only
+    propose: the answer is returned only when the confirmed linear factors
+    use up q, and the multiset of roots is unique.
+    """
+    n = len(coeffs) - 1
+    zeros = 0
+    while zeros < n and coeffs[n - zeros].is_zero():
+        zeros += 1
+    coeffs = coeffs[:n + 1 - zeros]
+    roots = [ZERO] * zeros
+    if len(coeffs) == 1:
+        return roots
+    denom = _root_denominator(coeffs)
+    # q_k = D^k a_k as integer pairs (re, im), descending degree
+    q = []
+    scale = 1
+    for c in coeffs:
+        q.append((int(c.re * scale), int(c.im * scale)))
+        scale *= denom
+    try:
+        approx = _aberth([complex(re, im) for re, im in q])
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if approx is None:
+        return None
+    for z in approx:
+        s = (round(z.real), round(z.imag))
+        while len(q) > 1:
+            quot = _divide_linear(q, s)
+            if quot is None:
+                break
+            q = quot
+            roots.append(GaussRat(Fraction(s[0], denom), Fraction(s[1], denom)))
+    if len(q) > 1:
+        return None
+    roots.sort(key=GaussRat.sort_key)
+    return roots
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _root_denominator(coeffs):
+    """A d > 0 with d^k a_k in Z[i] for every coefficient a_k of x^(n-k).
+
+    Each coefficient's denominator is split over small primes, which get
+    the least exponent ceil(e/k); a remaining cofactor is kept whole.  So d
+    is the least common denominator of the roots whenever the coefficient
+    denominators are products of small primes, and it always divides the
+    lcm of the coefficient denominators.
+    """
+    d = 1
+    for k, c in enumerate(coeffs[1:], 1):
+        g = math.lcm(c.re.denominator, c.im.denominator)
+        need = 1
+        for p in _SMALL_PRIMES:
+            if g == 1:
+                break
+            e = 0
+            while g % p == 0:
+                g //= p
+                e += 1
+            if e:
+                need *= p ** -(-e // k)
+        d = math.lcm(d, need * g)
+    return d
+
+
+def _divide_linear(q, s):
+    """q / (y - s) over Z[i] by synthetic division, or None when the
+    remainder q(s) is nonzero."""
+    sr, si = s
+    out = []
+    acc_r = acc_i = 0
+    for cr, ci in q:
+        acc_r, acc_i = acc_r * sr - acc_i * si + cr, acc_r * si + acc_i * sr + ci
+        out.append((acc_r, acc_i))
+    if out.pop() != (0, 0):
+        return None
+    return out
+
+
+def _aberth(q):
+    """Complex approximations of all roots of the monic polynomial q
+    (descending coefficients, q[-1] != 0), or None when they are not finite.
+    """
+    n = len(q) - 1
+    dq = [c * (n - k) for k, c in enumerate(q[:-1])]
+    # every root has modulus below 2 max |q_k|^(1/k) (Fujiwara)
+    radius = max(abs(c) ** (1.0 / k) for k, c in enumerate(q) if k and c)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(_ABERTH_MAX_SWEEPS):
+        worst = 0.0
+        for k in range(n):
+            zk = z[k]
+            pv = 0j
+            for c in q:
+                pv = pv * zk + c
+            if pv == 0:
+                continue
+            dv = 0j
+            for c in dq:
+                dv = dv * zk + c
+            repulsion = 0j
+            for j in range(n):
+                if j != k:
+                    repulsion += 1 / (zk - z[j])
+            ratio = pv / dv
+            step = ratio / (1 - ratio * repulsion)
+            z[k] = zk - step
+            worst = max(worst, abs(step))
+        if worst < _ABERTH_STEP_TOL:
+            break
+    return z if all(cmath.isfinite(v) for v in z) else None
+
+
+def _factored_roots(coeffs):
+    """The roots by exact factorization over QQ_I (sympy)."""
+    from sympy import I as sympyI
+    from sympy import Poly, Rational, symbols
+
     x = symbols("x")
     expr = 0
     n = len(coeffs) - 1

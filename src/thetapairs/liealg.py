@@ -54,6 +54,7 @@ class LinearAlgebraFrame:
         gram = bt @ self._basis_mat
         self._solver = gram.inverse() @ bt  # exact pseudo-inverse (full column rank)
         self._structure: Optional[List[ExactMatrix]] = None
+        self._terms: Optional[List[Tuple[int, int, GaussRat]]] = None
 
     # -- conversions ------------------------------------------------------
 
@@ -93,17 +94,35 @@ class LinearAlgebraFrame:
             self._structure = cols_per_i
         return self._structure
 
+    def _structure_terms(self) -> List[Tuple[int, int, GaussRat]]:
+        """The nonzero structure constants as (i, flat index, c) with
+        C_i.entries[flat index] = c, in increasing order of i."""
+        if self._terms is None:
+            self._terms = [(i, f, c)
+                           for i, mat in enumerate(self.structure_matrices())
+                           for f, c in enumerate(mat.entries) if not c.is_zero()]
+        return self._terms
+
     def ad(self, coords: Sequence) -> ExactMatrix:
         coords = gvec(coords)
-        structure = self.structure_matrices()
-        acc = ExactMatrix.zero(self.dim, self.dim)
-        for c, mat in zip(coords, structure):
-            if not c.is_zero():
-                acc = acc + mat.scale(c)
-        return acc
+        live = [not c.is_zero() for c in coords]
+        flat = [ZERO] * (self.dim * self.dim)
+        for i, f, c in self._structure_terms():
+            if live[i]:
+                flat[f] = flat[f] + c * coords[i]
+        return ExactMatrix(self.dim, self.dim, flat)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        return self.ad(x).apply(gvec(y))
+        x, y = gvec(x), gvec(y)
+        x_live = [not c.is_zero() for c in x]
+        y_live = [not c.is_zero() for c in y]
+        out = [ZERO] * self.dim
+        for i, f, c in self._structure_terms():
+            if x_live[i]:
+                k, j = divmod(f, self.dim)
+                if y_live[j]:
+                    out[k] = out[k] + c * x[i] * y[j]
+        return out
 
     def centralizer(self, vectors: Sequence[Vector],
                     ambient: Optional[Sequence[Vector]] = None) -> List[Vector]:

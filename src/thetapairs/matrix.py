@@ -306,8 +306,13 @@ class ExactMatrix:
         return all(c.is_zero() for c in self.char_poly()[1:])
 
     def exp_nilpotent(self) -> "ExactMatrix":
-        """exp of a nilpotent matrix: the finite exact sum."""
-        if not self.is_nilpotent():
+        """exp of a nilpotent matrix: the finite exact sum.
+
+        The terms A^k / k! are the nilpotency test: an n x n matrix is
+        nilpotent exactly when A^n = 0, so a term still nonzero after n
+        steps raises ValueError.
+        """
+        if self.rows != self.cols:
             raise ValueError("exp_nilpotent requires a nilpotent matrix")
         n = self.rows
         term = ExactMatrix.identity(n)
@@ -317,6 +322,8 @@ class ExactMatrix:
             if term.is_zero():
                 break
             acc = acc + term
+        if not term.is_zero():
+            raise ValueError("exp_nilpotent requires a nilpotent matrix")
         return acc
 
 

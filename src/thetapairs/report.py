@@ -11,6 +11,7 @@ import time
 from typing import Dict, List, Optional
 
 from .gaussian import ZERO
+from .matrix import ExactMatrix
 from .involutions import (
     canonical_involution,
     compute_subgroups,
@@ -46,7 +47,7 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
     document; sampling uses the seed, verdict fields never depend on it."""
     pair = realize(spec)
     doc: Dict = {"schema_version": SCHEMA_VERSION, "pair_id": pair.pair_id}
-    timing: Dict[str, int] = {}
+    timing: Dict[str, float] = {}
 
     def timed(name, fn):
         from .gaussian import SplittingFieldTooLarge
@@ -56,7 +57,7 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
             value = fn()
         except SplittingFieldTooLarge as exc:
             raise SplittingFieldTooLarge(f"{name}: {exc}") from exc
-        timing[name] = int((time.perf_counter() - start) * 1000)
+        timing[name] = round((time.perf_counter() - start) * 1000, 3)
         return value
 
     sub = timed("subgroups", lambda: compute_subgroups(pair, seed=seed))
@@ -93,10 +94,12 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
             "torsor": len(borels) == sub.Wa_order,
         }
         theta_can = timed("canonical_involution", lambda: canonical_involution(pair))
+        ident = ExactMatrix.identity(theta_can.rows)
+        fixed_dim = len((theta_can - ident).kernel_basis())
         doc["canonical_involution"] = {
-            "well_defined": True,
+            "well_defined": theta_can @ theta_can == ident,
             "matrix": _str_matrix(theta_can),
-            "fixed_dim_plus_r1_equals_rank": True,
+            "fixed_dim_plus_r1_equals_rank": fixed_dim + pair.rank_r1 == pair.rank_g,
         }
         audit = timed("kw_audit", lambda: kw_audit(pair, seed=seed))
         doc["kw_audit"] = audit

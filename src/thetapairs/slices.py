@@ -289,21 +289,19 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
         target = tuple(GaussRat(rng.randint(-9, 9), rng.randint(-2, 2))
                        for _ in range(pair.rank_r1))
         coeffs = kw_solve(section, target)
-        assert chi1(pair, section.slice_point(coeffs)) == target
-        round_trips += 1
+        if chi1(pair, section.slice_point(coeffs)) == target:
+            round_trips += 1
     # the section at 0: kappa(0) = e, a nonzero regular nilpotent
     zero_coeffs = kw_solve(section, [ZERO] * pair.rank_r1)
     kappa0 = section.slice_point(zero_coeffs)
-    assert kappa0 == section.e
-    assert not vec_is_zero(kappa0)
-    assert pair.from_coords(kappa0).is_nilpotent()
-    assert is_regular(pair, kappa0)
     return {
         "samples_regular": regular_count,
         "chi1_injective_on": len(seen),
         "round_trips": round_trips,
-        "kappa_at_zero_is_e": True,
-        "kappa_at_zero_nonzero": True,
+        "kappa_at_zero_is_e": (kappa0 == section.e
+                               and pair.from_coords(kappa0).is_nilpotent()
+                               and is_regular(pair, kappa0)),
+        "kappa_at_zero_nonzero": not vec_is_zero(kappa0),
     }
 
 

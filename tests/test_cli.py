@@ -62,6 +62,21 @@ def test_verify_empty_catalog_filter_vacuous_pass(capsys):
     assert "0/0 checks passed" in out
 
 
+def test_verify_rejects_pair_outside_catalog(capsys):
+    code, out, err = run_cli(capsys, "verify", "fibers", "--pairs",
+                             "splitA:n=1,splitA:n=4")
+    assert code == 2
+    assert "splitA:n=4" in err
+    assert "checks passed" not in out
+
+
+def test_report_timing_in_fractional_ms(capsys):
+    code, out, _ = run_cli(capsys, "report", "splitA:n=1", "--json")
+    assert code == 0
+    timing = json.loads(out)["timing_ms"]
+    assert timing and all(type(v) is float and v >= 0 for v in timing.values())
+
+
 def test_verify_filtered_to_one_pair(capsys):
     code, out, _ = run_cli(capsys, "verify", "borels", "--pairs", "splitA:n=1")
     assert code == 0

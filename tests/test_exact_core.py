@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetapairs.gaussian import (
     GaussRat,
     I,
+    ZERO,
     SplittingFieldTooLarge,
+    _certified_roots,
+    _factored_roots,
     gauss_sqrt,
     gaussian_roots,
     poly_gcd,
@@ -199,6 +202,57 @@ def test_gaussian_roots_and_splitting():
         gaussian_roots([GaussRat(1), GaussRat(0), GaussRat(-2)])
 
 
+def _times_linear(p, roots):
+    """p * prod (x - r), coefficients in descending degree."""
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [ZERO], [ZERO] + p)]
+    return p
+
+
+gauss_rationals = st.builds(GaussRat, rationals, rationals)
+root_multisets = st.tuples(
+    st.lists(st.tuples(gauss_rationals, st.integers(1, 3)), min_size=1, max_size=4),
+    st.integers(0, 3),
+).map(lambda t: [ZERO] * t[1] + [r for r, m in t[0] for _ in range(m)])
+
+
+def test_gaussian_roots_certifies_without_factoring():
+    roots = [GaussRat(1), GaussRat(1), I, GaussRat(Fraction(-1, 2), 3), ZERO]
+    want = sorted(roots, key=GaussRat.sort_key)
+    assert _certified_roots(_times_linear([GaussRat(1)], roots)) == want
+
+
+@given(root_multisets)
+@settings(max_examples=60, deadline=None)
+def test_gaussian_roots_recovers_multisets(roots):
+    p = _times_linear([GaussRat(1)], roots)
+    want = sorted(roots, key=GaussRat.sort_key)
+    assert _certified_roots(p) in (None, want)
+    assert gaussian_roots(p) == want
+
+
+@given(st.lists(gauss_rationals, max_size=3), gauss_rationals, gauss_rationals)
+@settings(max_examples=25, deadline=None)
+def test_gaussian_roots_refuses_irreducible_quadratic(roots, b, c):
+    assume(gauss_sqrt(b * b - 4 * c) is None)
+    p = _times_linear([GaussRat(1), b, c], roots)
+    assert _certified_roots(p) is None
+    with pytest.raises(SplittingFieldTooLarge):
+        gaussian_roots(p)
+
+
+@given(root_multisets.filter(lambda roots: len(roots) <= 6))
+@settings(max_examples=20, deadline=None)
+def test_gaussian_roots_same_answer_when_factoring(roots):
+    want = sorted(roots, key=GaussRat.sort_key)
+    assert _factored_roots(_times_linear([GaussRat(1)], roots)) == want
+    # a root beyond float range makes the certified path fall through
+    roots = roots + [GaussRat(10 ** 400, -1)]
+    p = _times_linear([GaussRat(1)], roots)
+    assert _certified_roots(p) is None
+    assert gaussian_roots(p) == sorted(roots, key=GaussRat.sort_key)
+
+
 # -- Jordan decomposition ---------------------------------------------------
 
 
@@ -238,3 +292,7 @@ def test_exp_nilpotent_exact():
     n = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     e = n.exp_nilpotent()
     assert e == mat([[1, 1, Fraction(1, 2)], [0, 1, 1], [0, 0, 1]])
+    for not_nilpotent in (mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+                          mat([[0, 1], [0, 1]]), mat([[0, 1, 0], [0, 0, 1]])):
+        with pytest.raises(ValueError):
+            not_nilpotent.exp_nilpotent()

@@ -3,10 +3,14 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetapairs.gaussian import GaussRat
 from thetapairs.liealg import vec_is_zero
+from thetapairs.matrix import ExactMatrix
 from thetapairs.pairs import (
+    MATRIX_CATALOG,
     CatalogError,
     PairSpec,
     realize,
@@ -124,6 +128,22 @@ def test_bracket_theta_automorphism_spot():
         lhs = p.theta_apply(p.bracket(x, y))
         rhs = p.bracket(p.theta_apply(x), p.theta_apply(y))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_ad_and_bracket_match_dense_structure_sum(spec, data):
+    frame = realize(spec).frame
+    entry = st.builds(GaussRat, st.integers(-3, 3), st.integers(-1, 1))
+    vec = st.lists(entry, min_size=frame.dim, max_size=frame.dim)
+    x, y = data.draw(vec), data.draw(vec)
+    dense = ExactMatrix.zero(frame.dim, frame.dim)
+    for c, structure in zip(x, frame.structure_matrices()):
+        dense = dense + structure.scale(c)
+    ad = frame.ad(x)
+    assert ad == dense
+    assert frame.bracket(x, y) == ad.apply(y)
 
 
 def test_combinatorial_entries():

@@ -20,7 +20,7 @@ for spec in MATRIX_CATALOG:
     comp = Counter((fund.compactness or {}).values())
     rep = compute_subgroups(pair)
     borels = enumerate_split_borels(pair)
-    theta_can = canonical_involution(pair)
+    theta_can = canonical_involution(pair).matrix
     print(f"{spec:12s} dim g = {pair.dim_g:2d}  r1 = {pair.rank_r1}  "
           f"roots: {dict(kinds)}  compact split: {dict(comp) or '-'}")
     print(f"{'':12s} |W_a| = {rep.Wa_order:2d}  theta-split Borels = {len(borels):2d}"

@@ -180,8 +180,9 @@ def _suite_borels(c: _Checker, seed: int, selected):
         c.check(f"{spec}: theta-split Borels form a W_a-torsor "
                 f"({len(borels)} = |W_a|)", len(borels) == rep.Wa_order)
         try:
-            canonical_involution(pair)
-            ok = True
+            theta_can = canonical_involution(pair)
+            ok = (theta_can.is_involution
+                  and theta_can.fixed_dim + pair.rank_r1 == pair.rank_g)
         except CatalogError:
             ok = False
         c.check(f"{spec}: canonical involution independent of the Borel choice", ok)

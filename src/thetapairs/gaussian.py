@@ -307,13 +307,13 @@ def _certified_roots(coeffs):
     """The sorted roots of a monic polynomial when all of them are found in
     Q(i) and confirmed by exact division, else None.
 
-    After the zero roots are split off, q(y) = D^n p(y/D) with D from
-    `_root_denominator` is monic over Z[i], so every root of p in Q(i) is
-    s/D for a Gaussian integer s (Z[i] is integrally closed).  Complex-float
-    approximations of the roots of q are rounded to Z[i] and each candidate
-    is divided out of q exactly, as often as it divides.  The floats only
-    propose: the answer is returned only when the confirmed linear factors
-    use up q, and the multiset of roots is unique.
+    After the zero roots are split off, q(y) = D^n p(y/D), with D the lcm
+    of the coefficient denominators, is monic over Z[i], so every root of p
+    in Q(i) is s/D for a Gaussian integer s (Z[i] is integrally closed).
+    Complex-float approximations of the roots of q are rounded to Z[i] and
+    each candidate is divided out of q exactly, as often as it divides.  The
+    floats only propose: the answer is returned only when the confirmed
+    linear factors use up q, and the multiset of roots is unique.
     """
     n = len(coeffs) - 1
     zeros = 0
@@ -323,7 +323,7 @@ def _certified_roots(coeffs):
     roots = [ZERO] * zeros
     if len(coeffs) == 1:
         return roots
-    denom = _root_denominator(coeffs)
+    denom = math.lcm(*(d for c in coeffs for d in (c.re.denominator, c.im.denominator)))
     # q_k = D^k a_k as integer pairs (re, im), descending degree
     q = []
     scale = 1
@@ -348,35 +348,6 @@ def _certified_roots(coeffs):
         return None
     roots.sort(key=GaussRat.sort_key)
     return roots
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _root_denominator(coeffs):
-    """A d > 0 with d^k a_k in Z[i] for every coefficient a_k of x^(n-k).
-
-    Each coefficient's denominator is split over small primes, which get
-    the least exponent ceil(e/k); a remaining cofactor is kept whole.  So d
-    is the least common denominator of the roots whenever the coefficient
-    denominators are products of small primes, and it always divides the
-    lcm of the coefficient denominators.
-    """
-    d = 1
-    for k, c in enumerate(coeffs[1:], 1):
-        g = math.lcm(c.re.denominator, c.im.denominator)
-        need = 1
-        for p in _SMALL_PRIMES:
-            if g == 1:
-                break
-            e = 0
-            while g % p == 0:
-                g //= p
-                e += 1
-            if e:
-                need *= p ** -(-e // k)
-        d = math.lcm(d, need * g)
-    return d
 
 
 def _divide_linear(q, s):

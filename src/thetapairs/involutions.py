@@ -484,10 +484,20 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
     return reflection_lift(pair, e, f_raw, value_of_h)
 
 
-def canonical_involution(pair: SymmetricPairRealization) -> ExactMatrix:
+@dataclass(frozen=True)
+class CanonicalInvolution:
+    """theta_can on the universal Cartan with the facts checked of it."""
+
+    matrix: ExactMatrix
+    is_involution: bool  # theta_can^2 = 1
+    fixed_dim: int       # dim ker(theta_can - 1), rank g - r1 when sound
+
+
+def canonical_involution(pair: SymmetricPairRealization) -> CanonicalInvolution:
     """The involution on the universal Cartan t = b/[b,b], computed from
-    every theta-split Borel containing the pinned torus and asserted to be
-    choice-independent (bitwise equal matrices)."""
+    every theta-split Borel containing the pinned torus.  Raises CatalogError
+    unless every Borel gives the bitwise same matrix; whether it squares to
+    1 and its fixed dimension are reported, not asserted."""
     pair.require_matrix_level()
     split = pair.split_roots
     torus_cols = [list(t) for t in split.torus]
@@ -518,12 +528,9 @@ def canonical_involution(pair: SymmetricPairRealization) -> ExactMatrix:
         if m != first:
             raise CatalogError(
                 f"{pair.pair_id}: canonical involution depends on the Borel choice")
-    if first @ first != ExactMatrix.identity(r):
-        raise CatalogError(f"{pair.pair_id}: canonical involution is not an involution")
-    fixed_dim = len((first - ExactMatrix.identity(r)).kernel_basis())
-    if fixed_dim + pair.rank_r1 != pair.rank_g:
-        raise CatalogError(f"{pair.pair_id}: rank bookkeeping fails for theta_can")
-    return first
+    ident = ExactMatrix.identity(r)
+    return CanonicalInvolution(first, first @ first == ident,
+                               len((first - ident).kernel_basis()))
 
 
 def _restrict_to_torus(action: ExactMatrix, torus_cols: List[List[GaussRat]]) -> ExactMatrix:

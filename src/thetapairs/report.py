@@ -11,7 +11,6 @@ import time
 from typing import Dict, List, Optional
 
 from .gaussian import ZERO
-from .matrix import ExactMatrix
 from .involutions import (
     canonical_involution,
     compute_subgroups,
@@ -94,12 +93,11 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
             "torsor": len(borels) == sub.Wa_order,
         }
         theta_can = timed("canonical_involution", lambda: canonical_involution(pair))
-        ident = ExactMatrix.identity(theta_can.rows)
-        fixed_dim = len((theta_can - ident).kernel_basis())
         doc["canonical_involution"] = {
-            "well_defined": theta_can @ theta_can == ident,
-            "matrix": _str_matrix(theta_can),
-            "fixed_dim_plus_r1_equals_rank": fixed_dim + pair.rank_r1 == pair.rank_g,
+            "well_defined": theta_can.is_involution,
+            "matrix": _str_matrix(theta_can.matrix),
+            "fixed_dim_plus_r1_equals_rank":
+                theta_can.fixed_dim + pair.rank_r1 == pair.rank_g,
         }
         audit = timed("kw_audit", lambda: kw_audit(pair, seed=seed))
         doc["kw_audit"] = audit

@@ -288,9 +288,11 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     for _ in range(n_round_trips):
         target = tuple(GaussRat(rng.randint(-9, 9), rng.randint(-2, 2))
                        for _ in range(pair.rank_r1))
-        coeffs = kw_solve(section, target)
-        if chi1(pair, section.slice_point(coeffs)) == target:
-            round_trips += 1
+        try:
+            kw_solve(section, target)  # verifies chi1 of its answer exactly
+        except TripleNotFound:
+            continue
+        round_trips += 1
     # the section at 0: kappa(0) = e, a nonzero regular nilpotent
     zero_coeffs = kw_solve(section, [ZERO] * pair.rank_r1)
     kappa0 = section.slice_point(zero_coeffs)

@@ -69,8 +69,11 @@ def test_criterion_04_canonical_involution_well_defined():
 
     ok = True
     for spec in MATRIX_CATALOG:
+        pair = realize(spec)
         try:
-            canonical_involution(realize(spec))  # bitwise equality asserted inside
+            theta_can = canonical_involution(pair)  # bitwise equality asserted inside
+            ok = (ok and theta_can.is_involution
+                  and theta_can.fixed_dim + pair.rank_r1 == pair.rank_g)
         except Exception:
             ok = False
     _announce("4 (canonical involution identical from every split Borel)", ok)

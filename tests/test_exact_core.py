@@ -222,6 +222,14 @@ def test_gaussian_roots_certifies_without_factoring():
     assert _certified_roots(_times_linear([GaussRat(1)], roots)) == want
 
 
+@given(st.lists(st.builds(GaussRat, st.integers(-50, 50), st.integers(-50, 50)),
+                min_size=1, max_size=8, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_certified_roots_find_distinct_gaussian_integers(roots):
+    want = sorted(roots, key=GaussRat.sort_key)
+    assert _certified_roots(_times_linear([GaussRat(1)], roots)) == want
+
+
 @given(root_multisets)
 @settings(max_examples=60, deadline=None)
 def test_gaussian_roots_recovers_multisets(roots):

@@ -126,13 +126,13 @@ def test_regular_class_count_bounds():
 
 
 def test_canonical_involution_sl2_is_minus_one():
-    theta_can = canonical_involution(realize("splitA:n=1"))
+    theta_can = canonical_involution(realize("splitA:n=1")).matrix
     assert theta_can == ExactMatrix.from_rows([[-1]])
 
 
 def test_canonical_involution_diag_is_swap_type():
     p = realize("diag:sl2")
-    theta_can = canonical_involution(p)
+    theta_can = canonical_involution(p).matrix
     # eigenvalue +1 space has dimension rank - r1 = 1
     fixed = (theta_can - ExactMatrix.identity(2)).kernel_basis()
     anti = (theta_can + ExactMatrix.identity(2)).kernel_basis()
@@ -141,11 +141,14 @@ def test_canonical_involution_diag_is_swap_type():
 
 def test_canonical_involution_glgl_eigenspaces():
     p = realize("glgl:n=1")
-    theta_can = canonical_involution(p)
+    theta_can = canonical_involution(p).matrix
     anti = (theta_can + ExactMatrix.identity(p.rank_g)).kernel_basis()
     assert len(anti) == p.rank_r1 == 1
 
 
 def test_canonical_involution_well_defined_everywhere():
     for spec in MATRIX_CATALOG:
-        canonical_involution(realize(spec))  # asserts bitwise equality inside
+        pair = realize(spec)
+        theta_can = canonical_involution(pair)  # asserts bitwise equality inside
+        assert theta_can.is_involution
+        assert theta_can.fixed_dim + pair.rank_r1 == pair.rank_g

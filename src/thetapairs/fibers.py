@@ -11,23 +11,33 @@ diagonal-pair comparison with the classical simultaneous resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge
 from .involutions import (
-    reflection_lift,
-    split_simple_lift,
+    SplitWeylLifts,
+    compute_subgroups,
+    regular_classes,
+    restrict_action,
     theta_fixed_subgroup,
     torus_action_perm,
-    weyl_word,
+    weyl_group_of_g0,
 )
 from .jordan import is_semisimple
-from .liealg import ConcreteRootData, Vector, gvec, vec_is_zero, weight_decomposition
+from .liealg import (
+    ConcreteRootData,
+    Vector,
+    flag_stabilizer,
+    gvec,
+    vec_is_zero,
+    weight_decomposition,
+)
 from .matrix import (
     ExactMatrix,
     coordinates_in_basis,
     independent_subset,
     intersect_spans,
+    span_eq,
     span_rank,
 )
 from .pairs import CatalogError, SymmetricPairRealization
@@ -42,60 +52,6 @@ from .slices import (
 
 class CentralizerTorusError(Exception):
     """The centralizer of the base point has no fundamental torus over Q(i)."""
-
-
-# -- exponential lifts of split-side Weyl elements -----------------------------
-
-
-class SplitWeylLifts:
-    """Cached Ad(n_w) matrices for the split-side Weyl group of a pair."""
-
-    def __init__(self, pair: SymmetricPairRealization):
-        self.pair = pair
-        self.split = pair.split_roots
-        self._simple = [split_simple_lift(pair, i)
-                        for i in range(self.split.datum.rank)]
-        self._cache: Dict[bytes, ExactMatrix] = {
-            identity_perm(self.split.nroots): ExactMatrix.identity(pair.dim_g)}
-        self._torus_cache: Dict[bytes, ExactMatrix] = {}
-
-    def ad(self, perm: bytes) -> ExactMatrix:
-        if perm not in self._cache:
-            word = weyl_word(self.split.datum, perm)
-            n_ad = ExactMatrix.identity(self.pair.dim_g)
-            for i in word:
-                n_ad = self._simple[i] @ n_ad
-            induced = torus_action_perm(self.pair, self.split, n_ad)
-            if induced != perm:
-                raise CatalogError("split lift does not realize its Weyl element")
-            self._cache[perm] = n_ad
-        return self._cache[perm]
-
-    def torus_matrix(self, perm: bytes) -> ExactMatrix:
-        if perm not in self._torus_cache:
-            torus_cols = [list(t) for t in self.split.torus]
-            self._torus_cache[perm] = _restrict(self.ad(perm), torus_cols)
-        return self._torus_cache[perm]
-
-
-def _restrict(action: ExactMatrix, basis_cols: List[List[GaussRat]]) -> ExactMatrix:
-    cols = []
-    for b in basis_cols:
-        img = action.apply(b)
-        c = coordinates_in_basis(basis_cols, img)
-        if c is None:
-            raise CatalogError("action does not preserve the subspace")
-        cols.append(c)
-    return ExactMatrix.from_columns(cols)
-
-
-_LIFTS: Dict[str, SplitWeylLifts] = {}
-
-
-def split_lifts(pair: SymmetricPairRealization) -> SplitWeylLifts:
-    if pair.pair_id not in _LIFTS:
-        _LIFTS[pair.pair_id] = SplitWeylLifts(pair)
-    return _LIFTS[pair.pair_id]
 
 
 # -- fibers over regular elements ----------------------------------------------
@@ -125,12 +81,6 @@ class FiberReport:
         return len(self.fiber_points)
 
 
-def _wa_perms(pair: SymmetricPairRealization) -> List[bytes]:
-    split = pair.split_roots
-    group = enumerate_weyl(split.datum)
-    return theta_fixed_subgroup(group, split.theta_perm)
-
-
 def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberReport:
     """The fiber of the resolution projection over a regular element.
 
@@ -155,10 +105,11 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     split = pair.split_roots
     torus_cols = [list(t) for t in split.torus]
     ss_t = coordinates_in_basis(torus_cols, ss1)
-    assert ss_t is not None
+    if ss_t is None:
+        raise CatalogError(f"{pair.pair_id}: conjugated semisimple part is not in the split torus")
 
-    lifts = split_lifts(pair)
-    wa = _wa_perms(pair)
+    lifts = SplitWeylLifts.of(pair)
+    wa = compute_subgroups(pair).Wa_perms
     orbit: Dict[Tuple, bytes] = {}
     stab_count = 0
     for w in wa:
@@ -167,7 +118,8 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
         if image == ss_t:
             stab_count += 1
         orbit.setdefault(key, w)
-    assert len(orbit) == len(wa) // stab_count
+    if len(orbit) * stab_count != len(wa):
+        raise CatalogError(f"{pair.pair_id}: W_a orbit size is not |W_a|/|Stab|")
 
     z = pair.frame.centralizer([ss1])
     slots = _defining_slots(pair)
@@ -243,7 +195,6 @@ def _flag_witness(pair, slots: List[DefiningSlot], ss1, nil1, ss_t, y_t) -> List
     the nilpotent part on the eigenspace of the semisimple part whose
     eigenvalue equals the y-value of slot i (blockwise for diagonal pairs).
     """
-    n = pair.frame.n_def
     ss_m = pair.from_coords(ss1)
     nil_m = pair.from_coords(nil1)
     blocks = sorted({s.block for s in slots})
@@ -264,16 +215,7 @@ def _flag_witness(pair, slots: List[DefiningSlot], ss1, nil1, ss_t, y_t) -> List
             raise AssertionError("slot pattern exceeds the eigenspace filtration")
         flags[slot.block] = flags[slot.block] + [filt[taken[key] - 1][-1]]
     # stabilizer of the per-block flags inside g
-    conditions = []
-    for b in blocks:
-        chain: List[List[List[GaussRat]]] = []
-        acc: List[List[GaussRat]] = []
-        for vec in flags[b]:
-            acc = acc + [vec]
-            chain.append(list(acc))
-        conditions.append(chain)
-    basis = _flag_stabilizer(pair, conditions)
-    return basis
+    return flag_stabilizer(pair.frame, [flags[b] for b in blocks])
 
 
 def _block_eigenspace(pair, ss_m, lam, block) -> List[List[GaussRat]]:
@@ -318,46 +260,11 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
                 vec = [a + coeff * b for a, b in zip(vec, base)]
             if span_rank([list(v) for v in stage + [vec]]) > len(stage):
                 stage = stage + [vec]
-        assert len(stage) == k
+        if len(stage) != k:
+            raise CatalogError("kernel filtration step has the wrong dimension")
         chain.append(stage)
         prev = stage
     return chain
-
-
-def _flag_stabilizer(pair, block_chains) -> List[Vector]:
-    """Basis of {M in g : M F_j subset F_j for every flag step}."""
-    n = pair.frame.n_def
-    rows = []
-    for chain in block_chains:
-        for step in chain:
-            comp = _complement_functionals(step, n)
-            for v in step:
-                for phi in comp:
-                    # condition: phi(M v) = 0; unknowns M in g-coordinates
-                    row = []
-                    for b in pair.frame.basis:
-                        mv = b.apply(v)
-                        row.append(sum((p * q for p, q in zip(phi, mv)), ZERO))
-                    rows.append(row)
-    if not rows:
-        return [gvec([ONE if i == k else ZERO for i in range(pair.dim_g)])
-                for k in range(pair.dim_g)]
-    mat = ExactMatrix.from_rows(rows)
-    return mat.kernel_basis()
-
-
-def _complement_functionals(step, n) -> List[List[GaussRat]]:
-    """Functionals vanishing exactly on span(step)."""
-    mat = ExactMatrix.from_rows([list(v) for v in step])
-    return mat.kernel_basis()
-
-
-def _span_eq(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    ra = span_rank([list(v) for v in a])
-    rb = span_rank([list(v) for v in b])
-    if ra != rb:
-        return False
-    return span_rank([list(v) for v in list(a) + list(b)]) == ra
 
 
 def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
@@ -374,29 +281,16 @@ def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
     z_b = intersect_spans([list(v) for v in witness], [list(v) for v in z])
     # Z_B(X_ss) must be a regular theta-stable Borel subalgebra of the Levi
     theta_zb = [pair.theta_apply(v) for v in z_b]
-    if not _span_eq(z_b, theta_zb):
+    if not span_eq(z_b, theta_zb):
         raise AssertionError("Z_B(X_ss) is not theta-stable")
     if span_rank([list(v) for v in z_b]) != (len(z) + pair.rank_g) // 2:
         raise AssertionError("Z_B(X_ss) is not a Borel subalgebra of the Levi")
     if not vec_is_zero(nil1):
         if coordinates_in_basis([list(v) for v in z_b], list(nil1)) is None:
             raise AssertionError("nilpotent part escapes Z_B(X_ss)")
-        if len(_ad_restricted(pair, z, nil1).kernel_basis()) != pair.rank_g:
+        if len(restrict_action(pair.ad(nil1), z).kernel_basis()) != pair.rank_g:
             raise AssertionError("nilpotent part is not regular in the centralizer")
-    return _span_eq(b_theta, z_b)
-
-
-def _ad_restricted(pair, subspace: Sequence[Vector], y: Vector) -> ExactMatrix:
-    ad_y = pair.ad(y)
-    cols = []
-    basis_cols = [list(v) for v in subspace]
-    for v in basis_cols:
-        img = ad_y.apply(v)
-        c = coordinates_in_basis(basis_cols, img)
-        if c is None:
-            raise AssertionError("subspace is not ad-stable")
-        cols.append(c)
-    return ExactMatrix.from_columns(cols)
+    return span_eq(b_theta, z_b)
 
 
 # -- G0 lifts of the little Weyl group and fiber conjugators --------------------
@@ -406,12 +300,6 @@ def _exp_braid(pair, e: Vector, f: Vector) -> ExactMatrix:
     ad = pair.ad
     return (ad(e).exp_nilpotent() @ ad([-c for c in f]).exp_nilpotent()
             @ ad(e).exp_nilpotent())
-
-
-@dataclass
-class G0WeylLift:
-    perm: bytes           # the W_a element (split-side root permutation)
-    ad_matrix: ExactMatrix
 
 
 def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
@@ -533,7 +421,7 @@ def exhibit_fiber_conjugators(pair: SymmetricPairRealization,
         found = None
         for m in lifts.values():
             image = [m.apply(v) for v in base]
-            if _span_eq(image, point.witness_borel):
+            if span_eq(image, point.witness_borel):
                 found = m
                 break
         if found is None:
@@ -644,7 +532,7 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     split = pair.split_roots
     torus_cols = [list(t) for t in split.torus]
     x_t = coordinates_in_basis(torus_cols, x1)
-    lifts = split_lifts(pair)
+    lifts = SplitWeylLifts.of(pair)
     group = enumerate_weyl(split.datum)
     a_cols = [coordinates_in_basis(torus_cols, list(a)) for a in pair.a_basis]
 
@@ -661,7 +549,7 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
             if coordinates_in_basis(a_cols, inv_mats[v].apply(pt)) is not None)
         labels.setdefault(label, []).append(idx)
     groups = sorted(labels.values(), key=lambda g: g[0])
-    wa = _wa_perms(pair)
+    wa = compute_subgroups(pair).Wa_perms
     for g in groups:
         if len(g) != len(wa):
             raise AssertionError("component group of unexpected size")
@@ -763,22 +651,20 @@ def fiber_component_dimensions(pair: SymmetricPairRealization,
     a_point = gvec(a_point)
     if coordinates_in_basis([list(v) for v in pair.a_basis], a_point) is None:
         raise CatalogError("base point must lie in the Cartan subspace")
-    frame = pair.frame
-    if vec_is_zero(a_point):
-        z_basis = [gvec([ONE if i == k else ZERO for i in range(pair.dim_g)])
-                   for k in range(pair.dim_g)]
-    else:
-        z_basis = frame.centralizer([a_point])
+    # the centralizer of the base point; None when it is all of g
+    z_basis = None if vec_is_zero(a_point) else pair.frame.centralizer([a_point])
     t_fund = _cayley_to_fundamental(pair, z_basis, pair.t_split_basis)
     rdata = _fundamental_root_data(pair, z_basis, t_fund)
-    classes = _regular_classes_of_view(pair, z_basis, rdata)
+    w_theta = theta_fixed_subgroup(enumerate_weyl(rdata.datum), rdata.theta_perm)
+    w0 = weyl_group_of_g0(pair, rdata, z_basis)
+    classes = regular_classes(pair, rdata, w_theta, w0, z_basis)
 
     dim_g0 = pair.dim_g0
     dim_g1 = pair.dim_g1
     expected = dim_g1 - pair.rank_r1
     audits = []
     for cls in classes:
-        positive = [cls["perm"][k] for k in rdata.positive]
+        positive = [cls.rep_perm[k] for k in rdata.positive]
         t_vectors = [list(t) for t in rdata.torus]
         pos_vectors = [rdata.root_vectors[k] for k in positive]
         b_theta = t_vectors + [list(v) for v in pos_vectors]
@@ -787,8 +673,8 @@ def fiber_component_dimensions(pair: SymmetricPairRealization,
         n_g1 = span_rank([list(pair.g1_part(v)) for v in pos_vectors
                           if not vec_is_zero(pair.g1_part(v))] or [[ZERO]])
         audits.append(CentralizerClassAudit(
-            regular=cls["regular"],
-            class_size=cls["size"],
+            regular=cls.regular,
+            class_size=cls.class_size,
             dim_b_theta_g0=b_g0,
             dim_n_theta_g1=n_g1,
             audit_value=dim_g0 - b_g0 + n_g1,
@@ -819,91 +705,3 @@ def _fundamental_root_data(pair, z_basis, t_fund) -> ConcreteRootData:
         except ValueError as exc:
             last_error = exc
     raise CentralizerTorusError(f"no regular positivity element found: {last_error}")
-
-
-def _regular_classes_of_view(pair, z_basis, rdata: ConcreteRootData):
-    """W0\\W^theta classes with regularity marks for a centralizer pair."""
-    group = enumerate_weyl(rdata.datum)
-    wtheta = theta_fixed_subgroup(group, rdata.theta_perm)
-    w0 = _w0_of_view(pair, z_basis, rdata)
-    cosets: Dict[bytes, List[bytes]] = {}
-    for w in wtheta:
-        key = min(compose(u, w) for u in w0)
-        cosets.setdefault(key, []).append(w)
-    simple_base = rdata.simple_indices_of(list(rdata.positive))
-    comp = rdata.compactness or {}
-    out = []
-    for key in sorted(cosets):
-        simples = [key[s] for s in simple_base]
-        shortcut = all(comp.get(s) != "compact" for s in simples)
-        regular = shortcut
-        if rdata.nroots:
-            witness = [ZERO] * pair.dim_g
-            seen = set()
-            for s in simples:
-                if s in seen:
-                    continue
-                seen.add(s)
-                seen.add(rdata.theta_perm[s])
-                part = pair.g1_part(rdata.root_vectors[s])
-                witness = [a + b for a, b in zip(witness, part)]
-            semantic = (not vec_is_zero(witness)) and (
-                len(_ad_restricted(pair, z_basis, witness).kernel_basis())
-                == pair.rank_g)
-            if semantic != shortcut:
-                raise CatalogError(
-                    "centralizer regularity: shortcut and semantic tests disagree")
-            regular = semantic
-        else:
-            regular = True  # torus centralizer: the zero nilpotent is regular
-        out.append({"perm": key, "size": len(cosets[key]), "regular": regular})
-    return out
-
-
-def _w0_of_view(pair, z_basis, rdata: ConcreteRootData) -> List[bytes]:
-    t0 = independent_subset(
-        [list(pair.g0_part(t)) for t in rdata.torus
-         if not vec_is_zero(pair.g0_part(t))])
-    z_g0 = independent_subset(
-        [list(pair.g0_part(v)) for v in z_basis
-         if not vec_is_zero(pair.g0_part(v))])
-    decomposition = weight_decomposition(pair.frame, t0, ambient=z_g0)
-    gens = []
-    weight_map = {}
-    roots = []
-    for w, space in decomposition:
-        if all(x.is_zero() for x in w):
-            continue
-        if len(space) != 1:
-            raise CatalogError("centralizer g0 root space not one-dimensional")
-        weight_map[w] = len(roots)
-        roots.append((w, space[0]))
-    seen = set()
-    for w, vec in roots:
-        negw = tuple(-x for x in w)
-        if (negw, w) in seen:
-            continue
-        seen.add((w, negw))
-        f_raw = roots[weight_map[negw]][1]
-
-        def value_of_h(h, w=w, t0=t0):
-            coeffs = coordinates_in_basis([list(t) for t in t0], h)
-            return sum((c * x for c, x in zip(coeffs, w)), ZERO)
-
-        lift = reflection_lift(pair, vec, f_raw, value_of_h)
-        gens.append(torus_action_perm(pair, rdata, lift))
-    ident = identity_perm(rdata.nroots)
-    lifts = {ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in lifts:
-                    lifts.add(q)
-                    out.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return out

@@ -110,9 +110,6 @@ class GaussRat:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -198,13 +195,6 @@ def gauss_sqrt(z: GaussRat):
 # A polynomial is a list of GaussRat coefficients in *descending* degree,
 # matching the char_poly convention.  Only the little that the Jordan and
 # eigenvalue machinery needs lives here.
-
-
-def poly_eval(coeffs, x: GaussRat) -> GaussRat:
-    acc = GaussRat(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def poly_derivative(coeffs):

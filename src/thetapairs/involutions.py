@@ -10,15 +10,14 @@ theta-split Borel choice.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO
 from .liealg import ConcreteRootData, Vector, vec_is_zero, weight_decomposition
 from .matrix import ExactMatrix, coordinates_in_basis, independent_subset
-from .pairs import CatalogError, SymmetricPairRealization
-from .rootsystem import WeylGroup, compose, enumerate_weyl, identity_perm
+from .pairs import CatalogError, SymmetricPairRealization, per_pair
+from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm
 
 
 class MissingCompactness(Exception):
@@ -50,9 +49,11 @@ def classify_roots(rdi) -> Dict[str, List[int]]:
             out["real"].append(k)
         else:
             out["complex"].append(k)
-    assert len(out["complex"]) % 2 == 0
+    if len(out["complex"]) % 2:
+        raise CatalogError("complex roots do not come in theta-pairs")
     for k in out["complex"]:
-        assert theta_perm[k] != k and theta_perm[theta_perm[k]] == k
+        if theta_perm[theta_perm[k]] != k:
+            raise CatalogError(f"theta does not pair complex root {k} with its image")
     return out
 
 
@@ -76,7 +77,7 @@ class SubgroupReport:
     indices: Tuple[int, int]  # ([W^theta : W0], [W : W^theta])
     W_theta_perms: List[bytes] = field(repr=False, default_factory=list)
     W0_perms: Optional[List[bytes]] = field(repr=False, default=None)
-    Wa_perms: Optional[List[bytes]] = field(repr=False, default=None)
+    Wa_perms: Optional[List[bytes]] = field(repr=False, default=None)  # matrix level
 
 
 def theta_fixed_subgroup(group: WeylGroup, theta_perm: bytes) -> List[bytes]:
@@ -84,14 +85,16 @@ def theta_fixed_subgroup(group: WeylGroup, theta_perm: bytes) -> List[bytes]:
             if compose(p, theta_perm) == compose(theta_perm, p)]
 
 
-def compute_subgroups(pair: SymmetricPairRealization, seed: int = 0) -> SubgroupReport:
+@per_pair
+def compute_subgroups(pair: SymmetricPairRealization) -> SubgroupReport:
     """W, W^theta, W0 and the little Weyl group W_a for a catalog pair.
 
     Matrix level: W^theta and W0 are computed relative to the fundamental
     torus (W0 through exponential lifts of g0 root reflections); W_a is
     the theta-commutant of W relative to the maximally split torus.
     Combinatorial entries take W0 as input (G2: generated by compact-root
-    reflections; E6: the stated order), and are split, so W_a = W.
+    reflections; E6: the stated order), and are split, so W_a = W and its
+    elements are not listed.
     """
     if pair.matrix_level:
         fund = pair.fund_roots
@@ -104,7 +107,10 @@ def compute_subgroups(pair: SymmetricPairRealization, seed: int = 0) -> Subgroup
         split = pair.split_roots
         ws = enumerate_weyl(split.datum)
         wa = theta_fixed_subgroup(ws, split.theta_perm)
-        report = SubgroupReport(
+        if wf.order != ws.order:
+            raise CatalogError(
+                f"{pair.pair_id}: fundamental and split Weyl groups differ in order")
+        return SubgroupReport(
             pair_id=pair.pair_id,
             W_order=wf.order,
             W_theta_order=len(wtheta),
@@ -115,8 +121,6 @@ def compute_subgroups(pair: SymmetricPairRealization, seed: int = 0) -> Subgroup
             W0_perms=w0,
             Wa_perms=wa,
         )
-        assert wf.order == ws.order
-        return report
 
     comb = pair.comb
     group = enumerate_weyl(comb.datum)
@@ -125,7 +129,7 @@ def compute_subgroups(pair: SymmetricPairRealization, seed: int = 0) -> Subgroup
         compact = [k for k, v in comb.compactness.items()
                    if v == "compact" and k in set(comb.datum.positive_indices())]
         gens = [comb.datum.reflection_perm(comb.datum.all_roots[k]) for k in compact]
-        w0 = _closure_bytes(gens, len(comb.datum.all_roots))
+        w0 = _closure(gens, len(comb.datum.all_roots))
         if len(w0) != comb.w0_input_order:
             raise CatalogError(
                 f"{pair.pair_id}: compact-root Weyl group has order {len(w0)}, "
@@ -145,26 +149,7 @@ def compute_subgroups(pair: SymmetricPairRealization, seed: int = 0) -> Subgroup
         indices=(len(wtheta) // w0_order, group.order // len(wtheta)),
         W_theta_perms=wtheta,
         W0_perms=w0_perms,
-        Wa_perms=list(group.elements),
     )
-
-
-def _closure_bytes(gens: Sequence[bytes], n: int) -> List[bytes]:
-    ident = identity_perm(n)
-    seen = {ident}
-    out = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return out
 
 
 # -- W0 through exponential lifts ----------------------------------------------
@@ -176,22 +161,6 @@ def theta_eigen_basis(pair: SymmetricPairRealization, vectors: Sequence[Vector],
     part = pair.g0_part if sign > 0 else pair.g1_part
     projected = [part(v) for v in vectors]
     return independent_subset([p for p in projected if not vec_is_zero(p)])
-
-
-def g0_root_data(pair: SymmetricPairRealization):
-    """Roots of (g0, t0) for the fundamental torus, as weight/vector pairs."""
-    fund = pair.fund_roots
-    t0 = theta_eigen_basis(pair, fund.torus, +1)
-    g0_basis = pair.g0_basis_coords()
-    decomposition = weight_decomposition(pair.frame, t0, ambient=g0_basis)
-    roots = []
-    for w, space in decomposition:
-        if all(x.is_zero() for x in w):
-            continue
-        if len(space) != 1:
-            raise CatalogError(f"{pair.pair_id}: g0 root space not one-dimensional")
-        roots.append((w, space[0]))
-    return t0, roots
 
 
 def _exp_ad(pair: SymmetricPairRealization, vec: Vector) -> ExactMatrix:
@@ -235,29 +204,42 @@ def torus_action_perm(pair: SymmetricPairRealization, rdata: ConcreteRootData,
     return bytes(perm)
 
 
-def weyl_group_of_g0(pair: SymmetricPairRealization) -> List[bytes]:
-    """W0 = W(g0, t0) embedded in W(fundamental torus) by exponential lifts."""
+def weyl_group_of_g0(pair: SymmetricPairRealization,
+                     rdata: Optional[ConcreteRootData] = None,
+                     z_basis: Optional[Sequence[Vector]] = None) -> List[bytes]:
+    """W0 = W(g0, t0) embedded in W(rdata) by exponential lifts of the g0
+    root reflections.  The view is g with its fundamental torus by default,
+    or the theta-stable subalgebra spanned by z_basis with the torus of
+    rdata."""
     pair.require_matrix_level()
-    fund = pair.fund_roots
-    t0, g0_roots = g0_root_data(pair)
+    if rdata is None:
+        rdata = pair.fund_roots
+    t0 = theta_eigen_basis(pair, rdata.torus, +1)
+    ambient = (pair.g0_basis_coords() if z_basis is None
+               else theta_eigen_basis(pair, z_basis, +1))
+    root_vectors: Dict[Tuple[GaussRat, ...], Vector] = {}
+    for w, space in weight_decomposition(pair.frame, t0, ambient=ambient):
+        if all(x.is_zero() for x in w):
+            continue
+        if len(space) != 1:
+            raise CatalogError(f"{pair.pair_id}: g0 root space not one-dimensional")
+        root_vectors[w] = space[0]
+    t0_cols = [list(t) for t in t0]
     gens: List[bytes] = []
-    weight_map = {w: k for k, w in enumerate([w for w, _ in g0_roots])}
     seen_pairs = set()
-    for idx, (w, vec) in enumerate(g0_roots):
+    for w, vec in root_vectors.items():
         negw = tuple(-x for x in w)
         if (negw, w) in seen_pairs:
             continue
         seen_pairs.add((w, negw))
-        neg_idx = weight_map[negw]
-        f_raw = g0_roots[neg_idx][1]
 
-        def value_of_h(h, w=w, t0=t0):
-            coeffs = coordinates_in_basis([list(t) for t in t0], h)
+        def value_of_h(h, w=w):
+            coeffs = coordinates_in_basis(t0_cols, h)
             return sum((c * x for c, x in zip(coeffs, w)), ZERO)
 
-        lift = reflection_lift(pair, vec, f_raw, value_of_h)
-        gens.append(torus_action_perm(pair, fund, lift))
-    return _closure_bytes(gens, fund.nroots)
+        lift = reflection_lift(pair, vec, root_vectors[negw], value_of_h)
+        gens.append(torus_action_perm(pair, rdata, lift))
+    return _closure(gens, rdata.nroots)
 
 
 # -- theta-split Borels ---------------------------------------------------------
@@ -317,129 +299,83 @@ class RegularClassReport:
     witness_coords: Optional[Vector] = None  # a regular nilpotent in Lie(B) cap g1
 
 
-def borel_g1_nilradical(pair: SymmetricPairRealization, positive: Sequence[int]) -> List[Vector]:
-    """Basis of n_w cap g1 for the theta-stable Borel with the given
-    positive system (fundamental torus)."""
-    fund = pair.fund_roots
-    comp = fund.compactness or {}
-    out: List[Vector] = []
-    done = set()
-    for k in positive:
-        if k in done:
-            continue
-        img = fund.theta_perm[k]
-        if img == k:
-            if comp.get(k) == "noncompact":
-                out.append(pair.g1_part(fund.root_vectors[k]))
-        else:
-            # complex pair: theta swaps the two root lines and is Q(i)-linear,
-            # so the g1 eigenspace of the pair is one-dimensional
-            done.add(img)
-            part = pair.g1_part(fund.root_vectors[k])
-            if not vec_is_zero(part):
-                out.append(part)
+def _shortcut_classes(w_theta: Sequence[bytes], w0: Sequence[bytes],
+                      simple_base: Sequence[int], compactness: Dict[int, str]
+                      ) -> Iterator[Tuple[bytes, int, List[int], Optional[int]]]:
+    """(representative, size, simple roots, first compact simple root or
+    None) for each coset W0 w in W^theta, in representative order."""
+    cosets: Dict[bytes, int] = {}
+    for w in w_theta:
+        key = min(compose(u, w) for u in w0)
+        cosets[key] = cosets.get(key, 0) + 1
+    for key in sorted(cosets):
+        simples = [key[s] for s in simple_base]
+        compact_simple = next((s for s in simples if compactness.get(s) == "compact"), None)
+        yield key, cosets[key], simples, compact_simple
+
+
+def regular_classes(pair: SymmetricPairRealization, rdata: ConcreteRootData,
+                    w_theta: Sequence[bytes], w0: Sequence[bytes],
+                    z_basis: Optional[Sequence[Vector]] = None) -> List[RegularClassReport]:
+    """Classes W0\\W^theta of theta-stable Borels containing the torus of
+    rdata, marked regular by the semantic test.
+
+    The view is g (z_basis None) or the theta-stable subalgebra spanned by
+    z_basis.  A class is regular when its canonical witness, the sum of
+    the g1 parts of its simple root vectors (one per theta-orbit), is a
+    regular nilpotent of the view.  The compact-simple-root shortcut must
+    agree; a negative class carries its compact simple root as the exact
+    certificate.
+    """
+    simple_base = rdata.simple_indices_of(list(rdata.positive))
+    out = []
+    for key, size, simples, compact_simple in _shortcut_classes(
+            w_theta, w0, simple_base, rdata.compactness or {}):
+        witness = [ZERO] * pair.dim_g
+        seen = set()
+        for s in simples:
+            if s in seen:
+                continue
+            seen.update((s, rdata.theta_perm[s]))
+            part = pair.g1_part(rdata.root_vectors[s])
+            witness = [a + b for a, b in zip(witness, part)]
+        ad_w = pair.ad(witness)
+        if z_basis is not None:
+            ad_w = restrict_action(ad_w, z_basis)
+        regular = len(ad_w.kernel_basis()) == pair.rank_g
+        shortcut = compact_simple is None
+        if regular != shortcut:
+            raise CatalogError(
+                f"{pair.pair_id}: shortcut and semantic regularity disagree "
+                f"on class {key.hex()}")
+        out.append(RegularClassReport(key, size, regular, shortcut, compact_simple,
+                                      witness if regular else None))
     return out
 
 
-def detect_regular_borels(pair: SymmetricPairRealization, seed: int = 0,
-                          report: Optional[SubgroupReport] = None) -> List[RegularClassReport]:
+@per_pair
+def detect_regular_borels(pair: SymmetricPairRealization) -> List[RegularClassReport]:
     """Classes of theta-stable Borels (cosets W0\\W^theta) marked regular
     or not.
 
-    Matrix pairs run the semantic test (a generic element of
-    Lie(B) cap g1 is a regular nilpotent of g) and cross-validate the
-    compact-simple-root shortcut; negatives carry an exact certificate (a
-    compact imaginary simple root).  Combinatorial entries use the
+    Matrix pairs run the semantic test of `regular_classes` on the
+    fundamental torus.  Combinatorial entries use the compact-simple-root
     shortcut, whose tags are part of the catalog input.
     """
-    if report is None:
-        report = compute_subgroups(pair, seed=seed)
+    if not pair.matrix_level and pair.comb.compactness is None:
+        raise MissingCompactness(f"{pair.pair_id} carries no compactness data")
+    report = compute_subgroups(pair)
     if pair.matrix_level:
-        rdata = pair.fund_roots
-        compactness = rdata.compactness or {}
+        out = regular_classes(pair, pair.fund_roots, report.W_theta_perms, report.W0_perms)
     else:
-        rdata = pair.comb
-        compactness = rdata.compactness
-        if compactness is None:
-            raise MissingCompactness(f"{pair.pair_id} carries no compactness data")
-    if report.W0_perms is None:
-        raise CatalogError(f"{pair.pair_id}: W0 not materialized; cannot form cosets")
-
-    if pair.matrix_level:
-        base_pos = list(rdata.positive)
-        simple_base = rdata.simple_indices_of(base_pos)
-        datum = rdata.datum
-    else:
-        datum = rdata.datum
-        base_pos = datum.positive_indices()
-        simple_base = datum.simple_indices
-
-    cosets: Dict[bytes, List[bytes]] = {}
-    for w in report.W_theta_perms:
-        key = min(compose(u, w) for u in report.W0_perms)
-        cosets.setdefault(key, []).append(w)
-
-    rng = random.Random(0xC0FFEE + seed)
-    out = []
-    for key in sorted(cosets):
-        members = cosets[key]
-        w = key
-        simples = [w[s] for s in simple_base]
-        compact_simple = next((s for s in simples if compactness.get(s) == "compact"), None)
-        shortcut = compact_simple is None
-        if pair.matrix_level:
-            positive = [w[k] for k in base_pos]
-            semantic, witness = _semantic_regular(pair, positive, simples, rng)
-            if semantic != shortcut:
-                # the semantic test wins; surface the disagreement loudly
-                raise CatalogError(
-                    f"{pair.pair_id}: shortcut and semantic regularity disagree "
-                    f"on class {key.hex()}")
-            out.append(RegularClassReport(w, len(members), semantic, shortcut,
-                                          compact_simple, witness))
-        else:
-            out.append(RegularClassReport(w, len(members), shortcut, shortcut,
-                                          compact_simple))
-    assert sum(r.class_size for r in out) == report.W_theta_order
+        comb = pair.comb
+        out = [RegularClassReport(key, size, compact is None, compact is None, compact)
+               for key, size, _, compact in _shortcut_classes(
+                   report.W_theta_perms, report.W0_perms, comb.datum.simple_indices,
+                   comb.compactness)]
+    if sum(r.class_size for r in out) != report.W_theta_order:
+        raise CatalogError(f"{pair.pair_id}: the classes do not partition W^theta")
     return out
-
-
-def _semantic_regular(pair, positive, simples, rng) -> Tuple[bool, Optional[Vector]]:
-    fund = pair.fund_roots
-    comp = fund.compactness or {}
-    space = borel_g1_nilradical(pair, positive)
-    if not space:
-        return False, None
-    # canonical witness: the sum of g1 parts of the simple root vectors
-    candidates = []
-    canonical = [ZERO] * pair.dim_g
-    seen = set()
-    for s in simples:
-        if s in seen:
-            continue
-        seen.add(s)
-        seen.add(fund.theta_perm[s])
-        part = pair.g1_part(fund.root_vectors[s])
-        canonical = [a + b for a, b in zip(canonical, part)]
-    candidates.append(canonical)
-    for _ in range(8):
-        coeffs = [GaussRat(rng.randint(-7, 7)) for _ in space]
-        x = [ZERO] * pair.dim_g
-        for c, v in zip(coeffs, space):
-            x = [a + c * b for a, b in zip(x, v)]
-        candidates.append(x)
-    for x in candidates:
-        if vec_is_zero(x):
-            continue
-        if len(pair.ad(x).kernel_basis()) == pair.rank_g:
-            return True, x
-    # negative: exact certificate expected (a compact imaginary simple root)
-    compact_simple = next((s for s in simples if comp.get(s) == "compact"), None)
-    if compact_simple is None:
-        raise CatalogError(
-            f"{pair.pair_id}: no regular witness found and no compact-simple "
-            "certificate; semantic regularity undecided")
-    return False, None
 
 
 # -- canonical involution ---------------------------------------------------------
@@ -484,6 +420,55 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
     return reflection_lift(pair, e, f_raw, value_of_h)
 
 
+class SplitWeylLifts:
+    """Cached Ad(n_w) matrices for the split-side Weyl group of a pair;
+    `SplitWeylLifts.of(pair)` is the pair's one instance."""
+
+    def __init__(self, pair: SymmetricPairRealization):
+        self.pair = pair
+        self.split = pair.split_roots
+        self._simple = [split_simple_lift(pair, i)
+                        for i in range(self.split.datum.rank)]
+        self._cache: Dict[bytes, ExactMatrix] = {
+            identity_perm(self.split.nroots): ExactMatrix.identity(pair.dim_g)}
+        self._torus_cache: Dict[bytes, ExactMatrix] = {}
+
+    @staticmethod
+    @per_pair
+    def of(pair: SymmetricPairRealization) -> "SplitWeylLifts":
+        return SplitWeylLifts(pair)
+
+    def ad(self, perm: bytes) -> ExactMatrix:
+        if perm not in self._cache:
+            # w = s_{i_k} o ... o s_{i_1} for word = [i_1, ..., i_k]
+            word = weyl_word(self.split.datum, perm)
+            n_ad = ExactMatrix.identity(self.pair.dim_g)
+            for i in word:
+                n_ad = self._simple[i] @ n_ad
+            induced = torus_action_perm(self.pair, self.split, n_ad)
+            if induced != perm:
+                raise CatalogError("split lift does not realize its Weyl element")
+            self._cache[perm] = n_ad
+        return self._cache[perm]
+
+    def torus_matrix(self, perm: bytes) -> ExactMatrix:
+        if perm not in self._torus_cache:
+            self._torus_cache[perm] = restrict_action(self.ad(perm), self.split.torus)
+        return self._torus_cache[perm]
+
+
+def restrict_action(action: ExactMatrix, basis: Sequence[Sequence[GaussRat]]) -> ExactMatrix:
+    """Matrix, in the given basis, of an action that preserves its span."""
+    basis_cols = [list(b) for b in basis]
+    cols = []
+    for b in basis_cols:
+        c = coordinates_in_basis(basis_cols, action.apply(b))
+        if c is None:
+            raise CatalogError("action does not preserve the subspace")
+        cols.append(c)
+    return ExactMatrix.from_columns(cols)
+
+
 @dataclass(frozen=True)
 class CanonicalInvolution:
     """theta_can on the universal Cartan with the facts checked of it."""
@@ -499,46 +484,17 @@ def canonical_involution(pair: SymmetricPairRealization) -> CanonicalInvolution:
     unless every Borel gives the bitwise same matrix; whether it squares to
     1 and its fixed dimension are reported, not asserted."""
     pair.require_matrix_level()
-    split = pair.split_roots
-    torus_cols = [list(t) for t in split.torus]
-    r = len(torus_cols)
-
-    theta_t = _restrict_to_torus(pair.theta_coords, torus_cols)
-
-    # order the simple lifts once
-    simple_lifts = [split_simple_lift(pair, i) for i in range(split.datum.rank)]
-
-    base = list(split.positive)
+    theta_t = restrict_action(pair.theta_coords, pair.split_roots.torus)
+    lifts = SplitWeylLifts.of(pair)
     matrices = []
     for borel in enumerate_split_borels(pair):
-        # w = s_{i_k} o ... o s_{i_1} for word = [i_1, ..., i_k]
-        word = weyl_word(split.datum, borel.perm)
-        n_ad = ExactMatrix.identity(pair.dim_g)
-        for i in word:
-            n_ad = simple_lifts[i] @ n_ad
-        m_w = _restrict_to_torus(n_ad, torus_cols)
-        # sanity: the lift induces the intended permutation on roots
-        induced = torus_action_perm(pair, split, n_ad)
-        if induced != borel.perm:
-            raise CatalogError(f"{pair.pair_id}: exp lift does not realize the Weyl element")
-        theta_can = m_w.inverse() @ theta_t @ m_w
-        matrices.append(theta_can)
+        m_w = lifts.torus_matrix(borel.perm)  # the lift realizes borel.perm
+        matrices.append(m_w.inverse() @ theta_t @ m_w)
     first = matrices[0]
     for m in matrices[1:]:
         if m != first:
             raise CatalogError(
                 f"{pair.pair_id}: canonical involution depends on the Borel choice")
-    ident = ExactMatrix.identity(r)
+    ident = ExactMatrix.identity(first.rows)
     return CanonicalInvolution(first, first @ first == ident,
                                len((first - ident).kernel_basis()))
-
-
-def _restrict_to_torus(action: ExactMatrix, torus_cols: List[List[GaussRat]]) -> ExactMatrix:
-    cols = []
-    for t in torus_cols:
-        img = action.apply(t)
-        c = coordinates_in_basis(torus_cols, img)
-        if c is None:
-            raise CatalogError("action does not preserve the torus")
-        cols.append(c)
-    return ExactMatrix.from_columns(cols)

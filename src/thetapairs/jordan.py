@@ -41,11 +41,10 @@ def jordan_semisimple_part(m: ExactMatrix) -> ExactMatrix:
     """
     if m.rows != m.cols:
         raise ValueError("jordan_semisimple_part of non-square matrix")
-    chi = m.char_poly()
+    p = poly_squarefree_part(m.char_poly())
     # Enforce the exact-domain contract before any work.
-    gaussian_roots(poly_squarefree_part(chi))
+    gaussian_roots(p)
 
-    p = poly_squarefree_part(chi)
     x = m
     n = m.rows
     # Newton: x <- x - p(x) * p'(x)^{-1}; converges in <= log2(n)+1 steps.
@@ -57,9 +56,12 @@ def jordan_semisimple_part(m: ExactMatrix) -> ExactMatrix:
         x = x - px @ dpx.inverse()
     else:
         raise AssertionError("Newton iteration failed to terminate")
-    assert _poly_of_matrix(p, x).is_zero()
-    assert x.commutator(m).is_zero()
-    assert (m - x).is_nilpotent()
+    if not _poly_of_matrix(p, x).is_zero():
+        raise ArithmeticError("Jordan semisimple part is not annihilated by p")
+    if not x.commutator(m).is_zero():
+        raise ArithmeticError("Jordan semisimple part does not commute with m")
+    if not (m - x).is_nilpotent():
+        raise ArithmeticError("Jordan nilpotent part is not nilpotent")
     return x
 
 

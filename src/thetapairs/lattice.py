@@ -165,13 +165,6 @@ class QuotientStructure:
     free_rank: int
     torsion: Tuple[int, ...]  # invariant factors > 1, divisibility chain
 
-    @property
-    def torsion_order(self) -> int:
-        order = 1
-        for t in self.torsion:
-            order *= t
-        return order
-
 
 def cokernel_structure(m: List[List[int]], ambient_rank: Optional[int] = None) -> QuotientStructure:
     """Invariant factors of Z^rows / column-span of m."""

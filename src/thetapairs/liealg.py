@@ -23,19 +23,6 @@ def gvec(values) -> Vector:
     return [v if isinstance(v, GaussRat) else GaussRat.of(v) for v in values]
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = GaussRat.of(c) if not isinstance(c, GaussRat) else c
-    return [c * x for x in a]
-
-
 def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
 
@@ -143,6 +130,29 @@ class LinearAlgebraFrame:
         return space
 
 
+def flag_stabilizer(frame: LinearAlgebraFrame,
+                    flags: Sequence[Sequence[Sequence[GaussRat]]]) -> List[Vector]:
+    """Basis (in frame coordinates) of {M in g : M F subset F for every step
+    F of every flag}, where step j of a flag spans its first j vectors."""
+    rows = []
+    for flag in flags:
+        for j in range(1, len(flag) + 1):
+            step = [list(v) for v in flag[:j]]
+            functionals = ExactMatrix.from_rows(step).kernel_basis()
+            for v in step:
+                for phi in functionals:
+                    # condition: phi(M v) = 0; unknowns M in g-coordinates
+                    row = []
+                    for b in frame.basis:
+                        mv = b.apply(v)
+                        row.append(sum((p * q for p, q in zip(phi, mv)), ZERO))
+                    rows.append(row)
+    if not rows:
+        return [gvec([ONE if i == k else ZERO for i in range(frame.dim)])
+                for k in range(frame.dim)]
+    return ExactMatrix.from_rows(rows).kernel_basis()
+
+
 def _combine(vectors: Sequence[Vector], coeffs: Sequence[GaussRat]) -> Vector:
     acc = [ZERO] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
@@ -238,22 +248,7 @@ class ConcreteRootData:
 
     def simple_indices_of(self, positive: Sequence[int]) -> List[int]:
         """Indices of the simple roots of a positive system."""
-        pos_set = set(positive)
-        weight_map = {self.weights[k]: k for k in range(self.nroots)}
-        simples = []
-        for k in positive:
-            is_sum = False
-            for a in positive:
-                if a == k:
-                    continue
-                rem = tuple(x - y for x, y in zip(self.weights[k], self.weights[a]))
-                other = weight_map.get(rem)
-                if other is not None and other in pos_set:
-                    is_sum = True
-                    break
-            if not is_sum:
-                simples.append(k)
-        return simples
+        return _simple_indices(self.weights, positive)
 
     def classify(self, k: int) -> str:
         """real / imaginary / complex status of root k under theta."""
@@ -263,10 +258,6 @@ class ConcreteRootData:
         if self.weights[img] == tuple(-x for x in self.weights[k]):
             return "real"
         return "complex"
-
-
-def positivity_key(value: GaussRat):
-    return (value.re, value.im)
 
 
 def is_positive_value(value: GaussRat) -> bool:
@@ -366,26 +357,22 @@ def build_concrete_root_data(
     )
 
 
+def _simple_indices(weights, positive: Sequence[int]) -> List[int]:
+    """The positive roots that are not the sum of two positive roots."""
+    pos_set = set(positive)
+    weight_map = {w: k for k, w in enumerate(weights)}
+    simples = []
+    for k in positive:
+        if not any(weight_map.get(tuple(x - y for x, y in zip(weights[k], weights[a])))
+                   in pos_set for a in positive if a != k):
+            simples.append(k)
+    return simples
+
+
 def _abstract_datum(weights, positive) -> RootDatum:
     """Coordinates of every root in the simple basis, plus the Cartan
     matrix recovered from root strings."""
-    weight_map = {w: k for k, w in enumerate(weights)}
-    pos_list = list(positive)
-    # simple = positive roots that are not sums of two positives
-    pos_set = set(pos_list)
-    simples = []
-    for k in pos_list:
-        is_sum = False
-        for a in pos_list:
-            if a == k:
-                continue
-            rem = tuple(x - y for x, y in zip(weights[k], weights[a]))
-            other = weight_map.get(rem)
-            if other is not None and other in pos_set:
-                is_sum = True
-                break
-        if not is_sum:
-            simples.append(k)
+    simples = _simple_indices(weights, positive)
     rank = len(simples)
     simple_vecs = [weights[s] for s in simples]
     mat = ExactMatrix.from_columns([list(v) for v in simple_vecs])

@@ -327,24 +327,17 @@ class ExactMatrix:
         return acc
 
 
-def matrix_from_vectors_as_columns(vectors: Sequence[Sequence]) -> ExactMatrix:
-    if not vectors:
-        raise ValueError("need at least one vector")
-    return ExactMatrix.from_columns(vectors)
-
-
 def span_rank(vectors: Sequence[Sequence]) -> int:
     if not vectors:
         return 0
     return ExactMatrix.from_rows(vectors).rank()
 
 
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Exact membership of target in the span of the given vectors."""
-    if not vectors:
-        return all(_coerce(t).is_zero() for t in target)
-    m = ExactMatrix.from_columns(vectors)
-    return m.solve(target) is not None
+def span_eq(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
+    """Whether two lists of vectors span the same subspace."""
+    ra = span_rank([list(v) for v in a])
+    rb = span_rank([list(v) for v in b])
+    return ra == rb and span_rank([list(v) for v in list(a) + list(b)]) == ra
 
 
 def coordinates_in_basis(basis: Sequence[Sequence], target: Sequence):

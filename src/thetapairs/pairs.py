@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .gaussian import GaussRat, ONE, ZERO
 from .liealg import (
@@ -111,6 +111,8 @@ class SymmetricPairRealization:
     split_positivity: Optional[Vector] = None  # a-regular element pinning B0
     # combinatorial data
     comb: Optional[CombinatorialData] = None
+    # invariants derived from the pair, filled by @per_pair functions
+    derived: Dict[str, object] = field(default_factory=dict, compare=False, repr=False)
 
     # -- element plumbing --------------------------------------------------
 
@@ -174,6 +176,24 @@ class SymmetricPairRealization:
         for c, v in zip(coeffs, self.a_basis):
             acc = [a + GaussRat(c) * x for a, x in zip(acc, v)]
         return acc
+
+
+T = TypeVar("T")
+
+
+def per_pair(fn: Callable[[SymmetricPairRealization], T]
+             ) -> Callable[[SymmetricPairRealization], T]:
+    """Memoize a function of the pair alone on the pair's `derived` dict,
+    so each derived invariant is computed once per realized pair."""
+    key = fn.__qualname__
+
+    @wraps(fn)
+    def memo(pair: SymmetricPairRealization) -> T:
+        if key not in pair.derived:
+            pair.derived[key] = fn(pair)
+        return pair.derived[key]
+
+    return memo
 
 
 # -- basis builders ----------------------------------------------------------
@@ -456,7 +476,6 @@ def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
     for x in pair.a_basis:
         if coordinates_in_basis([list(v) for v in t], list(x)) is None:
             raise CatalogError(f"{pair.pair_id}: a not inside its centralizing torus")
-    t0_dim = sum(1 for v in t if pair.in_g0(v))
     minus = [pair.g1_part(v) for v in t]
     minus_rank = span_rank([list(v) for v in minus if not vec_is_zero(v)])
     if minus_rank != pair.rank_r1:

@@ -59,7 +59,7 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
         timing[name] = round((time.perf_counter() - start) * 1000, 3)
         return value
 
-    sub = timed("subgroups", lambda: compute_subgroups(pair, seed=seed))
+    sub = timed("subgroups", lambda: compute_subgroups(pair))
     doc["subgroup_report"] = {
         "W_order": sub.W_order,
         "W_theta_order": sub.W_theta_order,
@@ -70,8 +70,7 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
     }
 
     if pair.matrix_level or pair.comb.compactness is not None:
-        classes = timed("regular_classes",
-                        lambda: detect_regular_borels(pair, seed=seed, report=sub))
+        classes = timed("regular_classes", lambda: detect_regular_borels(pair))
         doc["regular_class_census"] = {
             "class_count": len(classes),
             "regular_count": sum(1 for c in classes if c.regular),
@@ -111,7 +110,7 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
                 "formula": rep.orbit_size_formula,
                 "stabilizer_order": rep.stabilizer_order,
             }
-            section = build_kw_section(pair, seed=seed)
+            section = build_kw_section(pair)
             from .slices import ElementOfG1
 
             nil = ElementOfG1.from_coords(pair, section.e)
@@ -162,16 +161,16 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
         if pair.spec.family == "diag":
             from .diagonal import diagonal_isomorphism_check
 
-            doc["diagonal_isomorphism"] = timed(
-                "diagonal_isomorphism",
-                lambda: {"round_trips": diagonal_isomorphism_check(pair, seed=seed),
-                         "passes": True})
+            diag = timed("diagonal_isomorphism",
+                         lambda: diagonal_isomorphism_check(pair, seed=seed))
+            doc["diagonal_isomorphism"] = {"round_trips": diag.round_trips,
+                                           "passes": diag.failures == 0}
 
         def stabilizer_section() -> Optional[Dict]:
             fam = pair.spec.family
             if (fam, pair.spec.n) not in (("splitA", 1), ("glgl", 1)):
                 return None
-            section = build_kw_section(pair, seed=seed)
+            section = build_kw_section(pair)
             plane = centralizer_plane(pair, section.e)
             fiber = stabilizer_fiber(pair, plane)
             tangent = tangent_space_solver(pair, plane)

@@ -187,9 +187,6 @@ class RootDatum:
             total += self._symm[i] * v[i] * s
         return total
 
-    def root_norms(self) -> List[Fraction]:
-        return [self.form(r, r) for r in self.all_roots]
-
     # -- reflections -----------------------------------------------------
 
     def simple_reflection_perm(self, i: int) -> bytes:
@@ -260,9 +257,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.perm == identity_perm(len(self.perm))
 
-    def acts_on_root(self, k: int) -> int:
-        return self.perm[k]
-
     def lattice_matrix(self) -> List[List[Fraction]]:
         return self.datum.perm_matrix_on_lattice(self.perm)
 
@@ -292,9 +286,6 @@ class WeylGroup:
     def __iter__(self):
         return (WeylElement(p, self.datum) for p in self.elements)
 
-    def contains_perm(self, perm: bytes) -> bool:
-        return perm in self.index
-
     def longest_element(self) -> WeylElement:
         pos = self.datum.positive_indices()
         roots = self.datum.all_roots
@@ -302,9 +293,6 @@ class WeylGroup:
             if all(sum(roots[p[k]]) < 0 for k in pos):
                 return WeylElement(p, self.datum)
         raise AssertionError("no longest element found")
-
-    def subgroup_closure(self, gens: Sequence[bytes]) -> List[bytes]:
-        return _closure(gens, len(self.datum.all_roots))
 
 
 def _closure(gens: Sequence[bytes], nroots: int, bound: int = ENUMERATION_BOUND) -> List[bytes]:
@@ -353,22 +341,6 @@ def _root_count(family: str, rank: int) -> int:
         "F": 48,
         "E": {6: 72}.get(rank, -1),
     }[family]
-
-
-def weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    if family == "G":
-        return 12
-    if family == "F":
-        return 1152
-    if family == "E" and rank == 6:
-        return 51840
-    raise UnsupportedType(f"{family}{rank}")
 
 
 def enumerate_weyl(datum: RootDatum, bound: int = ENUMERATION_BOUND) -> WeylGroup:

@@ -18,8 +18,8 @@ from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge, gaussian_root
 from .jordan import jordan_semisimple_part
 from .liealg import Vector, gvec, vec_is_zero, weight_decomposition
 from .matrix import ExactMatrix, coordinates_in_basis, intersect_spans
-from .involutions import detect_regular_borels
-from .pairs import CatalogError, SymmetricPairRealization
+from .involutions import detect_regular_borels, theta_eigen_basis
+from .pairs import CatalogError, SymmetricPairRealization, per_pair
 
 
 class NotRegular(Exception):
@@ -178,30 +178,20 @@ def normal_triple_through(pair: SymmetricPairRealization, e: Vector,
 def build_kw_section(pair: SymmetricPairRealization, seed: int = 0) -> KWSection:
     """Slice e + v for the canonical regular nilpotent of the first regular
     Borel class: h solved inside the fundamental t0, f from the triple
-    equations inside g1, v = z_{g1}(f)."""
+    equations inside g1, v = z_{g1}(f).  The section is computed once per
+    pair; `seed` does not affect it."""
+    return _kw_section(pair)
+
+
+@per_pair
+def _kw_section(pair: SymmetricPairRealization) -> KWSection:
     pair.require_matrix_level()
-    classes = detect_regular_borels(pair, seed=seed)
-    reg = next(c for c in classes if c.regular)
-    fund = pair.fund_roots
-    w = reg.rep_perm
-    base_pos = list(fund.positive)
-    simple_base = fund.simple_indices_of(base_pos)
-    simples = [w[s] for s in simple_base]
-    e = [ZERO] * pair.dim_g
-    seen = set()
-    for s in simples:
-        if s in seen:
-            continue
-        seen.add(s)
-        seen.add(fund.theta_perm[s])
-        part = pair.g1_part(fund.root_vectors[s])
-        e = [a + b for a, b in zip(e, part)]
-    if not is_regular(pair, e):
-        raise TripleNotFound("canonical nilpotent of the regular class is not regular")
+    reg = next(c for c in detect_regular_borels(pair) if c.regular)
+    e = reg.witness_coords  # regular, by the semantic test
 
     # h must come from im(ad e) (Jacobson-Morozov), which kills any central
     # ambiguity in t0
-    t0 = [v for v in _theta_plus_basis(pair, fund.torus)]
+    t0 = theta_eigen_basis(pair, pair.fund_roots.torus, +1)
     ad_e = pair.ad(e)
     image = [ad_e.column(j) for j in range(pair.dim_g)]
     h_space = intersect_spans([list(v) for v in t0], image)
@@ -224,13 +214,7 @@ def build_kw_section(pair: SymmetricPairRealization, seed: int = 0) -> KWSection
     graded.sort(key=lambda p: p[0].sort_key(), reverse=True)
     v_basis = [vec for _, vec in graded]
     v_weights = [wt for wt, _ in graded]
-    return KWSection(pair, e, h, f, v_basis, v_weights, w)
-
-
-def _theta_plus_basis(pair, vectors):
-    from .involutions import theta_eigen_basis
-
-    return theta_eigen_basis(pair, vectors, +1)
+    return KWSection(pair, e, h, f, v_basis, v_weights, reg.rep_perm)
 
 
 def kw_solve(section: KWSection, target: Sequence) -> Vector:
@@ -265,7 +249,7 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
              n_samples: int = 50, n_round_trips: int = 20) -> dict:
     """The slice properties: samples regular, chi1 injective on them, and
     quotient targets round-tripping through the slice solve."""
-    section = build_kw_section(pair, seed=seed)
+    section = build_kw_section(pair)
     rng = random.Random(0x5EED + seed)
     seen = {}
     sampled = set()

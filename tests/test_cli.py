@@ -1,7 +1,14 @@
 """The command line surface: grammar, exit codes, determinism."""
 
+import importlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import thetapairs
 from thetapairs.cli import main
 
 
@@ -102,3 +109,30 @@ def test_diag_report_has_isomorphism_audit(capsys):
     doc = json.loads(out)
     assert doc["diagonal_isomorphism"]["passes"] is True
     assert doc["diagonal_isomorphism"]["round_trips"] == 20
+
+
+def test_report_under_python_O_is_byte_identical():
+    # mathematical checks are explicit raises, so -O changes nothing
+    src = str(Path(thetapairs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["-m", "thetapairs.cli", "report", "splitA:n=2", "--json", "--no-timing"]
+    plain = subprocess.run([sys.executable] + argv, env=env, capture_output=True,
+                           check=True)
+    optimized = subprocess.run([sys.executable, "-O"] + argv, env=env,
+                               capture_output=True, check=True)
+    assert optimized.stdout == plain.stdout
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/run.py --trace 1 wraps these names from outside the package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, qualname in tracer.TARGETS:
+        module = importlib.import_module(f"thetapairs.{module_name}")
+        if "." in qualname:
+            cls_name, attr = qualname.split(".")
+            assert attr in vars(getattr(module, cls_name)), (module_name, qualname)
+        else:
+            assert callable(getattr(module, qualname)), (module_name, qualname)

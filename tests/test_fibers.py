@@ -15,6 +15,7 @@ from thetapairs.fibers import (
     regular_ss_element,
 )
 from thetapairs.diagonal import diagonal_isomorphism_check
+from thetapairs.involutions import compute_subgroups
 
 
 def a_combo(pair, coeffs):
@@ -66,9 +67,7 @@ def test_g0_lifts_cover_little_weyl_group():
     for spec in MATRIX_CATALOG:
         pair = realize(spec)
         lifts = g0_weyl_lifts(pair)
-        from thetapairs.fibers import _wa_perms
-
-        assert set(lifts) == set(_wa_perms(pair))
+        assert set(lifts) == set(compute_subgroups(pair).Wa_perms)
         theta = pair.theta_coords
         for m in lifts.values():
             assert theta @ m @ theta == m  # honest G0 elements
@@ -157,4 +156,20 @@ def test_glgl2_degenerate_centralizer_factor():
 @pytest.mark.parametrize("spec", ["diag:sl2", "diag:sl3"])
 def test_diagonal_isomorphism(spec):
     pair = realize(spec)
-    assert diagonal_isomorphism_check(pair, n_samples=10) == 10
+    assert diagonal_isomorphism_check(pair, n_samples=10) == (10, 0)
+
+
+def test_diagonal_failed_round_trips_are_counted(monkeypatch, capsys):
+    from thetapairs import diagonal
+    from thetapairs.cli import main
+    from thetapairs.report import build_report
+
+    # a wrong completion: B2 = B1 is a pair point only when X_ss is central
+    monkeypatch.setattr(diagonal, "psi_complete", lambda frame, x, ss, b1_flag: b1_flag)
+    audit = diagonal_isomorphism_check(realize("diag:sl2"), n_samples=10)
+    assert audit.round_trips == 10 and audit.failures > 0
+    doc = build_report("diag:sl2", with_timing=False)
+    assert doc["diagonal_isomorphism"] == {"round_trips": 20, "passes": False}
+    assert main(["verify", "fibers", "--pairs", "diag:sl2"]) == 1
+    assert ("diag:sl2: diagonal-pair comparison, 20 exact round trips: FAIL"
+            in capsys.readouterr().out)

@@ -120,7 +120,7 @@ def test_regular_class_count_bounds():
     for spec in MATRIX_CATALOG + ("g2split",):
         pair = realize(spec)
         rep = compute_subgroups(pair)
-        out = detect_regular_borels(pair, report=rep)
+        out = detect_regular_borels(pair)
         nreg = sum(1 for c in out if c.regular)
         assert 1 <= nreg <= rep.indices[0]
 

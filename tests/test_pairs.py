@@ -1,5 +1,6 @@
 """Catalog realizations: dimensions, decompositions, eager validation."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -157,3 +158,39 @@ def test_combinatorial_entries():
     assert e6.comb.w0_input_order == 384
     with pytest.raises(CatalogError):
         e6.require_matrix_level()
+
+
+def test_report_twice_on_one_pair_is_byte_identical():
+    from thetapairs.report import build_report
+
+    first = json.dumps(build_report("splitA:n=2", with_timing=False), indent=2)
+    second = json.dumps(build_report("splitA:n=2", with_timing=False), indent=2)
+    assert first == second
+
+
+def test_derived_invariants_are_computed_once_per_pair():
+    from thetapairs.involutions import (SplitWeylLifts, compute_subgroups,
+                                        detect_regular_borels)
+    from thetapairs.slices import build_kw_section
+
+    pair = realize("glgl:n=1")
+    for derive in (compute_subgroups, detect_regular_borels, build_kw_section,
+                   SplitWeylLifts.of):
+        assert derive(pair) is derive(pair)
+    assert build_kw_section(pair, seed=7) is build_kw_section(pair)
+
+
+def test_a_fresh_pair_gets_fresh_derived_state():
+    from thetapairs import pairs
+    from thetapairs.involutions import compute_subgroups, detect_regular_borels
+
+    old = realize("splitA:n=1")
+    old_sub, old_classes = compute_subgroups(old), detect_regular_borels(old)
+    pairs._realize_cached.cache_clear()
+    new = realize("splitA:n=1")
+    assert new is not old and not new.derived
+    sub, classes = compute_subgroups(new), detect_regular_borels(new)
+    assert sub is not old_sub and classes is not old_classes
+    assert sub.W0_perms == old_sub.W0_perms
+    assert [c.rep_perm for c in classes] == [c.rep_perm for c in old_classes]
+    assert set(new.derived) == {"compute_subgroups", "detect_regular_borels"}

@@ -15,13 +15,9 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO, gaussian_roots
-from .liealg import LinearAlgebraFrame, Vector, flag_stabilizer
+from .liealg import LinearAlgebraFrame, Vector, _combine, flag_stabilizer
 from .matrix import ExactMatrix, coordinates_in_basis, span_eq, span_rank
 from .pairs import CatalogError, SymmetricPairRealization, _sl_basis
-
-
-class OutsidePinnedChart(Exception):
-    pass
 
 
 Flag = Tuple[Tuple[GaussRat, ...], ...]   # chain of vectors, one new per step
@@ -62,9 +58,7 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
             kern = shifted.kernel_basis()
             if len(kern) != 1:
                 raise AssertionError("matrix is not regular; flag count infinite")
-            line = [ZERO] * n
-            for c, v in zip(kern[0], space):
-                line = [a + c * b for a, b in zip(line, v)]
+            line = _combine(space, kern[0])
             rest = []
             current = [list(v) for v in done] + [list(line)]
             for v in space:
@@ -78,7 +72,8 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
     unit_space = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
     out = []
     for chain in rec(unit_space, []):
-        assert len(chain) == n
+        if len(chain) != n:
+            raise CatalogError("an invariant flag is not complete")
         out.append(tuple(tuple(v) for v in chain))
     return out
 
@@ -154,33 +149,22 @@ class DiagonalAudit(NamedTuple):
 
 
 def diagonal_isomorphism_check(pair: SymmetricPairRealization, seed: int = 0,
-                               n_samples: int = 20,
-                               samples: Optional[List[Tuple[ExactMatrix, Flag]]] = None
-                               ) -> DiagonalAudit:
-    """Round-trip audit of phi and psi; counts the samples and the failed
-    round trips.
-
-    Samples may be supplied as (matrix, flag) pairs with the semisimple
-    part in the pinned diagonal torus; otherwise they are generated
-    deterministically from the seed.
-    """
+                               n_samples: int = 20) -> DiagonalAudit:
+    """Round-trip audit of phi and psi on chart points generated
+    deterministically from the seed; counts the samples and the failed
+    round trips."""
     if pair.spec.family != "diag":
         raise CatalogError("diagonal comparison applies to diag pairs only")
     k = pair.frame.n_def // 2
     frame = LinearAlgebraFrame(_sl_basis(k))
-    supplied = list(samples) if samples is not None else None
     rng = random.Random(0xD1A6 + seed)
     round_trips = failures = 0
     trial = 0
-    while round_trips < (len(supplied) if supplied is not None else n_samples):
+    while round_trips < n_samples:
         trial += 1
         if trial > 40 * n_samples + 100:
             raise AssertionError("could not generate enough samples")
-        if supplied is not None:
-            x, flag = supplied[round_trips]
-            ss = _pinned_chart_semisimple_part(x)
-        else:
-            x, ss, flag = _sample_chart_point(frame, k, rng)
+        x, ss, flag = _sample_chart_point(frame, k, rng)
         if x is None:
             continue
         round_trips += 1
@@ -190,31 +174,16 @@ def diagonal_isomorphism_check(pair: SymmetricPairRealization, seed: int = 0,
 
 
 def _round_trip_holds(frame, x, ss, flag) -> bool:
-    # psi then phi: phi(psi(X,B)) = (X,B) by construction; the content is
-    # existence/uniqueness of the completion and the pair-point validity
+    # phi(psi(X,B)) = (X,B) by construction, and psi(phi(X,B1,B2)) = B2 by
+    # the uniqueness of the completion; the content is existence and
+    # uniqueness of the completion and the pair-point validity
     b2_flag = psi_complete(frame, x, ss, flag)
     if b2_flag is None or not _is_pair_point(frame, x, ss, flag, b2_flag):
-        return False
-    # psi after phi on the constructed pair point returns the same B2
-    if psi_complete(frame, x, ss, flag) != b2_flag:
         return False
     # in the sorted chart, the explicit opposite-parabolic formula agrees
     sorted_guess = _sorted_chart_opposite(frame, x, ss, flag)
     return sorted_guess is None or span_eq(flag_stabilizer(frame, [b2_flag]),
                                            flag_stabilizer(frame, [sorted_guess]))
-
-
-def _pinned_chart_semisimple_part(x: ExactMatrix) -> ExactMatrix:
-    """The semisimple part of a chart point; the chart requires it to be
-    the diagonal of x (so the off-diagonal part must be nilpotent and
-    commute with it)."""
-    k = x.rows
-    ss = ExactMatrix.diagonal([x[i, i] for i in range(k)])
-    nil = x - ss
-    if not nil.is_nilpotent() or not ss.commutator(nil).is_zero():
-        raise OutsidePinnedChart(
-            "sample's semisimple part does not lie in the pinned torus")
-    return ss
 
 
 def _sample_chart_point(frame, k, rng):

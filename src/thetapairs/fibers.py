@@ -27,6 +27,8 @@ from .jordan import is_semisimple
 from .liealg import (
     ConcreteRootData,
     Vector,
+    _combine,
+    _joint_eigenspaces,
     flag_stabilizer,
     gvec,
     vec_is_zero,
@@ -147,37 +149,13 @@ def _defining_slots(pair) -> List[DefiningSlot]:
     """Simultaneous eigenvectors of the split torus on the defining space,
     ordered by the pinned positivity element (descending values)."""
     n = pair.frame.n_def
-    torus_mats = [pair.from_coords(t) for t in pair.t_split_basis]
-    spaces = [[gvec([ONE if i == k else ZERO for i in range(n)]) for k in range(n)]]
-    weights: List[Tuple[GaussRat, ...]] = [tuple()]
-    from .gaussian import gaussian_roots
-
-    for tm in torus_mats:
-        new_spaces, new_weights = [], []
-        for w, space in zip(weights, spaces):
-            basis_mat = ExactMatrix.from_columns(space)
-            images = [tm.apply(s) for s in space]
-            cols = [basis_mat.solve(img) for img in images]
-            restriction = ExactMatrix.from_columns(cols)
-            for lam in sorted(set(gaussian_roots(restriction.char_poly())),
-                              key=GaussRat.sort_key):
-                shifted = restriction - ExactMatrix.identity(len(space)).scale(lam)
-                kern = shifted.kernel_basis()
-                if not kern:
-                    continue
-                eigen = []
-                for c in kern:
-                    acc = [ZERO] * n
-                    for coeff, vec in zip(c, space):
-                        acc = [a + coeff * b for a, b in zip(acc, vec)]
-                    eigen.append(acc)
-                new_spaces.append(eigen)
-                new_weights.append(w + (lam,))
-        spaces, weights = new_spaces, new_weights
+    unit = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
+    eigenspaces = _joint_eigenspaces((pair.from_coords(t) for t in pair.t_split_basis),
+                                    unit)
     slots = []
     h_t = coordinates_in_basis([list(t) for t in pair.t_split_basis],
                                pair.split_positivity)
-    for w, space in zip(weights, spaces):
+    for w, space in eigenspaces:
         for vec in space:
             block = 0
             if pair.spec.family == "diag":
@@ -255,9 +233,7 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
             raise AssertionError("nilpotent part is not regular on the eigenspace")
         stage = list(prev)
         for c in kern:
-            vec = [ZERO] * len(eigenspace[0])
-            for coeff, base in zip(c, eigenspace):
-                vec = [a + coeff * b for a, b in zip(vec, base)]
+            vec = _combine(eigenspace, c)
             if span_rank([list(v) for v in stage + [vec]]) > len(stage):
                 stage = stage + [vec]
         if len(stage) != k:
@@ -435,13 +411,8 @@ def exhibit_fiber_conjugators(pair: SymmetricPairRealization,
 
 def regular_ss_element(pair: SymmetricPairRealization) -> ElementOfG1:
     """A regular semisimple element of a with trivial little-Weyl stabilizer."""
-    from .gaussian import GaussRat
-
     coeffs = [GaussRat(3 ** j) for j in range(pair.rank_r1)]
-    acc = [ZERO] * pair.dim_g
-    for c, v in zip(coeffs, pair.a_basis):
-        acc = [a + c * b for a, b in zip(acc, v)]
-    x = ElementOfG1.from_coords(pair, acc)
+    x = ElementOfG1.from_coords(pair, _combine(pair.a_basis, coeffs))
     if not is_regular(pair, x):
         raise CatalogError(f"{pair.pair_id}: canonical sample is not regular")
     return x
@@ -620,13 +591,7 @@ def _alpha_kernel(torus, wt) -> List[Vector]:
     r = len(torus)
     rows = [[wt[i] for i in range(r)]]
     kern = ExactMatrix.from_rows(rows).kernel_basis()
-    out = []
-    for coeffs in kern:
-        acc = [ZERO] * len(torus[0])
-        for c, t in zip(coeffs, torus):
-            acc = [a + c * b for a, b in zip(acc, t)]
-        out.append(acc)
-    return out
+    return [_combine(torus, coeffs) for coeffs in kern]
 
 
 def _theta_weight(pair, torus, wt):

@@ -225,7 +225,8 @@ def poly_divmod(num, den):
         quot.append(factor)
         for k in range(len(den)):
             num[k] = num[k] - factor * den[k]
-        assert num[0].is_zero()
+        if not num[0].is_zero():
+            raise ArithmeticError("poly_divmod: leading coefficient did not cancel")
         num.pop(0)
     if not quot:
         quot = [GaussRat(0)]
@@ -263,7 +264,8 @@ def poly_squarefree_part(coeffs):
         return p
     g = poly_gcd(p, poly_derivative(p))
     q, r = poly_divmod(p, g)
-    assert all(c.is_zero() for c in r)
+    if not all(c.is_zero() for c in r):
+        raise ArithmeticError("poly_squarefree_part: gcd(p, p') does not divide p")
     return poly_monic(q)
 
 
@@ -409,7 +411,8 @@ def _factored_roots(coeffs):
         a1, a0 = factor.all_coeffs()
         root = -_sympy_to_gauss(a0) / _sympy_to_gauss(a1)
         roots.extend([root] * mult)
-    assert len(roots) == n
+    if len(roots) != n:
+        raise ArithmeticError(f"found {len(roots)} roots for a polynomial of degree {n}")
     roots.sort(key=GaussRat.sort_key)
     return roots
 

@@ -41,7 +41,8 @@ def _det_unimodular(m) -> int:
             if work[i][c] != 0:
                 f = work[i][c] * inv
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError("determinant of an integer matrix is not an integer")
     return int(det)
 
 
@@ -129,8 +130,10 @@ def smith_normal_form(m: List[List[int]]) -> Tuple[List[List[int]], List[List[in
         s += 1
 
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    assert _matmul(_matmul(u, m), v) == d
-    assert abs(_det_unimodular(u)) == 1 and abs(_det_unimodular(v)) == 1
+    if _matmul(_matmul(u, m), v) != d:
+        raise ArithmeticError("Smith form: U M V != D")
+    if abs(_det_unimodular(u)) != 1 or abs(_det_unimodular(v)) != 1:
+        raise ArithmeticError("Smith form: a transform is not unimodular")
     return d, u, v
 
 

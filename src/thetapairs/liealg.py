@@ -10,7 +10,7 @@ compactness tags) into an abstract root datum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO, ONE, gaussian_roots
 from .matrix import ExactMatrix, coordinates_in_basis
@@ -175,23 +175,31 @@ def weight_decomposition(
     SplittingFieldTooLarge if some restriction fails to split over Q(i).
     """
     if ambient is None:
-        spaces = [[gvec([ONE if i == k else ZERO for i in range(frame.dim)])
-                   for k in range(frame.dim)]]
-    else:
-        spaces = [[gvec(v) for v in ambient]]
+        ambient = [[ONE if i == k else ZERO for i in range(frame.dim)]
+                   for k in range(frame.dim)]
+    return _joint_eigenspaces((frame.ad(t) for t in torus), ambient)
+
+
+def _joint_eigenspaces(
+    operators: Iterable[ExactMatrix],
+    ambient: Sequence[Vector],
+) -> List[Tuple[Tuple[GaussRat, ...], List[Vector]]]:
+    """Split span(ambient) into joint eigenspaces of commuting operators
+    that preserve it.  Each operator refines the spaces found so far in
+    sorted eigenvalue order, so the (weight tuple, basis) pairs come out
+    sorted by weight."""
+    spaces = [[gvec(v) for v in ambient]]
     weights = [tuple()]
-    for t in torus:
-        admat = frame.ad(t)
+    for op in operators:
         new_spaces: List[List[Vector]] = []
         new_weights = []
         for w, space in zip(weights, spaces):
             basis_mat = ExactMatrix.from_columns(space)
-            images = [admat.apply(s) for s in space]
             restriction_cols = []
-            for img in images:
-                c = basis_mat.solve(img)
+            for s in space:
+                c = basis_mat.solve(op.apply(s))
                 if c is None:
-                    raise ValueError("torus does not preserve the subspace")
+                    raise ValueError("an operator does not preserve the subspace")
                 restriction_cols.append(c)
             restriction = ExactMatrix.from_columns(restriction_cols)
             for lam in sorted(set(gaussian_roots(restriction.char_poly())),
@@ -200,14 +208,11 @@ def weight_decomposition(
                 kern = shifted.kernel_basis()
                 if not kern:
                     continue
-                eigen = [_combine(space, c) for c in kern]
-                new_spaces.append(eigen)
+                new_spaces.append([_combine(space, c) for c in kern])
                 new_weights.append(w + (lam,))
         spaces = new_spaces
         weights = new_weights
-    pairs = sorted(zip(weights, spaces),
-                   key=lambda p: tuple(x.sort_key() for x in p[0]))
-    return [(w, s) for w, s in pairs]
+    return list(zip(weights, spaces))
 
 
 # -- concrete root data ------------------------------------------------------

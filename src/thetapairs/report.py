@@ -1,8 +1,9 @@
 """Report documents: one JSON-serializable summary per catalog pair.
 
-Field order is fixed at construction so two runs with the same flags
-produce byte-identical JSON (timing is informational and can be dropped
-for the strict determinism contract).
+Each section is a module-level function of (pair, seed), shared with the
+check table in `checks`.  Field order is fixed at construction so two runs
+with the same flags produce byte-identical JSON (timing is informational
+and can be dropped for the strict determinism contract).
 """
 
 from __future__ import annotations
@@ -10,15 +11,16 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from .gaussian import ZERO
+from .diagonal import diagonal_isomorphism_check
+from .gaussian import SplittingFieldTooLarge, ZERO
 from .involutions import (
     canonical_involution,
     compute_subgroups,
     detect_regular_borels,
     enumerate_split_borels,
 )
-from .pairs import realize
-from .slices import build_kw_section, kw_audit
+from .pairs import SymmetricPairRealization, realize
+from .slices import ElementOfG1, build_kw_section, conjugate_ss_into_a, kw_audit
 from .fibers import (
     component_census,
     fiber_component_dimensions,
@@ -41,26 +43,9 @@ def _str_matrix(m) -> List[List[str]]:
     return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
-    """Run every applicable computation for the pair and assemble the
-    document; sampling uses the seed, verdict fields never depend on it."""
-    pair = realize(spec)
-    doc: Dict = {"schema_version": SCHEMA_VERSION, "pair_id": pair.pair_id}
-    timing: Dict[str, float] = {}
-
-    def timed(name, fn):
-        from .gaussian import SplittingFieldTooLarge
-
-        start = time.perf_counter()
-        try:
-            value = fn()
-        except SplittingFieldTooLarge as exc:
-            raise SplittingFieldTooLarge(f"{name}: {exc}") from exc
-        timing[name] = round((time.perf_counter() - start) * 1000, 3)
-        return value
-
-    sub = timed("subgroups", lambda: compute_subgroups(pair))
-    doc["subgroup_report"] = {
+def subgroup_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    sub = compute_subgroups(pair)
+    return {
         "W_order": sub.W_order,
         "W_theta_order": sub.W_theta_order,
         "W0_order": sub.W0_order,
@@ -69,148 +54,170 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
         "index_W_over_W_theta": sub.indices[1],
     }
 
+
+def regular_class_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    classes = detect_regular_borels(pair)
+    return {
+        "class_count": len(classes),
+        "regular_count": sum(1 for c in classes if c.regular),
+        "classes": [
+            {
+                "size": c.class_size,
+                "regular": c.regular,
+                "shortcut_agrees": c.shortcut_regular == c.regular,
+            }
+            for c in classes
+        ],
+    }
+
+
+def borel_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    borels = enumerate_split_borels(pair)
+    wa_order = compute_subgroups(pair).Wa_order
+    return {
+        "split_borel_count": len(borels),
+        "Wa_order": wa_order,
+        "torsor": len(borels) == wa_order,
+    }
+
+
+def canonical_involution_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    theta_can = canonical_involution(pair)
+    return {
+        "well_defined": theta_can.is_involution,
+        "matrix": _str_matrix(theta_can.matrix),
+        "fixed_dim_plus_r1_equals_rank":
+            theta_can.fixed_dim + pair.rank_r1 == pair.rank_g,
+    }
+
+
+def fiber_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    """Fibers over the regular semisimple sample, the regular nilpotent and
+    the degenerate sample, and the component census over the first;
+    `group_size` is the common size of the census groups (None if they
+    differ)."""
+    rss = regular_ss_element(pair)
+    rep = fiber_over_regular(pair, rss)
+    nil = ElementOfG1.from_coords(pair, build_kw_section(pair).e)
+    rep_n = fiber_over_regular(pair, nil)
+    rep_d = fiber_over_regular(pair, mixed_degenerate_element(pair))
+    census = component_census(pair, rss)
+    sizes = {len(g) for g in census.groups}
+    return {
+        "regular_semisimple": {
+            "cardinality": rep.cardinality,
+            "formula": rep.orbit_size_formula,
+            "stabilizer_order": rep.stabilizer_order,
+        },
+        "regular_nilpotent": {
+            "cardinality": rep_n.cardinality,
+            "formula": rep_n.orbit_size_formula,
+        },
+        "degenerate": {
+            "cardinality": rep_d.cardinality,
+            "formula": rep_d.orbit_size_formula,
+            "stabilizer_order": rep_d.stabilizer_order,
+        },
+        "component_census": {
+            "total_points": census.total_points,
+            "groups": census.group_count,
+            "group_size": sizes.pop() if len(sizes) == 1 else None,
+        },
+    }
+
+
+def dimension_audit_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    """The dimension audit at 0 and at the Cartan-subspace image of the
+    degenerate sample's semisimple part."""
+    at_zero = fiber_component_dimensions(pair, [ZERO] * pair.dim_g)
+    ss, _ = mixed_degenerate_element(pair).jordan_parts()
+    at_deg = fiber_component_dimensions(pair, conjugate_ss_into_a(pair, ss).apply(ss))
+    return {
+        "at_zero": {
+            "components": at_zero.component_count,
+            "all_equal_dim_g1_minus_r1": at_zero.passes(),
+        },
+        "at_degenerate": {
+            "components": at_deg.component_count,
+            "all_equal_dim_g1_minus_r1": at_deg.passes(),
+        },
+    }
+
+
+def diagonal_section(pair: SymmetricPairRealization, seed: int = 0) -> Dict:
+    diag = diagonal_isomorphism_check(pair, seed=seed)
+    return {"round_trips": diag.round_trips, "passes": diag.failures == 0}
+
+
+def stabilizer_section(pair: SymmetricPairRealization, seed: int = 0) -> Optional[Dict]:
+    """The nilpotent-plane stabilizer and tangent solver; rank-one pairs
+    splitA:n=1 and glgl:n=1 only (None otherwise)."""
+    if (pair.spec.family, pair.spec.n) not in (("splitA", 1), ("glgl", 1)):
+        return None
+    plane = centralizer_plane(pair, build_kw_section(pair).e)
+    fiber = stabilizer_fiber(pair, plane)
+    tangent = tangent_space_solver(pair, plane)
+    return {
+        "nilpotent_plane_components": fiber.component_count,
+        "identity_component_dim": fiber.identity_component_dim,
+        "tangent_dimension": tangent.solution_dimension,
+        "tangent_expected": tangent.expected_dimension,
+        "evaluation_bijective": tangent.evaluation_bijective,
+    }
+
+
+def torus_section(pair: SymmetricPairRealization, seed: int = 0) -> Optional[Dict]:
+    """The character-lattice models of the fixed torus attached to the
+    rank-one pairs (None for the others)."""
+    models = []
+    if pair.spec.family == "splitA" and pair.spec.n == 1:
+        models = ["sl2_split", "pgl2_split"]
+    elif pair.spec.family == "glgl" and pair.spec.n == 1:
+        models = ["glgl1"]
+    elif pair.spec.family == "diag" and pair.spec.base == "sl2":
+        models = ["diag_sl2"]
+    out = {}
+    for name in models:
+        report, admissible = admissible_elements(lattice_model(name))
+        out[name] = {
+            "identity_component_dim": report.free_rank,
+            "component_order": report.component_order,
+            "invariant_factors": list(report.torsion),
+            "admissible_count": len(admissible),
+        }
+    return out or None
+
+
+def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
+    """Run every applicable section for the pair and assemble the
+    document; sampling uses the seed, verdict fields never depend on it."""
+    pair = realize(spec)
+    doc: Dict = {"schema_version": SCHEMA_VERSION, "pair_id": pair.pair_id}
+    timing: Dict[str, float] = {}
+
+    def put(key, name, section):
+        start = time.perf_counter()
+        try:
+            value = section(pair, seed)
+        except SplittingFieldTooLarge as exc:
+            raise SplittingFieldTooLarge(f"{name}: {exc}") from exc
+        timing[name] = round((time.perf_counter() - start) * 1000, 3)
+        if value is not None:
+            doc[key] = value
+
+    put("subgroup_report", "subgroups", subgroup_section)
     if pair.matrix_level or pair.comb.compactness is not None:
-        classes = timed("regular_classes", lambda: detect_regular_borels(pair))
-        doc["regular_class_census"] = {
-            "class_count": len(classes),
-            "regular_count": sum(1 for c in classes if c.regular),
-            "classes": [
-                {
-                    "size": c.class_size,
-                    "regular": c.regular,
-                    "shortcut_agrees": c.shortcut_regular == c.regular,
-                }
-                for c in classes
-            ],
-        }
-
+        put("regular_class_census", "regular_classes", regular_class_section)
     if pair.matrix_level:
-        borels = timed("split_borels", lambda: enumerate_split_borels(pair))
-        doc["borel_census"] = {
-            "split_borel_count": len(borels),
-            "Wa_order": sub.Wa_order,
-            "torsor": len(borels) == sub.Wa_order,
-        }
-        theta_can = timed("canonical_involution", lambda: canonical_involution(pair))
-        doc["canonical_involution"] = {
-            "well_defined": theta_can.is_involution,
-            "matrix": _str_matrix(theta_can.matrix),
-            "fixed_dim_plus_r1_equals_rank":
-                theta_can.fixed_dim + pair.rank_r1 == pair.rank_g,
-        }
-        audit = timed("kw_audit", lambda: kw_audit(pair, seed=seed))
-        doc["kw_audit"] = audit
-
-        def fibers():
-            out = {}
-            rss = regular_ss_element(pair)
-            rep = fiber_over_regular(pair, rss)
-            out["regular_semisimple"] = {
-                "cardinality": rep.cardinality,
-                "formula": rep.orbit_size_formula,
-                "stabilizer_order": rep.stabilizer_order,
-            }
-            section = build_kw_section(pair)
-            from .slices import ElementOfG1
-
-            nil = ElementOfG1.from_coords(pair, section.e)
-            rep_n = fiber_over_regular(pair, nil)
-            out["regular_nilpotent"] = {
-                "cardinality": rep_n.cardinality,
-                "formula": rep_n.orbit_size_formula,
-            }
-            deg = mixed_degenerate_element(pair)
-            rep_d = fiber_over_regular(pair, deg)
-            out["degenerate"] = {
-                "cardinality": rep_d.cardinality,
-                "formula": rep_d.orbit_size_formula,
-                "stabilizer_order": rep_d.stabilizer_order,
-            }
-            census = component_census(pair, rss)
-            out["component_census"] = {
-                "total_points": census.total_points,
-                "groups": census.group_count,
-                "group_size": census.wa_order,
-            }
-            return out
-
-        doc["fiber_reports"] = timed("fibers", fibers)
-
-        def dimension_audits():
-            zero = [ZERO] * pair.dim_g
-            at_zero = fiber_component_dimensions(pair, zero)
-            deg = mixed_degenerate_element(pair)
-            ss, _ = deg.jordan_parts()
-            from .slices import conjugate_ss_into_a
-
-            ss1 = conjugate_ss_into_a(pair, ss).apply(ss)
-            at_deg = fiber_component_dimensions(pair, ss1)
-            return {
-                "at_zero": {
-                    "components": at_zero.component_count,
-                    "all_equal_dim_g1_minus_r1": at_zero.passes(),
-                },
-                "at_degenerate": {
-                    "components": at_deg.component_count,
-                    "all_equal_dim_g1_minus_r1": at_deg.passes(),
-                },
-            }
-
-        doc["dimension_audit"] = timed("dimension_audit", dimension_audits)
-
+        put("borel_census", "split_borels", borel_section)
+        put("canonical_involution", "canonical_involution", canonical_involution_section)
+        put("kw_audit", "kw_audit", kw_audit)
+        put("fiber_reports", "fibers", fiber_section)
+        put("dimension_audit", "dimension_audit", dimension_audit_section)
         if pair.spec.family == "diag":
-            from .diagonal import diagonal_isomorphism_check
-
-            diag = timed("diagonal_isomorphism",
-                         lambda: diagonal_isomorphism_check(pair, seed=seed))
-            doc["diagonal_isomorphism"] = {"round_trips": diag.round_trips,
-                                           "passes": diag.failures == 0}
-
-        def stabilizer_section() -> Optional[Dict]:
-            fam = pair.spec.family
-            if (fam, pair.spec.n) not in (("splitA", 1), ("glgl", 1)):
-                return None
-            section = build_kw_section(pair)
-            plane = centralizer_plane(pair, section.e)
-            fiber = stabilizer_fiber(pair, plane)
-            tangent = tangent_space_solver(pair, plane)
-            return {
-                "nilpotent_plane_components": fiber.component_count,
-                "identity_component_dim": fiber.identity_component_dim,
-                "tangent_dimension": tangent.solution_dimension,
-                "tangent_expected": tangent.expected_dimension,
-                "evaluation_bijective": tangent.evaluation_bijective,
-            }
-
-        stab = timed("stabilizers", stabilizer_section)
-        if stab is not None:
-            doc["stabilizer_reports"] = stab
-
-        def torus_section() -> Optional[Dict]:
-            models = []
-            if pair.spec.family == "splitA" and pair.spec.n == 1:
-                models = ["sl2_split", "pgl2_split"]
-            elif pair.spec.family == "glgl" and pair.spec.n == 1:
-                models = ["glgl1"]
-            elif pair.spec.family == "diag" and pair.spec.base == "sl2":
-                models = ["diag_sl2"]
-            if not models:
-                return None
-            out = {}
-            for name in models:
-                model = lattice_model(name)
-                report, admissible = admissible_elements(model)
-                out[name] = {
-                    "identity_component_dim": report.free_rank,
-                    "component_order": report.component_order,
-                    "invariant_factors": list(report.torsion),
-                    "admissible_count": len(admissible),
-                }
-            return out
-
-        torus = timed("torus_models", torus_section)
-        if torus is not None:
-            doc["torus_reports"] = torus
+            put("diagonal_isomorphism", "diagonal_isomorphism", diagonal_section)
+        put("stabilizer_reports", "stabilizers", stabilizer_section)
+        put("torus_reports", "torus_models", torus_section)
 
     if with_timing:
         doc["timing_ms"] = timing

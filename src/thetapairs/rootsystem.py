@@ -327,7 +327,9 @@ def build_root_datum(type_label: str) -> RootDatum:
         raise UnsupportedType(f"cannot parse type label {type_label!r}") from exc
     datum = RootDatum.from_cartan(cartan_matrix(family, rank), label=label)
     expected = _root_count(family, rank)
-    assert len(datum.all_roots) == expected, (label, len(datum.all_roots), expected)
+    if len(datum.all_roots) != expected:
+        raise ArithmeticError(f"{label}: built {len(datum.all_roots)} roots, "
+                              f"expected {expected}")
     return datum
 
 
@@ -432,7 +434,8 @@ def _reflection_root_index(datum: RootDatum, perm: bytes) -> Optional[int]:
         return None
     neg = datum.negation_perm()
     negated = [k for k in datum.positive_indices() if perm[k] == neg[k]]
-    assert len(negated) == 1, "reflection must negate a single positive root"
+    if len(negated) != 1:
+        raise ArithmeticError("reflection must negate a single positive root")
     return negated[0]
 
 
@@ -477,7 +480,8 @@ def restricted_reflection_norms(
         if trace != GaussRat(r - 2):
             continue
         kern = (mat + ExactMatrix.identity(r)).kernel_basis()
-        assert len(kern) == 1
+        if len(kern) != 1:
+            raise ArithmeticError("a reflection's (-1)-eigenspace is not a line")
         vec = kern[0]
         dens = [c.re.denominator for c in vec]
         lcm = 1

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge, gaussian_roots
 from .jordan import jordan_semisimple_part
-from .liealg import Vector, gvec, vec_is_zero, weight_decomposition
+from .liealg import Vector, _combine, gvec, vec_is_zero, weight_decomposition
 from .matrix import ExactMatrix, coordinates_in_basis, intersect_spans
 from .involutions import detect_regular_borels, theta_eigen_basis
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
@@ -100,9 +100,7 @@ def chi1(pair: SymmetricPairRealization, x) -> Tuple[GaussRat, ...]:
     m = pair.from_coords(coords)
     family = pair.spec.family
     if family == "splitA":
-        poly = m.char_poly()
-        assert poly[1].is_zero()
-        return tuple(poly[2:])
+        return _traceless_invariants(m)
     if family == "glgl":
         n = pair.spec.n
         top = ExactMatrix(n, n, [m[i, n + j] for i in range(n) for j in range(n)])
@@ -111,10 +109,17 @@ def chi1(pair: SymmetricPairRealization, x) -> Tuple[GaussRat, ...]:
     if family == "diag":
         k = m.rows // 2
         block = ExactMatrix(k, k, [m[i, j] for i in range(k) for j in range(k)])
-        poly = block.char_poly()
-        assert poly[1].is_zero()
-        return tuple(poly[2:])
+        return _traceless_invariants(block)
     raise CatalogError(f"{pair.pair_id}: chi1 needs a matrix realization")
+
+
+def _traceless_invariants(m: ExactMatrix) -> Tuple[GaussRat, ...]:
+    """The char-poly coefficients of a traceless matrix past the vanishing
+    trace coefficient."""
+    poly = m.char_poly()
+    if not poly[1].is_zero():
+        raise CatalogError("chi1: the matrix is not traceless")
+    return tuple(poly[2:])
 
 
 # -- Kostant-Weierstrass section ----------------------------------------------
@@ -131,10 +136,7 @@ class KWSection:
     borel_perm: bytes              # the regular theta-stable Borel class used
 
     def slice_point(self, coeffs: Sequence) -> Vector:
-        x = list(self.e)
-        for c, v in zip(gvec(coeffs), self.v_basis):
-            x = [a + c * b for a, b in zip(x, v)]
-        return x
+        return [a + b for a, b in zip(self.e, _combine(self.v_basis, gvec(coeffs)))]
 
 
 def normal_triple_through(pair: SymmetricPairRealization, e: Vector,
@@ -147,9 +149,7 @@ def normal_triple_through(pair: SymmetricPairRealization, e: Vector,
     sol = ExactMatrix.from_columns(cols).solve(target)
     if sol is None:
         raise TripleNotFound("no h with [h,e] = 2e in the allowed space")
-    h = [ZERO] * pair.dim_g
-    for c, hv in zip(sol, h_space):
-        h = [a + c * b for a, b in zip(h, hv)]
+    h = _combine(h_space, sol)
     # solve [h, f] = -2f and [e, f] = h with f in span(f_space)
     ad_h = pair.ad(h)
     ad_e = pair.ad(e)
@@ -165,13 +165,12 @@ def normal_triple_through(pair: SymmetricPairRealization, e: Vector,
     sol = mat.solve(target)
     if sol is None:
         raise TripleNotFound("triple equations for f are inconsistent")
-    f = [ZERO] * pair.dim_g
-    for c, v in zip(sol, fcols):
-        f = [a + c * b for a, b in zip(f, v)]
+    f = _combine(fcols, sol)
     # exact triple relations
-    assert pair.bracket(h, e) == [GaussRat(2) * c for c in e]
-    assert pair.bracket(h, f) == [GaussRat(-2) * c for c in f]
-    assert pair.bracket(e, f) == h
+    if (pair.bracket(h, e) != [GaussRat(2) * c for c in e]
+            or pair.bracket(h, f) != [GaussRat(-2) * c for c in f]
+            or pair.bracket(e, f) != h):
+        raise CatalogError("the solved (e, h, f) is not an sl2-triple")
     return h, f
 
 

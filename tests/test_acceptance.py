@@ -1,217 +1,168 @@
-"""Acceptance criteria: every finitely checkable claim at its stated
-tolerance, one pass/fail line per criterion.
+"""Acceptance: `theta-pairs verify` reproduces the committed golden lines,
+one test per suite, and the slow claims stay inside their wall-clock
+budgets (E6 and the weyl suite < 60 s, the G2 claims < 1 s, the borels
+suite with the W_a-torsor < 30 s, the slice suite < 60 s).  The remaining
+numbered criteria name the `CHECKS` entries that carry their claim and
+read its outcomes from the same `verify <suite>` run.
 
-All verdicts are exact (integer/rational equalities); the only tolerances
-are the runtime budgets, asserted with wall-clock measurements.
+The claims themselves live in `thetapairs.checks.CHECKS`; every verdict
+is exact, and the only tolerances are the budgets.  Run
+`pytest tests/test_acceptance.py -s` to see the verify lines.
 """
 
+import contextlib
+import functools
+import io
 import time
+from pathlib import Path
+from unittest import mock
 
-from thetapairs.gaussian import GaussRat, ZERO
-from thetapairs.pairs import MATRIX_CATALOG, realize
+from thetapairs import cli, pairs
+from thetapairs.checks import CHECKS, SUITES, run_checks
+from thetapairs.cli import main
+from thetapairs.pairs import FULL_CATALOG, MATRIX_CATALOG
+
+# stdout of `theta-pairs verify all`, and the number of its lines per suite
+GOLDEN = (Path(__file__).parent / "data" / "verify_all.txt").read_text().splitlines()
+SUITE_LINES = {"weyl": 7, "borels": 14, "nilcone": 7, "slice": 14, "fibers": 45,
+               "stabilizers": 11}
+# wall-clock budgets (seconds) of the suites timed from freshly realized pairs
+BUDGETS = {"weyl": 60, "borels": 30, "slice": 60}
 
 
-def _announce(name, ok, note=""):
-    print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} {note}")
-    assert ok, note
+def _golden_lines(suite):
+    start = 0
+    for name, count in SUITE_LINES.items():
+        if name == suite:
+            return GOLDEN[start:start + count]
+        start += count
+    raise KeyError(suite)
+
+
+def test_golden_covers_every_check():
+    total = sum(SUITE_LINES.values())
+    assert tuple(SUITE_LINES) == SUITES
+    assert GOLDEN[-1] == f"{total}/{total} checks passed" and len(GOLDEN) == total + 1
+    # every entry applies to catalog pairs and prints one line per pair
+    assert all(c.pairs and set(c.pairs) <= set(FULL_CATALOG) for c in CHECKS)
+    assert sum(len(c.pairs) for c in CHECKS) == total
+    assert len({c.id for c in CHECKS}) == len(CHECKS)
+
+
+@functools.lru_cache(maxsize=None)
+def _verify(suite):
+    """Run `theta-pairs verify <suite>` once: its exit code, stdout, the
+    outcomes it printed, and its wall-clock seconds (from freshly realized
+    pairs for a budgeted suite)."""
+    outcomes = []
+
+    def recording(*args):
+        for outcome in run_checks(*args):
+            outcomes.append(outcome)
+            yield outcome
+
+    if suite in BUDGETS:
+        pairs._realize_cached.cache_clear()
+    out = io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.object(cli, "run_checks", recording), contextlib.redirect_stdout(out):
+        code = main(["verify", suite])
+    elapsed = time.perf_counter() - start
+    return code, out.getvalue(), tuple(outcomes), elapsed
+
+
+def _verify_matches_golden(suite):
+    """`theta-pairs verify <suite>` prints the golden lines, passes, and
+    keeps its budget."""
+    code, out, _, elapsed = _verify(suite)
+    print(out, end="")
+    lines = _golden_lines(suite)
+    assert out.splitlines() == lines + [f"{len(lines)}/{len(lines)} checks passed"]
+    assert code == 0
+    assert suite not in BUDGETS or elapsed < BUDGETS[suite], f"elapsed {elapsed:.1f}s"
+
+
+def _claim_holds(suite, ids, specs=None):
+    """The entries `ids` of `suite` passed at every pair they apply to (the
+    pairs `specs`, when given), with the golden labels."""
+    checks = [c for c in CHECKS if c.id in ids]
+    assert {c.id for c in checks} == set(ids) and all(c.suite == suite for c in checks)
+    if specs is not None:
+        assert all(c.pairs == tuple(specs) for c in checks)
+    outcomes = [o for o in _verify(suite)[2] if o.check.id in ids]
+    assert sorted((o.check.id, o.spec) for o in outcomes) == sorted(
+        (c.id, s) for c in checks for s in c.pairs)
+    assert all(o.ok and o.error is None for o in outcomes)
+    golden = set(_golden_lines(suite))
+    assert all(f"{o.label}: PASS" in golden for o in outcomes)
 
 
 def test_criterion_01_weyl_indices_e6():
-    from thetapairs.involutions import compute_subgroups
-    from thetapairs.rootsystem import recognize_type, restricted_reflection_norms
-
-    start = time.perf_counter()
-    pair = realize("e6qs")
-    rep = compute_subgroups(pair)
-    ok = (rep.W_order == 51840 and rep.W_theta_order == 1152
-          and rep.W0_order == 384
-          and rep.indices == (3, 45))
-    fixed = [(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0),
-             (0, 0, 0, 1, 0, 0)]
-    norms = restricted_reflection_norms(pair.comb.datum, rep.W_theta_perms, fixed)
-    ok = ok and recognize_type(rep.W_theta_order, norms) == "F4"
-    elapsed = time.perf_counter() - start
-    _announce("1 (E6 indices 45 and 3, W^theta of type F4, W0 order 384)",
-              ok and elapsed < 60, f"elapsed {elapsed:.1f}s")
+    _verify_matches_golden("weyl")
 
 
 def test_criterion_02_g2_split():
-    from thetapairs.involutions import compute_subgroups, detect_regular_borels
-
+    # the G2 claims of the weyl and nilcone suites, from a fresh realization
+    pairs._realize_cached.cache_clear()
+    checks = [c for c in CHECKS if c.pairs == ("g2split",)]
     start = time.perf_counter()
-    pair = realize("g2split")
-    rep = compute_subgroups(pair)
-    classes = detect_regular_borels(pair)
-    nreg = sum(1 for c in classes if c.regular)
+    outcomes = list(run_checks(checks, {"g2split"}))
     elapsed = time.perf_counter() - start
-    _announce("2 (G2 split: index 3 with exactly one regular class)",
-              rep.indices[0] == 3 and len(classes) == 3 and nreg == 1
-              and elapsed < 1.0, f"elapsed {elapsed:.2f}s")
+    assert len(outcomes) == 3 and all(o.ok for o in outcomes)
+    assert elapsed < 1.0, f"elapsed {elapsed:.2f}s"
+
+
+def test_verify_nilcone_matches_golden():
+    _verify_matches_golden("nilcone")
 
 
 def test_criterion_03_split_borel_torsor():
-    from thetapairs.involutions import compute_subgroups, enumerate_split_borels
-
-    pairs = [realize(s) for s in MATRIX_CATALOG]  # construction outside the budget
-    start = time.perf_counter()
-    ok = True
-    for pair in pairs:
-        rep = compute_subgroups(pair)
-        borels = enumerate_split_borels(pair)  # raises unless simply transitive
-        ok = ok and len(borels) == rep.Wa_order
-    elapsed = time.perf_counter() - start
-    _announce("3 (theta-split Borels form a W_a-torsor for all matrix pairs)",
-              ok and elapsed < 30, f"elapsed {elapsed:.1f}s")
+    _verify_matches_golden("borels")
 
 
 def test_criterion_04_canonical_involution_well_defined():
-    from thetapairs.involutions import canonical_involution
-
-    ok = True
-    for spec in MATRIX_CATALOG:
-        pair = realize(spec)
-        try:
-            theta_can = canonical_involution(pair)  # bitwise equality asserted inside
-            ok = (ok and theta_can.is_involution
-                  and theta_can.fixed_dim + pair.rank_r1 == pair.rank_g)
-        except Exception:
-            ok = False
-    _announce("4 (canonical involution identical from every split Borel)", ok)
+    _claim_holds("borels", {"borels.canonical_involution"}, MATRIX_CATALOG)
 
 
 def test_criterion_05_kw_slice():
-    from thetapairs.slices import kw_audit
+    _verify_matches_golden("slice")
 
-    start = time.perf_counter()
-    ok = True
-    for spec in MATRIX_CATALOG:
-        audit = kw_audit(realize(spec), n_samples=50, n_round_trips=20)
-        ok = ok and audit["samples_regular"] == 50 and audit["round_trips"] == 20
-    elapsed = time.perf_counter() - start
-    _announce("5 (50 regular slice samples, injective quotient, 20 round trips)",
-              ok and elapsed < 60, f"elapsed {elapsed:.1f}s")
+
+def test_verify_fibers_matches_golden():
+    _verify_matches_golden("fibers")
 
 
 def test_criterion_06_fiber_cardinalities():
-    from thetapairs.fibers import (fiber_over_regular, mixed_degenerate_element,
-                                   regular_ss_element)
-    from thetapairs.slices import ElementOfG1, build_kw_section
-
-    ok = True
-    notes = []
-    for spec in MATRIX_CATALOG:
-        pair = realize(spec)
-        rep = fiber_over_regular(pair, regular_ss_element(pair))
-        ok = ok and rep.cardinality == rep.wa_order == rep.orbit_size_formula
-        section = build_kw_section(pair)
-        rep_n = fiber_over_regular(pair, ElementOfG1.from_coords(pair, section.e))
-        ok = ok and rep_n.cardinality == 1
-        rep_d = fiber_over_regular(pair, mixed_degenerate_element(pair))
-        ok = ok and rep_d.cardinality == rep_d.orbit_size_formula
-        notes.append(f"{spec}:{rep.cardinality}/{rep_n.cardinality}/{rep_d.cardinality}")
-    _announce("6 (fiber sizes |W_a|, 1, |W_a|/|Stab|)", ok, " ".join(notes))
+    _claim_holds("fibers", {"fibers.regular_semisimple", "fibers.regular_nilpotent",
+                            "fibers.degenerate"}, MATRIX_CATALOG)
 
 
 def test_criterion_07_component_census():
-    from thetapairs.fibers import component_census, regular_ss_element
-
-    ok = True
-    for spec in MATRIX_CATALOG:
-        pair = realize(spec)
-        census = component_census(pair, regular_ss_element(pair))
-        ok = (ok and census.total_points == census.group_count * census.wa_order
-              and all(len(g) == census.wa_order for g in census.groups))
-    _announce("7 (census: |W| points in |W/W_a| groups of size |W_a|)", ok)
+    _claim_holds("fibers", {"fibers.census"}, MATRIX_CATALOG)
 
 
 def test_criterion_08_dimension_audit():
-    from thetapairs.fibers import (fiber_component_dimensions,
-                                   mixed_degenerate_element)
-    from thetapairs.slices import conjugate_ss_into_a
-
-    ok = True
-    sl2_components = None
-    for spec in MATRIX_CATALOG:
-        pair = realize(spec)
-        audit0 = fiber_component_dimensions(pair, [ZERO] * pair.dim_g)
-        ok = ok and audit0.passes()
-        if spec == "splitA:n=1":
-            sl2_components = audit0.component_count
-        deg = mixed_degenerate_element(pair)
-        ss, _ = deg.jordan_parts()
-        ss1 = conjugate_ss_into_a(pair, ss).apply(ss)
-        audit_d = fiber_component_dimensions(pair, ss1)
-        ok = ok and audit_d.passes()
-    _announce("8 (dimension audit at 0 and a degenerate point; sl2/so2 has "
-              "two components over 0)", ok and sl2_components == 2)
+    _claim_holds("fibers", {"fibers.dimension_audit_at_zero",
+                            "fibers.dimension_audit_at_degenerate"}, MATRIX_CATALOG)
+    _claim_holds("fibers", {"fibers.sl2_two_components"}, ["splitA:n=1"])
 
 
 def test_criterion_09_diagonal_isomorphism():
-    from thetapairs.diagonal import diagonal_isomorphism_check
+    _claim_holds("fibers", {"fibers.diagonal_round_trips"}, ["diag:sl2", "diag:sl3"])
 
-    ok = True
-    for spec in ("diag:sl2", "diag:sl3"):
-        ok = ok and diagonal_isomorphism_check(realize(spec), n_samples=20) == (20, 0)
-    _announce("9 (diagonal pair: both composites identity on 20 samples)", ok)
+
+def test_verify_stabilizers_matches_golden():
+    _verify_matches_golden("stabilizers")
 
 
 def test_criterion_10_stabilizer_contrast():
-    from thetapairs.slices import build_kw_section
-    from thetapairs.stabilizers import (admissible_elements, centralizer_plane,
-                                        lattice_model, stabilizer_fiber)
-
-    pair = realize("splitA:n=1")
-    section = build_kw_section(pair)
-    fiber = stabilizer_fiber(pair, centralizer_plane(pair, section.e))
-    sl2_ok = (fiber.component_count == 2 and fiber.identity_component_dim == 0
-              and all(v == 1 for row in fiber.character_values for v in row))
-    rep_sl, adm_sl = admissible_elements(lattice_model("sl2_split"))
-    rep_pgl, adm_pgl = admissible_elements(lattice_model("pgl2_split"))
-    lattice_ok = (rep_sl.component_order == 2 and len(adm_sl) == 2
-                  and rep_pgl.component_order == 2 and len(adm_pgl) == 1)
-    _announce("10 (SL2 fiber {+-1} both admissible; PGL2 order 2 with one "
-              "admissible)", sl2_ok and lattice_ok)
+    _claim_holds("stabilizers", {"sl2.nilpotent_plane_stabilizer", "sl2.admissible",
+                                 "sl2.lattice", "pgl2.lattice"}, ["splitA:n=1"])
 
 
 def test_criterion_11_tangent_solver():
-    import random
-
-    from thetapairs.slices import is_regular
-    from thetapairs.stabilizers import centralizer_plane, tangent_space_solver
-
-    ok = True
-    for spec in MATRIX_CATALOG:
-        pair = realize(spec)
-        rng = random.Random(42)
-        checked = 0
-        tries = 0
-        while checked < 10 and tries < 400:
-            tries += 1
-            coeffs = [rng.randint(-7, 7) for _ in range(pair.rank_r1)]
-            acc = [ZERO] * pair.dim_g
-            for c, v in zip(coeffs, pair.a_basis):
-                acc = [a + GaussRat(c) * b for a, b in zip(acc, v)]
-            if not is_regular(pair, acc):
-                continue
-            rep = tangent_space_solver(pair, centralizer_plane(pair, acc))
-            ok = ok and rep.passes
-            checked += 1
-        ok = ok and checked == 10
-    _announce("11 (tangent dimension dim g1 - r1 with bijective evaluation, "
-              "10 regular planes per pair)", ok)
+    _claim_holds("stabilizers", {"stabilizers.tangent_solver"}, MATRIX_CATALOG)
 
 
 def test_criterion_12_section_value_at_zero():
-    from thetapairs.slices import build_kw_section, is_regular, kw_solve
-
-    ok = True
-    for spec in MATRIX_CATALOG:
-        pair = realize(spec)
-        section = build_kw_section(pair)
-        coeffs = kw_solve(section, [ZERO] * pair.rank_r1)
-        kappa0 = section.slice_point(coeffs)
-        ok = (ok and kappa0 == section.e
-              and any(not c.is_zero() for c in kappa0)
-              and pair.from_coords(kappa0).is_nilpotent()
-              and is_regular(pair, kappa0))
-    _announce("12 (section at 0 is (e, 0) with e a nonzero regular nilpotent)", ok)
+    _claim_holds("slice", {"slice.section_at_zero"}, MATRIX_CATALOG)

@@ -1,5 +1,6 @@
 """The command line surface: grammar, exit codes, determinism."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -97,10 +98,21 @@ def test_verify_weyl_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_nilcone_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "nilcone")
-    assert code == 0
-    assert "G2 split: exactly one regular class" in out
+def test_verify_counts_a_raising_check_as_failure(capsys, monkeypatch):
+    from thetapairs import cli
+    from thetapairs.pairs import CatalogError
+
+    def boom(pair, seed):
+        raise CatalogError("boom")
+
+    table = tuple(c._replace(section=boom) if c.id == "g2.index_W_theta_over_W0" else c
+                  for c in cli.CHECKS)
+    monkeypatch.setattr(cli, "CHECKS", table)
+    code, out, err = run_cli(capsys, "verify", "weyl", "--pairs", "g2split")
+    assert code == 1
+    assert out.splitlines() == ["g2split: g2.index_W_theta_over_W0: FAIL",
+                                "0/1 checks passed"]
+    assert "g2split: g2.index_W_theta_over_W0: CatalogError: boom" in err
 
 
 def test_diag_report_has_isomorphism_audit(capsys):
@@ -121,6 +133,15 @@ def test_report_under_python_O_is_byte_identical():
     optimized = subprocess.run([sys.executable, "-O"] + argv, env=env,
                                capture_output=True, check=True)
     assert optimized.stdout == plain.stdout
+
+
+def test_package_has_no_bare_asserts():
+    # an assert vanishes under -O; mathematical checks must be explicit raises
+    package = Path(thetapairs.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_perfbench_trace_targets_resolve():

@@ -4,7 +4,8 @@
     theta-pairs verify <suite> [--seed N]
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 spec parse failure, 3 domain error.
+1 verification failure or a report stage that raised, 2 spec parse
+failure, 3 domain error.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .report import build_report, render_tables
+    from .report import SectionError, build_report, render_tables
 
     try:
         PairSpec.parse(args.pair_spec)
@@ -72,6 +73,9 @@ def _cmd_report(args) -> int:
     except SplittingFieldTooLarge as exc:
         print(f"domain error (exact field too small): {exc}", file=sys.stderr)
         return 3
+    except SectionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(doc, indent=2))
     else:

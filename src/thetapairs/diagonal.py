@@ -12,21 +12,23 @@ Z_B(X_ss) U_P^op construction.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .gaussian import GaussRat, ONE, ZERO, gaussian_roots
-from .liealg import LinearAlgebraFrame, Vector, _combine, flag_stabilizer
-from .matrix import ExactMatrix, coordinates_in_basis, span_eq, span_rank
+from .gaussian import GaussRat, ONE, ZERO
+from .jordan import eigenspaces
+from .liealg import LinearAlgebraFrame, _combine, flag_stabilizer
+from .matrix import (
+    ExactMatrix,
+    coordinates_in_basis,
+    independent_subset,
+    intersect_spans,
+    restrict_action,
+    span_eq,
+)
 from .pairs import CatalogError, SymmetricPairRealization, _sl_basis
 
 
 Flag = Tuple[Tuple[GaussRat, ...], ...]   # chain of vectors, one new per step
-
-
-def _intersection(a: Sequence[Vector], b: Sequence[Vector]) -> List[Vector]:
-    from .matrix import intersect_spans
-
-    return intersect_spans([list(v) for v in a], [list(v) for v in b])
 
 
 def invariant_flags(m: ExactMatrix) -> List[Flag]:
@@ -37,54 +39,32 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
     the eigenlines, one per eigenvalue (regularity keeps the quotients
     regular, so the eigenspaces stay one-dimensional).
     """
-    n = m.rows
-
     def rec(space: List[List[GaussRat]], done: List[List[GaussRat]]):
         # space: lifts spanning a complement of the flag built so far
         if not space:
             return [[]]
-        ambient = [list(v) for v in done] + [list(v) for v in space]
-        basis_mat = ExactMatrix.from_columns(ambient)
-        d = len(done)
-        q = len(space)
-        cols = []
-        for v in space:
-            full = basis_mat.solve(m.apply(v))
-            cols.append(full[d:])  # quotient coordinates
-        restr = ExactMatrix.from_columns(cols)
+        d, q = len(done), len(space)
+        # done + space is a basis; the quotient action is the lower-right block
+        restr = restrict_action(m, done + space)
+        if restr is None:
+            raise CatalogError("the lifts do not span the whole space")
         flags = []
-        for lam in sorted(set(gaussian_roots(restr.char_poly())), key=GaussRat.sort_key):
-            shifted = restr - ExactMatrix.identity(q).scale(lam)
-            kern = shifted.kernel_basis()
+        for lam, kern in eigenspaces(restr.block(d, d, q, q)):
             if len(kern) != 1:
                 raise AssertionError("matrix is not regular; flag count infinite")
             line = _combine(space, kern[0])
-            rest = []
-            current = [list(v) for v in done] + [list(line)]
-            for v in space:
-                if span_rank(current + [list(v)]) > len(current):
-                    rest.append(v)
-                    current.append(list(v))
+            # done + [line] is independent, so the greedy subset keeps it
+            rest = independent_subset(done + [line] + space)[d + 1:]
             for tail in rec(rest, done + [line]):
                 flags.append([line] + tail)
         return flags
 
-    unit_space = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
     out = []
-    for chain in rec(unit_space, []):
-        if len(chain) != n:
+    for chain in rec(ExactMatrix.identity(m.rows).row_lists(), []):
+        if len(chain) != m.rows:
             raise CatalogError("an invariant flag is not complete")
         out.append(tuple(tuple(v) for v in chain))
     return out
-
-
-def _centralizer_in_frame(frame: LinearAlgebraFrame, m: ExactMatrix) -> List[Vector]:
-    rows = []
-    for b in frame.basis:
-        comm = m.commutator(b)
-        rows.append(frame.to_coords(comm))
-    mat = ExactMatrix.from_columns(rows)
-    return mat.kernel_basis()
 
 
 def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
@@ -92,15 +72,15 @@ def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
     """The unique X-invariant flag B2 with B1 cap B2 = Z_{B1}(X_ss)
     = Z_{B2}(X_ss), or None when there is no such flag or more than one."""
     b1 = flag_stabilizer(frame, [b1_flag])
-    z = _centralizer_in_frame(frame, ss)
-    z_b1 = _intersection(b1, z)
+    z = frame.centralizer([frame.to_coords(ss)])
+    z_b1 = intersect_spans(b1, z)
     matches = []
     for flag in invariant_flags(x):
         b2 = flag_stabilizer(frame, [flag])
-        inter = _intersection(b1, b2)
+        inter = intersect_spans(b1, b2)
         if not span_eq(inter, z_b1):
             continue
-        z_b2 = _intersection(b2, z)
+        z_b2 = intersect_spans(b2, z)
         if span_eq(z_b2, z_b1):
             matches.append(flag)
     return matches[0] if len(matches) == 1 else None
@@ -138,8 +118,8 @@ def _sorted_chart_opposite(frame: LinearAlgebraFrame, x: ExactMatrix,
 
 
 def _eigenvalue_on(ss: ExactMatrix, vec, frame) -> Optional[GaussRat]:
-    image = ss.apply(list(vec))
-    coeff = coordinates_in_basis([list(vec)], image)
+    image = ss.apply(vec)
+    coeff = coordinates_in_basis([vec], image)
     return coeff[0] if coeff is not None else None
 
 
@@ -211,7 +191,8 @@ def _sample_chart_point(frame, k, rng):
     for lam, c in counts.items():
         if chained[lam] != c - 1:
             return None, None, None
-    flag = tuple(tuple(ONE if i == s else ZERO for i in range(k)) for s in sigma)
+    units = ExactMatrix.identity(k).row_lists()
+    flag = tuple(tuple(units[s]) for s in sigma)
     return x, ss, flag
 
 
@@ -220,9 +201,9 @@ def _is_pair_point(frame, x, ss, b1_flag, b2_flag) -> bool:
     B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2."""
     b1 = flag_stabilizer(frame, [b1_flag])
     b2 = flag_stabilizer(frame, [b2_flag])
-    z = _centralizer_in_frame(frame, ss)
-    inter = _intersection(b1, b2)
-    z_b1 = _intersection(b1, z)
-    z_b2 = _intersection(b2, z)
+    z = frame.centralizer([frame.to_coords(ss)])
+    inter = intersect_spans(b1, b2)
+    z_b1 = intersect_spans(b1, z)
+    z_b2 = intersect_spans(b2, z)
     return (span_eq(inter, z_b1) and span_eq(inter, z_b2)
-            and coordinates_in_basis([list(v) for v in b2], frame.to_coords(x)) is not None)
+            and coordinates_in_basis(b2, frame.to_coords(x)) is not None)

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge
+from .gaussian import GaussRat, ZERO, SplittingFieldTooLarge
 from .involutions import (
     SplitWeylLifts,
     compute_subgroups,
     regular_classes,
-    restrict_action,
     theta_fixed_subgroup,
     torus_action_perm,
     weyl_group_of_g0,
@@ -39,6 +38,7 @@ from .matrix import (
     coordinates_in_basis,
     independent_subset,
     intersect_spans,
+    restrict_action,
     span_eq,
     span_rank,
 )
@@ -105,8 +105,7 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     nil1 = ad_g.apply(nil)
 
     split = pair.split_roots
-    torus_cols = [list(t) for t in split.torus]
-    ss_t = coordinates_in_basis(torus_cols, ss1)
+    ss_t = coordinates_in_basis(split.torus, ss1)
     if ss_t is None:
         raise CatalogError(f"{pair.pair_id}: conjugated semisimple part is not in the split torus")
 
@@ -149,12 +148,10 @@ def _defining_slots(pair) -> List[DefiningSlot]:
     """Simultaneous eigenvectors of the split torus on the defining space,
     ordered by the pinned positivity element (descending values)."""
     n = pair.frame.n_def
-    unit = [[ONE if i == k else ZERO for i in range(n)] for k in range(n)]
     eigenspaces = _joint_eigenspaces((pair.from_coords(t) for t in pair.t_split_basis),
-                                    unit)
+                                    ExactMatrix.identity(n).row_lists())
     slots = []
-    h_t = coordinates_in_basis([list(t) for t in pair.t_split_basis],
-                               pair.split_positivity)
+    h_t = coordinates_in_basis(pair.t_split_basis, pair.split_positivity)
     for w, space in eigenspaces:
         for vec in space:
             block = 0
@@ -213,16 +210,10 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
     eigenspace; entry k-1 is a basis of ker(nil^k) with the new vector last."""
     if not eigenspace:
         return []
-    basis_mat = ExactMatrix.from_columns(eigenspace)
     d = len(eigenspace)
-    restriction_cols = []
-    for v in eigenspace:
-        img = nil_m.apply(v)
-        c = basis_mat.solve(img)
-        if c is None:
-            raise AssertionError("nilpotent part does not preserve the eigenspace")
-        restriction_cols.append(c)
-    restr = ExactMatrix.from_columns(restriction_cols)
+    restr = restrict_action(nil_m, eigenspace)
+    if restr is None:
+        raise AssertionError("nilpotent part does not preserve the eigenspace")
     chain = []
     power = ExactMatrix.identity(d)
     prev: List[List[GaussRat]] = []
@@ -231,11 +222,8 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
         kern = power.kernel_basis()
         if len(kern) != k:
             raise AssertionError("nilpotent part is not regular on the eigenspace")
-        stage = list(prev)
-        for c in kern:
-            vec = _combine(eigenspace, c)
-            if span_rank([list(v) for v in stage + [vec]]) > len(stage):
-                stage = stage + [vec]
+        # prev is independent, so the greedy subset keeps it and appends
+        stage = independent_subset(prev + [_combine(eigenspace, c) for c in kern])
         if len(stage) != k:
             raise CatalogError("kernel filtration step has the wrong dimension")
         chain.append(stage)
@@ -247,24 +235,27 @@ def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
     """Exact checks; returns whether the literal characterization
     B(theta) = Z_B(X_ss) holds at this point."""
     expected_dim = (pair.dim_g + pair.rank_g) // 2
-    if span_rank([list(v) for v in witness]) != expected_dim:
+    if span_rank(witness) != expected_dim:
         raise AssertionError("witness is not a Borel subalgebra (wrong dimension)")
     x1 = [a + b for a, b in zip(ss1, nil1)]
-    if coordinates_in_basis([list(v) for v in witness], x1) is None:
+    if coordinates_in_basis(witness, x1) is None:
         raise AssertionError("element does not lie in its fiber Borel")
     theta_w = [pair.theta_apply(v) for v in witness]
-    b_theta = intersect_spans([list(v) for v in witness], [list(v) for v in theta_w])
-    z_b = intersect_spans([list(v) for v in witness], [list(v) for v in z])
+    b_theta = intersect_spans(witness, theta_w)
+    z_b = intersect_spans(witness, z)
     # Z_B(X_ss) must be a regular theta-stable Borel subalgebra of the Levi
     theta_zb = [pair.theta_apply(v) for v in z_b]
     if not span_eq(z_b, theta_zb):
         raise AssertionError("Z_B(X_ss) is not theta-stable")
-    if span_rank([list(v) for v in z_b]) != (len(z) + pair.rank_g) // 2:
+    if span_rank(z_b) != (len(z) + pair.rank_g) // 2:
         raise AssertionError("Z_B(X_ss) is not a Borel subalgebra of the Levi")
     if not vec_is_zero(nil1):
-        if coordinates_in_basis([list(v) for v in z_b], list(nil1)) is None:
+        if coordinates_in_basis(z_b, nil1) is None:
             raise AssertionError("nilpotent part escapes Z_B(X_ss)")
-        if len(restrict_action(pair.ad(nil1), z).kernel_basis()) != pair.rank_g:
+        nil_on_z = restrict_action(pair.ad(nil1), z)
+        if nil_on_z is None:
+            raise CatalogError("nilpotent part does not preserve its centralizer")
+        if len(nil_on_z.kernel_basis()) != pair.rank_g:
             raise AssertionError("nilpotent part is not regular in the centralizer")
     return span_eq(b_theta, z_b)
 
@@ -364,7 +355,7 @@ def _scale_real_root_vector(pair, split, k: int):
 
 
 def _root_value_at(split, k: int, h: Vector) -> GaussRat:
-    coeffs = coordinates_in_basis([list(t) for t in split.torus], h)
+    coeffs = coordinates_in_basis(split.torus, h)
     if coeffs is None:
         raise CatalogError("h is not in the split torus")
     return _weight_value(split.weights[k], coeffs)
@@ -434,7 +425,6 @@ def mixed_degenerate_element(pair: SymmetricPairRealization) -> ElementOfG1:
         vals = [1, 1] + list(range(2, n_def - 1))
         vals.append(-sum(vals))
         ss_m = ExactMatrix.diagonal(vals)
-        nil_m = ExactMatrix.zero(n_def, n_def)
         sym = {(0, 0): GaussRat(1), (0, 1): GaussRat(0, 1),
                (1, 0): GaussRat(0, 1), (1, 1): GaussRat(-1)}
         nil_m = ExactMatrix(n_def, n_def,
@@ -461,10 +451,7 @@ def mixed_degenerate_element(pair: SymmetricPairRealization) -> ElementOfG1:
         nil = ExactMatrix(k, k, [GaussRat(1) if (i, j) == (0, 1) else ZERO
                                  for i in range(k) for j in range(k)])
         s = block + nil
-        x_m = ExactMatrix(n_def, n_def, [
-            (s[i, j] if i < k and j < k else
-             -s[i - k, j - k] if i >= k and j >= k else ZERO)
-            for i in range(n_def) for j in range(n_def)])
+        x_m = ExactMatrix.block_diagonal(s, -s)
     else:
         raise CatalogError(f"{pair.pair_id}: no degenerate sample recipe")
     x = ElementOfG1.from_matrix(pair, x_m)
@@ -501,11 +488,10 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     x1 = ad_g.apply(gvec(x.coords))
 
     split = pair.split_roots
-    torus_cols = [list(t) for t in split.torus]
-    x_t = coordinates_in_basis(torus_cols, x1)
+    x_t = coordinates_in_basis(split.torus, x1)
     lifts = SplitWeylLifts.of(pair)
     group = enumerate_weyl(split.datum)
-    a_cols = [coordinates_in_basis(torus_cols, list(a)) for a in pair.a_basis]
+    a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
 
     mats = [lifts.torus_matrix(p) for p in group.elements]
     inv_mats = [m.inverse() for m in mats]
@@ -563,13 +549,16 @@ def _cayley_to_fundamental(pair, z_basis: List[Vector], torus: List[Vector]):
             decomposition = weight_decomposition(frame, torus, ambient=z_basis)
         except SplittingFieldTooLarge as exc:
             raise CentralizerTorusError(str(exc)) from exc
-        torus_cols = [list(t) for t in torus]
+        theta_t = restrict_action(pair.theta_coords, torus)
+        if theta_t is None:
+            raise CentralizerTorusError("the torus is not theta-stable")
+        # the weight alpha o theta, in coordinates on the torus
+        on_weights = theta_t.transpose()
         real_root = None
         for wt, space in decomposition:
             if all(x.is_zero() for x in wt):
                 continue
-            theta_wt = _theta_weight(pair, torus, wt)
-            if theta_wt == tuple(-x for x in wt):
+            if tuple(on_weights.apply(wt)) == tuple(-x for x in wt):
                 real_root = (wt, space[0])
                 break
         if real_root is None:
@@ -579,9 +568,9 @@ def _cayley_to_fundamental(pair, z_basis: List[Vector], torus: List[Vector]):
         new_dir = [a + b for a, b in zip(vec, theta_vec)]
         if vec_is_zero(new_dir) or not is_semisimple(pair.from_coords(new_dir)):
             raise CentralizerTorusError("Cayley direction is not semisimple")
-        kernel = _alpha_kernel(torus, wt)
-        torus = independent_subset([list(v) for v in kernel + [new_dir]])
-        if len(torus) != len(torus_cols):
+        rank = len(torus)
+        torus = independent_subset(_alpha_kernel(torus, wt) + [new_dir])
+        if len(torus) != rank:
             raise CentralizerTorusError("Cayley transform changed the torus rank")
     raise CentralizerTorusError("Cayley iteration did not terminate")
 
@@ -592,15 +581,6 @@ def _alpha_kernel(torus, wt) -> List[Vector]:
     rows = [[wt[i] for i in range(r)]]
     kern = ExactMatrix.from_rows(rows).kernel_basis()
     return [_combine(torus, coeffs) for coeffs in kern]
-
-
-def _theta_weight(pair, torus, wt):
-    torus_cols = [list(t) for t in torus]
-    imgs = [coordinates_in_basis(torus_cols, pair.theta_apply(t)) for t in torus]
-    return tuple(
-        sum((imgs[i][j] * wt[j] for j in range(len(torus))), ZERO)
-        for i in range(len(torus))
-    )
 
 
 def fiber_component_dimensions(pair: SymmetricPairRealization,
@@ -614,7 +594,7 @@ def fiber_component_dimensions(pair: SymmetricPairRealization,
     """
     pair.require_matrix_level()
     a_point = gvec(a_point)
-    if coordinates_in_basis([list(v) for v in pair.a_basis], a_point) is None:
+    if coordinates_in_basis(pair.a_basis, a_point) is None:
         raise CatalogError("base point must lie in the Cartan subspace")
     # the centralizer of the base point; None when it is all of g
     z_basis = None if vec_is_zero(a_point) else pair.frame.centralizer([a_point])
@@ -630,13 +610,10 @@ def fiber_component_dimensions(pair: SymmetricPairRealization,
     audits = []
     for cls in classes:
         positive = [cls.rep_perm[k] for k in rdata.positive]
-        t_vectors = [list(t) for t in rdata.torus]
         pos_vectors = [rdata.root_vectors[k] for k in positive]
-        b_theta = t_vectors + [list(v) for v in pos_vectors]
-        b_g0 = span_rank([list(pair.g0_part(v)) for v in b_theta
-                          if not vec_is_zero(pair.g0_part(v))] or [[ZERO]])
-        n_g1 = span_rank([list(pair.g1_part(v)) for v in pos_vectors
-                          if not vec_is_zero(pair.g1_part(v))] or [[ZERO]])
+        b_theta = rdata.torus + pos_vectors
+        b_g0 = span_rank([pair.g0_part(v) for v in b_theta])
+        n_g1 = span_rank([pair.g1_part(v) for v in pos_vectors])
         audits.append(CentralizerClassAudit(
             regular=cls.regular,
             class_size=cls.class_size,
@@ -654,8 +631,7 @@ def _fundamental_root_data(pair, z_basis, t_fund) -> ConcreteRootData:
 
     frame = pair.frame
     # positivity element: a theta-fixed torus element missing every root
-    t0 = independent_subset(
-        [list(pair.g0_part(t)) for t in t_fund if not vec_is_zero(pair.g0_part(t))])
+    t0 = independent_subset([pair.g0_part(t) for t in t_fund])
     primes = [2, 3, 5, 7, 11, 13]
     last_error = None
     for scale in range(1, 6):

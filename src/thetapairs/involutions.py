@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO
-from .liealg import ConcreteRootData, Vector, vec_is_zero, weight_decomposition
-from .matrix import ExactMatrix, coordinates_in_basis, independent_subset
+from .liealg import ConcreteRootData, Vector, weight_decomposition
+from .matrix import ExactMatrix, coordinates_in_basis, independent_subset, restrict_action
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm
 
@@ -159,8 +159,7 @@ def theta_eigen_basis(pair: SymmetricPairRealization, vectors: Sequence[Vector],
                       sign: int) -> List[Vector]:
     """Basis of the (+1 or -1) theta-eigenspace of a theta-stable span."""
     part = pair.g0_part if sign > 0 else pair.g1_part
-    projected = [part(v) for v in vectors]
-    return independent_subset([p for p in projected if not vec_is_zero(p)])
+    return independent_subset([part(v) for v in vectors])
 
 
 def _exp_ad(pair: SymmetricPairRealization, vec: Vector) -> ExactMatrix:
@@ -183,21 +182,15 @@ def torus_action_perm(pair: SymmetricPairRealization, rdata: ConcreteRootData,
                       ad_action: ExactMatrix) -> bytes:
     """Permutation induced on rdata's roots by an algebra automorphism that
     normalizes the torus (given as a matrix on coordinates)."""
-    torus_mats = [list(t) for t in rdata.torus]
-    images = [ad_action.apply(t) for t in rdata.torus]
-    cols = [coordinates_in_basis(torus_mats, img) for img in images]
-    if any(c is None for c in cols):
+    m = restrict_action(ad_action, rdata.torus)
+    if m is None:
         raise CatalogError("automorphism does not normalize the torus")
-    m = ExactMatrix.from_columns(cols)
-    m_inv = m.inverse()
+    # the new weight alpha o Ad(n)^{-1}, in coordinates on the torus
+    on_weights = m.inverse().transpose()
     weight_map = {w: k for k, w in enumerate(rdata.weights)}
     perm = []
     for w in rdata.weights:
-        # new weight: alpha o Ad(n)^{-1}; columns of m_inv give coordinates
-        img = tuple(
-            sum((m_inv[j, i] * w[j] for j in range(len(rdata.torus))), ZERO)
-            for i in range(len(rdata.torus))
-        )
+        img = tuple(on_weights.apply(w))
         if img not in weight_map:
             raise CatalogError("automorphism does not permute the roots")
         perm.append(weight_map[img])
@@ -224,7 +217,6 @@ def weyl_group_of_g0(pair: SymmetricPairRealization,
         if len(space) != 1:
             raise CatalogError(f"{pair.pair_id}: g0 root space not one-dimensional")
         root_vectors[w] = space[0]
-    t0_cols = [list(t) for t in t0]
     gens: List[bytes] = []
     seen_pairs = set()
     for w, vec in root_vectors.items():
@@ -234,7 +226,7 @@ def weyl_group_of_g0(pair: SymmetricPairRealization,
         seen_pairs.add((w, negw))
 
         def value_of_h(h, w=w):
-            coeffs = coordinates_in_basis(t0_cols, h)
+            coeffs = coordinates_in_basis(t0, h)
             return sum((c * x for c, x in zip(coeffs, w)), ZERO)
 
         lift = reflection_lift(pair, vec, root_vectors[negw], value_of_h)
@@ -342,6 +334,9 @@ def regular_classes(pair: SymmetricPairRealization, rdata: ConcreteRootData,
         ad_w = pair.ad(witness)
         if z_basis is not None:
             ad_w = restrict_action(ad_w, z_basis)
+            if ad_w is None:
+                raise CatalogError(f"{pair.pair_id}: a class witness does not "
+                                   "preserve the centralizer")
         regular = len(ad_w.kernel_basis()) == pair.rank_g
         shortcut = compact_simple is None
         if regular != shortcut:
@@ -414,7 +409,7 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
     f_raw = split.root_vectors[neg_idx]
 
     def value_of_h(h):
-        coeffs = coordinates_in_basis([list(t) for t in split.torus], h)
+        coeffs = coordinates_in_basis(split.torus, h)
         return sum((c * x for c, x in zip(coeffs, split.weights[s_idx])), ZERO)
 
     return reflection_lift(pair, e, f_raw, value_of_h)
@@ -453,20 +448,11 @@ class SplitWeylLifts:
 
     def torus_matrix(self, perm: bytes) -> ExactMatrix:
         if perm not in self._torus_cache:
-            self._torus_cache[perm] = restrict_action(self.ad(perm), self.split.torus)
+            m = restrict_action(self.ad(perm), self.split.torus)
+            if m is None:
+                raise CatalogError("split lift does not normalize the torus")
+            self._torus_cache[perm] = m
         return self._torus_cache[perm]
-
-
-def restrict_action(action: ExactMatrix, basis: Sequence[Sequence[GaussRat]]) -> ExactMatrix:
-    """Matrix, in the given basis, of an action that preserves its span."""
-    basis_cols = [list(b) for b in basis]
-    cols = []
-    for b in basis_cols:
-        c = coordinates_in_basis(basis_cols, action.apply(b))
-        if c is None:
-            raise CatalogError("action does not preserve the subspace")
-        cols.append(c)
-    return ExactMatrix.from_columns(cols)
 
 
 @dataclass(frozen=True)
@@ -485,6 +471,8 @@ def canonical_involution(pair: SymmetricPairRealization) -> CanonicalInvolution:
     1 and its fixed dimension are reported, not asserted."""
     pair.require_matrix_level()
     theta_t = restrict_action(pair.theta_coords, pair.split_roots.torus)
+    if theta_t is None:
+        raise CatalogError(f"{pair.pair_id}: the split torus is not theta-stable")
     lifts = SplitWeylLifts.of(pair)
     matrices = []
     for borel in enumerate_split_borels(pair):

@@ -33,6 +33,15 @@ def eigenvalues(m: ExactMatrix) -> List[GaussRat]:
     return gaussian_roots(m.char_poly())
 
 
+def eigenspaces(m: ExactMatrix) -> List[Tuple[GaussRat, List[List[GaussRat]]]]:
+    """(eigenvalue, kernel basis of m - eigenvalue) for each distinct
+    eigenvalue, in GaussRat.sort_key order; raises SplittingFieldTooLarge
+    if the spectrum is not in Q(i)."""
+    ident = ExactMatrix.identity(m.rows)
+    return [(lam, (m - ident.scale(lam)).kernel_basis())
+            for lam in sorted(set(eigenvalues(m)), key=GaussRat.sort_key)]
+
+
 def jordan_semisimple_part(m: ExactMatrix) -> ExactMatrix:
     """The unique semisimple s with [s, m] = 0 and m - s nilpotent.
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussRat, ZERO, ONE, gaussian_roots
-from .matrix import ExactMatrix, coordinates_in_basis
+from .gaussian import GaussRat, ZERO
+from .jordan import eigenspaces
+from .matrix import ExactMatrix, coordinates_in_basis, restrict_action
 from .rootsystem import RootDatum
 
 Vector = List[GaussRat]
@@ -35,8 +36,7 @@ class LinearAlgebraFrame:
         self.basis = list(basis)
         self.dim = len(self.basis)
         self.n_def = basis[0].rows
-        flat_cols = [list(b.entries) for b in self.basis]
-        self._basis_mat = ExactMatrix.from_columns(flat_cols)
+        self._basis_mat = ExactMatrix.from_columns([b.entries for b in self.basis])
         bt = self._basis_mat.transpose()
         gram = bt @ self._basis_mat
         self._solver = gram.inverse() @ bt  # exact pseudo-inverse (full column rank)
@@ -46,9 +46,8 @@ class LinearAlgebraFrame:
     # -- conversions ------------------------------------------------------
 
     def to_coords(self, m: ExactMatrix) -> Vector:
-        flat = list(m.entries)
-        coords = self._solver.apply(flat)
-        if self._basis_mat.apply(coords) != flat:
+        coords = self.maybe_coords(m)
+        if coords is None:
             raise ValueError("matrix is not in the algebra's span")
         return coords
 
@@ -115,8 +114,7 @@ class LinearAlgebraFrame:
                     ambient: Optional[Sequence[Vector]] = None) -> List[Vector]:
         """Basis of the joint kernel of ad(v) inside a subspace (default g)."""
         if ambient is None:
-            space = [gvec([ONE if i == k else ZERO for i in range(self.dim)])
-                     for k in range(self.dim)]
+            space = ExactMatrix.identity(self.dim).row_lists()
         else:
             space = [gvec(v) for v in ambient]
         for v in vectors:
@@ -137,7 +135,7 @@ def flag_stabilizer(frame: LinearAlgebraFrame,
     rows = []
     for flag in flags:
         for j in range(1, len(flag) + 1):
-            step = [list(v) for v in flag[:j]]
+            step = flag[:j]
             functionals = ExactMatrix.from_rows(step).kernel_basis()
             for v in step:
                 for phi in functionals:
@@ -148,8 +146,7 @@ def flag_stabilizer(frame: LinearAlgebraFrame,
                         row.append(sum((p * q for p, q in zip(phi, mv)), ZERO))
                     rows.append(row)
     if not rows:
-        return [gvec([ONE if i == k else ZERO for i in range(frame.dim)])
-                for k in range(frame.dim)]
+        return ExactMatrix.identity(frame.dim).row_lists()
     return ExactMatrix.from_rows(rows).kernel_basis()
 
 
@@ -175,8 +172,7 @@ def weight_decomposition(
     SplittingFieldTooLarge if some restriction fails to split over Q(i).
     """
     if ambient is None:
-        ambient = [[ONE if i == k else ZERO for i in range(frame.dim)]
-                   for k in range(frame.dim)]
+        ambient = ExactMatrix.identity(frame.dim).row_lists()
     return _joint_eigenspaces((frame.ad(t) for t in torus), ambient)
 
 
@@ -194,20 +190,10 @@ def _joint_eigenspaces(
         new_spaces: List[List[Vector]] = []
         new_weights = []
         for w, space in zip(weights, spaces):
-            basis_mat = ExactMatrix.from_columns(space)
-            restriction_cols = []
-            for s in space:
-                c = basis_mat.solve(op.apply(s))
-                if c is None:
-                    raise ValueError("an operator does not preserve the subspace")
-                restriction_cols.append(c)
-            restriction = ExactMatrix.from_columns(restriction_cols)
-            for lam in sorted(set(gaussian_roots(restriction.char_poly())),
-                              key=GaussRat.sort_key):
-                shifted = restriction - ExactMatrix.identity(len(space)).scale(lam)
-                kern = shifted.kernel_basis()
-                if not kern:
-                    continue
+            restriction = restrict_action(op, space)
+            if restriction is None:
+                raise ValueError("an operator does not preserve the subspace")
+            for lam, kern in eigenspaces(restriction):
                 new_spaces.append([_combine(space, c) for c in kern])
                 new_weights.append(w + (lam,))
         spaces = new_spaces
@@ -302,7 +288,7 @@ def build_concrete_root_data(
         raise ValueError("torus is not its own centralizer; not a maximal torus")
 
     # evaluate roots on the regular element to fix a positive system
-    reg_coeffs = coordinates_in_basis([list(t) for t in torus], gvec(regular_element))
+    reg_coeffs = coordinates_in_basis(torus, regular_element)
     if reg_coeffs is None:
         raise ValueError("regular element must lie in the torus")
     values = []
@@ -314,20 +300,15 @@ def build_concrete_root_data(
     positive = tuple(k for k, v in enumerate(values) if is_positive_value(v))
 
     # theta action on roots
-    theta_on_torus = []
-    for t in torus:
-        img = theta_coords.apply(t)
-        c = coordinates_in_basis([list(x) for x in torus], img)
-        if c is None:
-            raise ValueError("torus is not theta-stable")
-        theta_on_torus.append(c)
+    theta_t = restrict_action(theta_coords, torus)
+    if theta_t is None:
+        raise ValueError("torus is not theta-stable")
+    # the weight alpha o theta, in coordinates on the torus
+    on_weights = theta_t.transpose()
     perm = []
     weight_map = {w: k for k, w in enumerate(weights)}
     for w in weights:
-        img = tuple(
-            sum((theta_on_torus[i][j] * w[j] for j in range(len(torus))), ZERO)
-            for i in range(len(torus))
-        )
+        img = tuple(on_weights.apply(w))
         if img not in weight_map:
             raise ValueError("theta does not permute the roots")
         perm.append(weight_map[img])
@@ -380,10 +361,10 @@ def _abstract_datum(weights, positive) -> RootDatum:
     simples = _simple_indices(weights, positive)
     rank = len(simples)
     simple_vecs = [weights[s] for s in simples]
-    mat = ExactMatrix.from_columns([list(v) for v in simple_vecs])
+    mat = ExactMatrix.from_columns(simple_vecs)
     coords: List[Tuple[int, ...]] = []
     for w in weights:
-        sol = mat.solve(list(w))
+        sol = mat.solve(w)
         if sol is None:
             raise ValueError("root outside the lattice of simple roots")
         ints = []

@@ -9,7 +9,7 @@ from exact elimination is accepted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .gaussian import GaussRat, ZERO, ONE
 
@@ -59,8 +59,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence]) -> "ExactMatrix":
-        cols = [list(c) for c in cols]
-        return ExactMatrix.from_rows(list(map(list, zip(*cols)))) if cols else ExactMatrix.zero(0, 0)
+        return ExactMatrix.from_rows(zip(*cols)) if cols else ExactMatrix.zero(0, 0)
 
     # -- access ----------------------------------------------------------
 
@@ -76,6 +75,20 @@ class ExactMatrix:
 
     def row_lists(self) -> List[List[GaussRat]]:
         return [self.row(i) for i in range(self.rows)]
+
+    def block(self, r0: int, c0: int, rows: int, cols: int) -> "ExactMatrix":
+        """The rows x cols submatrix with top-left entry (r0, c0)."""
+        return ExactMatrix(rows, cols, [self[r0 + i, c0 + j]
+                                        for i in range(rows) for j in range(cols)])
+
+    @staticmethod
+    def block_diagonal(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
+        """diag(a, b) with zero off-diagonal blocks."""
+        rows, cols = a.rows + b.rows, a.cols + b.cols
+        return ExactMatrix(rows, cols, [
+            a[i, j] if i < a.rows and j < a.cols else
+            b[i - a.rows, j - a.cols] if i >= a.rows and j >= a.cols else ZERO
+            for i in range(rows) for j in range(cols)])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -165,18 +178,6 @@ class ExactMatrix:
             raise ValueError("trace of non-square matrix")
         return sum((self[i, i] for i in range(self.rows)), ZERO)
 
-    def power(self, k: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        result = ExactMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     def _check_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -249,9 +250,8 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = ExactMatrix(n, 2 * n,
-                          [e for i in range(n)
-                           for e in self.row(i) + [ONE if j == i else ZERO for j in range(n)]])
+        ident = ExactMatrix.identity(n)
+        aug = ExactMatrix.from_rows([self.row(i) + ident.row(i) for i in range(n)])
         red, pivots = aug.rref()
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
@@ -335,9 +335,8 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
 
 def span_eq(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
     """Whether two lists of vectors span the same subspace."""
-    ra = span_rank([list(v) for v in a])
-    rb = span_rank([list(v) for v in b])
-    return ra == rb and span_rank([list(v) for v in list(a) + list(b)]) == ra
+    ra = span_rank(a)
+    return ra == span_rank(b) and span_rank(list(a) + list(b)) == ra
 
 
 def coordinates_in_basis(basis: Sequence[Sequence], target: Sequence):
@@ -347,28 +346,38 @@ def coordinates_in_basis(basis: Sequence[Sequence], target: Sequence):
     return ExactMatrix.from_columns(basis).solve(target)
 
 
+def restrict_action(action: ExactMatrix, basis: Sequence[Sequence]) -> Optional[ExactMatrix]:
+    """Matrix, in the given (independent) basis, of an action that preserves
+    its span, or None when some image leaves the span.
+
+    All images are solved by one elimination of [B | action B]."""
+    d = len(basis)
+    if not d:
+        return ExactMatrix.zero(0, 0)
+    images = [action.apply(b) for b in basis]
+    red, pivots = ExactMatrix.from_columns(list(basis) + images).rref()
+    if pivots and pivots[-1] >= d:
+        return None
+    out = [[ZERO] * d for _ in range(d)]
+    for r, pc in enumerate(pivots):
+        out[pc] = red.row(r)[d:]
+    return ExactMatrix.from_rows(out)
+
+
 def intersect_spans(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List[GaussRat]]:
     """Basis of span(a) ∩ span(b), deterministic."""
     if not a or not b:
         return []
     m = ExactMatrix.from_columns(list(a) + list(b))
-    out = []
     amat = ExactMatrix.from_columns(a)
-    for vec in m.kernel_basis():
-        coeffs = vec[:len(a)]
-        out.append(amat.apply(coeffs))
-    # the kernel basis may over-count; reduce to independent set
-    return independent_subset(out)
+    # the kernel basis may over-count; reduce to an independent set
+    return independent_subset([amat.apply(vec[:len(a)]) for vec in m.kernel_basis()])
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[List[GaussRat]]:
-    """Greedy independent subset, keeping earliest vectors."""
-    chosen: List[List[GaussRat]] = []
-    rank = 0
-    for v in vectors:
-        cand = chosen + [list(map(_coerce, v))]
-        r = span_rank(cand)
-        if r > rank:
-            chosen = cand
-            rank = r
-    return chosen
+    """The earliest-first greedy independent subset: the vectors at the
+    pivot columns of one elimination."""
+    if not vectors:
+        return []
+    pivots = ExactMatrix.from_columns(vectors).rref()[1]
+    return [[_coerce(x) for x in vectors[j]] for j in pivots]

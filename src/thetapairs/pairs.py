@@ -30,6 +30,7 @@ from .liealg import (
     ConcreteRootData,
     LinearAlgebraFrame,
     Vector,
+    _combine,
     build_concrete_root_data,
     gvec,
     vec_is_zero,
@@ -154,12 +155,10 @@ class SymmetricPairRealization:
         return self.theta_apply(coords) == coords
 
     def g0_basis_coords(self) -> List[Vector]:
-        return [gvec([ONE if i == k else ZERO for i in range(self.dim_g)])
-                for k in range(self.dim_g0)]
+        return ExactMatrix.identity(self.dim_g).row_lists()[:self.dim_g0]
 
     def g1_basis_coords(self) -> List[Vector]:
-        return [gvec([ONE if i == k else ZERO for i in range(self.dim_g)])
-                for k in range(self.dim_g0, self.dim_g)]
+        return ExactMatrix.identity(self.dim_g).row_lists()[self.dim_g0:]
 
     def ad(self, coords: Sequence) -> ExactMatrix:
         return self.frame.ad(coords)
@@ -212,21 +211,6 @@ def _sl_basis(k: int) -> List[ExactMatrix]:
     return basis
 
 
-def _block_embed(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-    k = x.rows
-    n = 2 * k
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            if i < k and j < k:
-                entries.append(x[i, j])
-            elif i >= k and j >= k:
-                entries.append(y[i - k, j - k])
-            else:
-                entries.append(ZERO)
-    return ExactMatrix(n, n, entries)
-
-
 # -- family constructions -----------------------------------------------------
 
 
@@ -251,9 +235,7 @@ def _build_splitA(n: int) -> SymmetricPairRealization:
     rot = [frame.to_coords(_unit(N, 2 * j, 2 * j + 1) - _unit(N, 2 * j + 1, 2 * j))
            for j in range(N // 2)]
     t_fund = frame.centralizer(rot)
-    h_fund = [ZERO] * frame.dim
-    for j, r in enumerate(rot):
-        h_fund = [a + GaussRat(2 ** j) * x for a, x in zip(h_fund, r)]
+    h_fund = _combine(rot, [GaussRat(2 ** j) for j in range(len(rot))])
 
     return _assemble_matrix_pair(
         PairSpec("splitA", n=n), frame, len(g0), theta, theta_coords,
@@ -277,14 +259,10 @@ def _build_glgl(n: int) -> SymmetricPairRealization:
     theta_coords = _theta_coords_matrix(frame, theta)
     a_basis = [frame.to_coords(_unit(N, j, n + j) + _unit(N, n + j, j))
                for j in range(n)]
-    h_a = [ZERO] * frame.dim
-    for j, v in enumerate(a_basis):
-        h_a = [a + GaussRat(j + 1) * x for a, x in zip(h_a, v)]
+    h_a = _combine(a_basis, [GaussRat(j + 1) for j in range(n)])
 
     t_fund = [frame.to_coords(_unit(N, i, i)) for i in range(N)]
-    h_fund = [ZERO] * frame.dim
-    for i, v in enumerate(t_fund):
-        h_fund = [a + GaussRat(2 ** i) * x for a, x in zip(h_fund, v)]
+    h_fund = _combine(t_fund, [GaussRat(2 ** i) for i in range(N)])
 
     return _assemble_matrix_pair(
         PairSpec("glgl", n=n), frame, len(same), theta, theta_coords,
@@ -295,8 +273,8 @@ def _build_glgl(n: int) -> SymmetricPairRealization:
 def _build_diag(base: str) -> SymmetricPairRealization:
     k = 2 if base == "sl2" else 3
     sl = _sl_basis(k)
-    g0 = [_block_embed(b, b) for b in sl]
-    g1 = [_block_embed(b, -b) for b in sl]
+    g0 = [ExactMatrix.block_diagonal(b, b) for b in sl]
+    g1 = [ExactMatrix.block_diagonal(b, -b) for b in sl]
     basis = g0 + g1
     frame = LinearAlgebraFrame(basis)
     N = 2 * k
@@ -308,14 +286,14 @@ def _build_diag(base: str) -> SymmetricPairRealization:
 
     theta_coords = _theta_coords_matrix(frame, theta)
     diag_sl = [_unit(k, i, i) - _unit(k, i + 1, i + 1) for i in range(k - 1)]
-    a_basis = [frame.to_coords(_block_embed(h, -h)) for h in diag_sl]
+    a_basis = [frame.to_coords(ExactMatrix.block_diagonal(h, -h)) for h in diag_sl]
     mean = Fraction(sum(range(k)), k)
     h0 = ExactMatrix.diagonal([Fraction(k - 1 - i) - mean for i in range(k)])
-    h_a = frame.to_coords(_block_embed(h0, -h0))
+    h_a = frame.to_coords(ExactMatrix.block_diagonal(h0, -h0))
 
-    t_fund = ([frame.to_coords(_block_embed(h, h)) for h in diag_sl]
-              + [frame.to_coords(_block_embed(h, -h)) for h in diag_sl])
-    h_fund_m = _block_embed(h0, h0.scale(Fraction(1, 2)))
+    t_fund = ([frame.to_coords(ExactMatrix.block_diagonal(h, h)) for h in diag_sl]
+              + [frame.to_coords(ExactMatrix.block_diagonal(h, -h)) for h in diag_sl])
+    h_fund_m = ExactMatrix.block_diagonal(h0, h0.scale(Fraction(1, 2)))
     h_fund = frame.to_coords(h_fund_m)
 
     return _assemble_matrix_pair(
@@ -416,11 +394,9 @@ def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
         raise CatalogError(f"{pair.pair_id}: theta^2 != id")
 
     # adapted basis: +1 block then -1 block
-    for k in range(dim):
-        unit = [ONE if i == k else ZERO for i in range(dim)]
-        img = theta_c.apply(unit)
+    for k, unit in enumerate(ExactMatrix.identity(dim).row_lists()):
         want = unit if k < pair.dim_g0 else [-u for u in unit]
-        if img != want:
+        if theta_c.column(k) != want:
             raise CatalogError(f"{pair.pair_id}: basis not adapted to theta at index {k}")
 
     structure = frame.structure_matrices()
@@ -442,10 +418,7 @@ def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
 
     # theta is a Lie algebra automorphism
     for i in range(dim):
-        unit = [ONE if t == i else ZERO for t in range(dim)]
-        lhs = theta_c @ structure[i] @ theta_c
-        rhs = frame.ad(theta_c.apply(unit))
-        if lhs != rhs:
+        if theta_c @ structure[i] @ theta_c != frame.ad(theta_c.column(i)):
             raise CatalogError(f"{pair.pair_id}: theta is not an automorphism")
 
     # a is abelian, inside g1, of dimension r1
@@ -455,7 +428,7 @@ def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
         for y in pair.a_basis:
             if not vec_is_zero(pair.bracket(x, y)):
                 raise CatalogError(f"{pair.pair_id}: a is not abelian")
-    if span_rank([list(map(lambda g: g, v)) for v in pair.a_basis]) != pair.rank_r1:
+    if span_rank(pair.a_basis) != pair.rank_r1:
         raise CatalogError(f"{pair.pair_id}: a has wrong dimension")
 
     # quasi-split witness: a generic element of a is regular in g
@@ -471,14 +444,12 @@ def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
 
     # t_split = t0 + a with t1 = a
     t = pair.t_split_basis
-    if span_rank([list(v) for v in t]) != pair.rank_g:
+    if span_rank(t) != pair.rank_g:
         raise CatalogError(f"{pair.pair_id}: split torus has wrong dimension")
     for x in pair.a_basis:
-        if coordinates_in_basis([list(v) for v in t], list(x)) is None:
+        if coordinates_in_basis(t, x) is None:
             raise CatalogError(f"{pair.pair_id}: a not inside its centralizing torus")
-    minus = [pair.g1_part(v) for v in t]
-    minus_rank = span_rank([list(v) for v in minus if not vec_is_zero(v)])
-    if minus_rank != pair.rank_r1:
+    if span_rank([pair.g1_part(v) for v in t]) != pair.rank_r1:
         raise CatalogError(f"{pair.pair_id}: t1 part of split torus is not a")
 
     # pinned positive systems behave under theta

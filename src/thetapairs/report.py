@@ -39,6 +39,11 @@ from .stabilizers import (
 SCHEMA_VERSION = 1
 
 
+class SectionError(Exception):
+    """An exception raised inside a report section; the message names the
+    pair, the stage and the original exception, which is the cause."""
+
+
 def _str_matrix(m) -> List[List[str]]:
     return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
@@ -190,7 +195,10 @@ def torus_section(pair: SymmetricPairRealization, seed: int = 0) -> Optional[Dic
 
 def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
     """Run every applicable section for the pair and assemble the
-    document; sampling uses the seed, verdict fields never depend on it."""
+    document; sampling uses the seed, verdict fields never depend on it.
+    A section that raises is reported with the pair and stage: as
+    SplittingFieldTooLarge when it left the exact domain, as SectionError
+    otherwise."""
     pair = realize(spec)
     doc: Dict = {"schema_version": SCHEMA_VERSION, "pair_id": pair.pair_id}
     timing: Dict[str, float] = {}
@@ -200,7 +208,10 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
         try:
             value = section(pair, seed)
         except SplittingFieldTooLarge as exc:
-            raise SplittingFieldTooLarge(f"{name}: {exc}") from exc
+            raise SplittingFieldTooLarge(f"{pair.pair_id}: {name}: {exc}") from exc
+        except Exception as exc:
+            raise SectionError(
+                f"{pair.pair_id}: {name}: {type(exc).__name__}: {exc}") from exc
         timing[name] = round((time.perf_counter() - start) * 1000, 3)
         if value is not None:
             doc[key] = value

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .gaussian import GaussRat
+from .matrix import ExactMatrix, restrict_action
 
 Coords = Tuple[int, ...]
 
@@ -452,26 +455,14 @@ def restricted_reflection_norms(
     (-1)-eigenline.  Together with the group order this is the signature
     used to recognize the restricted Coxeter type.
     """
-    from math import gcd
-
-    from .matrix import ExactMatrix
-    from .gaussian import GaussRat
-
     sub = [tuple(v) for v in sublattice_basis]
     r = len(sub)
-    amb = ExactMatrix.from_columns([[GaussRat(x) for x in v] for v in sub])
     norms = []
     seen: set = set()
     for perm in elements:
-        big = datum.perm_matrix_on_lattice(perm)
-        cols = []
-        for v in sub:
-            img = [sum(big[i][j] * v[j] for j in range(datum.rank)) for i in range(datum.rank)]
-            coords = amb.solve(img)
-            if coords is None:
-                raise ValueError("element does not preserve the sublattice")
-            cols.append(coords)
-        mat = ExactMatrix.from_columns(cols)
+        mat = restrict_action(ExactMatrix.from_rows(datum.perm_matrix_on_lattice(perm)), sub)
+        if mat is None:
+            raise ValueError("element does not preserve the sublattice")
         if mat == ExactMatrix.identity(r):
             continue
         if mat @ mat != ExactMatrix.identity(r):

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge, gaussian_roots
-from .jordan import jordan_semisimple_part
+from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge
+from .jordan import eigenspaces, jordan_semisimple_part
 from .liealg import Vector, _combine, gvec, vec_is_zero, weight_decomposition
 from .matrix import ExactMatrix, coordinates_in_basis, intersect_spans
 from .involutions import detect_regular_borels, theta_eigen_basis
@@ -103,13 +103,10 @@ def chi1(pair: SymmetricPairRealization, x) -> Tuple[GaussRat, ...]:
         return _traceless_invariants(m)
     if family == "glgl":
         n = pair.spec.n
-        top = ExactMatrix(n, n, [m[i, n + j] for i in range(n) for j in range(n)])
-        bot = ExactMatrix(n, n, [m[n + i, j] for i in range(n) for j in range(n)])
-        return tuple((top @ bot).char_poly()[1:])
+        return tuple((m.block(0, n, n, n) @ m.block(n, 0, n, n)).char_poly()[1:])
     if family == "diag":
         k = m.rows // 2
-        block = ExactMatrix(k, k, [m[i, j] for i in range(k) for j in range(k)])
-        return _traceless_invariants(block)
+        return _traceless_invariants(m.block(0, 0, k, k))
     raise CatalogError(f"{pair.pair_id}: chi1 needs a matrix realization")
 
 
@@ -153,14 +150,10 @@ def normal_triple_through(pair: SymmetricPairRealization, e: Vector,
     # solve [h, f] = -2f and [e, f] = h with f in span(f_space)
     ad_h = pair.ad(h)
     ad_e = pair.ad(e)
-    rows = []
-    rhs = []
     fcols = [gvec(v) for v in f_space]
-    cond1 = [[sum((ad_h[i, j] * v[j] for j in range(pair.dim_g)), ZERO)
-              + GaussRat(2) * v[i] for v in fcols] for i in range(pair.dim_g)]
-    cond2 = [[sum((ad_e[i, j] * v[j] for j in range(pair.dim_g)), ZERO)
-              for v in fcols] for i in range(pair.dim_g)]
-    mat = ExactMatrix.from_rows(cond1 + cond2)
+    mat = ExactMatrix.from_columns(
+        [[a + GaussRat(2) * x for a, x in zip(ad_h.apply(v), v)] + ad_e.apply(v)
+         for v in fcols])
     target = [ZERO] * pair.dim_g + list(h)
     sol = mat.solve(target)
     if sol is None:
@@ -193,7 +186,7 @@ def _kw_section(pair: SymmetricPairRealization) -> KWSection:
     t0 = theta_eigen_basis(pair, pair.fund_roots.torus, +1)
     ad_e = pair.ad(e)
     image = [ad_e.column(j) for j in range(pair.dim_g)]
-    h_space = intersect_spans([list(v) for v in t0], image)
+    h_space = intersect_spans(t0, image)
     h, f = normal_triple_through(pair, e, h_space, pair.g1_basis_coords())
     if not pair.in_g0(h):
         raise TripleNotFound("h escaped g0")
@@ -299,7 +292,7 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
     Raises ConjugationOutsideField when eigenvalues or the needed square
     roots or normalizations do not exist in Q(i).
     """
-    if coordinates_in_basis([list(v) for v in pair.a_basis], list(ss)) is not None:
+    if coordinates_in_basis(pair.a_basis, ss) is not None:
         return ExactMatrix.identity(pair.dim_g)
     family = pair.spec.family
     m = pair.from_coords(ss)
@@ -316,7 +309,7 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
         raise ConjugationOutsideField(str(exc)) from exc
     ad_g = _ad_of_group_element(pair, g)
     image = ad_g.apply(ss)
-    if coordinates_in_basis([list(v) for v in pair.a_basis], image) is None:
+    if coordinates_in_basis(pair.a_basis, image) is None:
         raise ConjugationOutsideField("conjugation missed the Cartan subspace")
     theta_c = pair.theta_coords
     if theta_c @ ad_g @ theta_c != ad_g:
@@ -330,22 +323,13 @@ def _ad_of_group_element(pair, g: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_columns(cols)
 
 
-def _eigen_data(m: ExactMatrix):
-    lams = sorted(set(gaussian_roots(m.char_poly())), key=GaussRat.sort_key)
-    out = []
-    for lam in lams:
-        shifted = m - ExactMatrix.identity(m.rows).scale(lam)
-        out.append((lam, shifted.kernel_basis()))
-    return out
-
-
 def _orthogonal_diagonalizer(m: ExactMatrix) -> ExactMatrix:
     """Q in SO(N, Q(i)) with Q m Q^{-1} diagonal, for symmetric m."""
     from .gaussian import gauss_sqrt
 
     n = m.rows
     columns: List[List[GaussRat]] = []
-    for lam, vecs in _eigen_data(m):
+    for lam, vecs in eigenspaces(m):
         ortho: List[List[GaussRat]] = []
         for v in vecs:
             for prev in ortho:
@@ -393,13 +377,11 @@ def _glgl_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
     from .gaussian import gauss_sqrt
 
     n = pair.spec.n
-    top = ExactMatrix(n, n, [m[i, n + j] for i in range(n) for j in range(n)])
-    bot = ExactMatrix(n, n, [m[n + i, j] for i in range(n) for j in range(n)])
-    prod = top @ bot  # Y X
-    eigen = _eigen_data(prod)
+    top = m.block(0, n, n, n)
+    prod = top @ m.block(n, 0, n, n)  # Y X
     lam_list = []
     q_cols = []
-    for lam, vecs in eigen:
+    for lam, vecs in eigenspaces(prod):
         for v in vecs:
             lam_list.append(lam)
             q_cols.append(v)
@@ -420,31 +402,13 @@ def _glgl_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
         g2_inv = g2.inverse()
     except ZeroDivisionError as exc:
         raise ConjugationOutsideField("degenerate block; no exact conjugator") from exc
-    g = ExactMatrix(2 * n, 2 * n, [
-        (g1[i, j] if i < n and j < n else
-         g2[i - n, j - n] if i >= n and j >= n else ZERO)
-        for i in range(2 * n) for j in range(2 * n)
-    ])
-    return g
+    return ExactMatrix.block_diagonal(g1, g2)
 
 
 def _diag_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
     k = m.rows // 2
-    block = ExactMatrix(k, k, [m[i, j] for i in range(k) for j in range(k)])
-    eigen = _eigen_data(block)
-    cols = []
-    for _, vecs in eigen:
-        cols.extend(vecs)
+    cols = [v for _, vecs in eigenspaces(m.block(0, 0, k, k)) for v in vecs]
     if len(cols) != k:
         raise ConjugationOutsideField("g0 component not diagonalizable over Q(i)")
     p_inv = ExactMatrix.from_columns(cols).inverse()
-    entries = []
-    for i in range(2 * k):
-        for j in range(2 * k):
-            if i < k and j < k:
-                entries.append(p_inv[i, j])
-            elif i >= k and j >= k:
-                entries.append(p_inv[i - k, j - k])
-            else:
-                entries.append(ZERO)
-    return ExactMatrix(2 * k, 2 * k, entries)
+    return ExactMatrix.block_diagonal(p_inv, p_inv)

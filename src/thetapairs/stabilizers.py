@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .gaussian import GaussRat, ONE, ZERO
+from .gaussian import GaussRat, ZERO
 from .lattice import IntLattice, smith_normal_form
 from .liealg import Vector, gvec, vec_is_zero
-from .matrix import ExactMatrix, coordinates_in_basis, span_rank
+from .matrix import ExactMatrix, coordinates_in_basis, independent_subset, span_rank
 from .pairs import CatalogError, SymmetricPairRealization
 from .slices import ElementOfG1, NotRegular, is_regular
 
@@ -80,13 +80,9 @@ def tangent_space_solver(pair: SymmetricPairRealization,
     """
     c = plane.basis
     r = len(c)
-    g1 = pair.g1_basis_coords()
-    comp: List[Vector] = []
-    current = [list(v) for v in c]
-    for v in g1:
-        if span_rank(current + [list(v)]) > len(current):
-            comp.append(v)
-            current.append(list(v))
+    # a complement of c in g1; the basis of c is independent, so the greedy
+    # subset keeps it
+    comp = independent_subset(c + pair.g1_basis_coords())[r:]
     m = len(comp)  # dim g1/c
     # unknowns: T[i][k] = coefficient of comp[k] in T(c_i)
     nvars = r * m
@@ -105,12 +101,11 @@ def tangent_space_solver(pair: SymmetricPairRealization,
     if rows:
         kern = ExactMatrix.from_rows(rows).kernel_basis()
     else:
-        kern = [[ONE if t == s else ZERO for t in range(nvars)]
-                for s in range(nvars)]
+        kern = ExactMatrix.identity(nvars).row_lists()
     expected = pair.dim_g1 - pair.rank_r1
     eval_bij: Optional[bool] = None
     if plane.source is not None:
-        x_coords = coordinates_in_basis([list(v) for v in c], plane.source)
+        x_coords = coordinates_in_basis(c, plane.source)
         if x_coords is None:
             raise CatalogError("plane source does not lie in the plane")
         eval_rows = []
@@ -120,7 +115,7 @@ def tangent_space_solver(pair: SymmetricPairRealization,
                 for k in range(m):
                     image[k] = image[k] + x_coords[i] * sol[i * m + k]
             eval_rows.append(image)
-        eval_rank = span_rank(eval_rows) if eval_rows else 0
+        eval_rank = span_rank(eval_rows)
         eval_bij = (eval_rank == m and len(kern) == m)
     return TangentReport(len(kern), expected, eval_bij)
 
@@ -162,7 +157,7 @@ def _character_values(pair, g: ExactMatrix) -> List[GaussRat]:
     out = []
     for vec in split.root_vectors:
         image = pair.to_coords(g @ pair.from_coords(vec) @ g_inv)
-        coeff = coordinates_in_basis([list(vec)], image)
+        coeff = coordinates_in_basis([vec], image)
         if coeff is None:
             raise CatalogError("element does not normalize the root space")
         out.append(coeff[0])

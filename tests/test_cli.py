@@ -11,6 +11,7 @@ from pathlib import Path
 
 import thetapairs
 from thetapairs.cli import main
+from thetapairs.pairs import FULL_CATALOG, CatalogError
 
 
 def run_cli(capsys, *argv):
@@ -100,7 +101,6 @@ def test_verify_weyl_passes(capsys):
 
 def test_verify_counts_a_raising_check_as_failure(capsys, monkeypatch):
     from thetapairs import cli
-    from thetapairs.pairs import CatalogError
 
     def boom(pair, seed):
         raise CatalogError("boom")
@@ -123,16 +123,54 @@ def test_diag_report_has_isomorphism_audit(capsys):
     assert doc["diagonal_isomorphism"]["round_trips"] == 20
 
 
-def test_report_under_python_O_is_byte_identical():
-    # mathematical checks are explicit raises, so -O changes nothing
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
+# runs `report <spec> --json --no-timing` for each spec in argv in one process
+# and writes {spec: [exit code, stdout]} as JSON
+_REPORT_ALL = """
+import contextlib, io, json, sys
+from thetapairs.cli import main
+out = {}
+for spec in sys.argv[1:]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["report", spec, "--json", "--no-timing"])
+    out[spec] = [code, buf.getvalue()]
+json.dump(out, sys.stdout)
+"""
+
+
+def test_catalog_reports_under_python_O_match_golden():
+    # the golden files are the `report <spec> --json --no-timing` stdout of
+    # every catalog pair; mathematical checks are explicit raises, so -O
+    # must change nothing
     src = str(Path(thetapairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["-m", "thetapairs.cli", "report", "splitA:n=2", "--json", "--no-timing"]
-    plain = subprocess.run([sys.executable] + argv, env=env, capture_output=True,
-                           check=True)
-    optimized = subprocess.run([sys.executable, "-O"] + argv, env=env,
-                               capture_output=True, check=True)
-    assert optimized.stdout == plain.stdout
+    run = subprocess.run([sys.executable, "-O", "-c", _REPORT_ALL, *FULL_CATALOG],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    names = {spec.replace(":", "_").replace("=", "_") + ".json": spec
+             for spec in FULL_CATALOG}
+    assert sorted(p.name for p in GOLDEN_REPORTS.iterdir()) == sorted(names)
+    for name, spec in names.items():
+        code, out = got[spec]
+        assert code == 0, spec
+        assert out.encode() == (GOLDEN_REPORTS / name).read_bytes(), spec
+
+
+def test_report_stage_error_names_pair_and_stage(capsys, monkeypatch):
+    from thetapairs import report
+
+    def boom(pair, seed):
+        raise CatalogError("kernel filtration step has the wrong dimension")
+
+    monkeypatch.setattr(report, "fiber_section", boom)
+    code, out, err = run_cli(capsys, "report", "splitA:n=1", "--json", "--no-timing")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: splitA:n=1: fibers: CatalogError: "
+        "kernel filtration step has the wrong dimension"]
 
 
 def test_package_has_no_bare_asserts():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thetapairs.gaussian import (
     GaussRat,
     I,
+    ONE,
     ZERO,
     SplittingFieldTooLarge,
     _certified_roots,
@@ -19,9 +20,14 @@ from thetapairs.gaussian import (
     poly_squarefree_part,
     splits_over_gaussians,
 )
-from thetapairs.jordan import is_semisimple, jordan_decomposition, jordan_semisimple_part
+from thetapairs.jordan import (
+    eigenspaces,
+    is_semisimple,
+    jordan_decomposition,
+    jordan_semisimple_part,
+)
 from thetapairs.lattice import cokernel_structure, diagonal_of, smith_normal_form
-from thetapairs.matrix import ExactMatrix
+from thetapairs.matrix import ExactMatrix, independent_subset, restrict_action, span_rank
 
 
 def mat(rows):
@@ -90,6 +96,141 @@ def test_rank_nullity(entries):
         assert all(x.is_zero() for x in m.apply(v))
 
 
+# -- oracle properties against sympy DomainMatrix over QQ_I ----------------
+
+
+def _to_qq_i(z: GaussRat):
+    from sympy import QQ, QQ_I
+
+    return QQ_I(QQ(z.re.numerator, z.re.denominator), QQ(z.im.numerator, z.im.denominator))
+
+
+def _from_qq_i(z) -> GaussRat:
+    return GaussRat(Fraction(int(z.x.numerator), int(z.x.denominator)),
+                    Fraction(int(z.y.numerator), int(z.y.denominator)))
+
+
+def _oracle(m: ExactMatrix):
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[_to_qq_i(x) for x in row] for row in m.row_lists()],
+                        (m.rows, m.cols), QQ_I)
+
+
+def _oracle_rank(m: ExactMatrix) -> int:
+    return _oracle(m).rank() if m.rows and m.cols else 0
+
+
+# mostly zero entries, like the kernel's inputs; the rest small Gaussian rationals
+sparse_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.just(ZERO),
+    st.builds(GaussRat, st.integers(-4, 4)),
+    st.builds(GaussRat, st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def sparse_matrices(draw, max_size=8, square=False):
+    rows = draw(st.integers(1, max_size))
+    cols = rows if square else draw(st.integers(1, max_size))
+    return ExactMatrix(rows, cols, draw(st.lists(sparse_entries, min_size=rows * cols,
+                                                 max_size=rows * cols)))
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_domain_matrix(m):
+    red, pivots = m.rref()
+    want, want_pivots = _oracle(m).rref()
+    assert pivots == list(want_pivots)
+    assert red.row_lists() == [[_from_qq_i(x) for x in row] for row in want.to_list()]
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_kernel_basis_has_nullity_size_and_is_killed(m):
+    kern = m.kernel_basis()
+    assert len(kern) == m.cols - _oracle_rank(m)
+    for v in kern:
+        assert all(x.is_zero() for x in m.apply(v))
+
+
+def _greedy_independent(vectors):
+    chosen = []
+    for v in vectors:
+        if span_rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+    return chosen
+
+
+@given(sparse_matrices())
+@settings(max_examples=60, deadline=None)
+def test_independent_subset_is_the_earliest_first_greedy_choice(m):
+    vectors = m.row_lists()
+    chosen = independent_subset(vectors)
+    assert chosen == _greedy_independent(vectors)
+    assert len(chosen) == _oracle_rank(m)
+
+
+@given(sparse_matrices(max_size=6, square=True), st.data())
+@settings(max_examples=60, deadline=None)
+def test_restrict_action_solves_the_invariant_case_only(a, data):
+    vectors = st.lists(sparse_entries, min_size=a.rows, max_size=a.rows)
+    krylov = [data.draw(vectors)]
+    for _ in range(a.rows - 1):
+        krylov.append(a.apply(krylov[-1]))
+    # the span of all Krylov vectors is invariant; a random span need not be
+    invariant = independent_subset(krylov)
+    other = independent_subset(data.draw(st.lists(vectors, min_size=1, max_size=a.rows)))
+    for basis in (invariant, other):
+        if not basis:
+            continue
+        images = [a.apply(x) for x in basis]
+        preserved = _oracle_rank(ExactMatrix.from_columns(basis + images)) == len(basis)
+        r = restrict_action(a, basis)
+        assert (r is not None) == preserved
+        assert preserved or basis is other
+        if r is not None:
+            b = ExactMatrix.from_columns(basis)
+            assert b @ r == a @ b
+
+
+@st.composite
+def gaussian_spectrum_matrices(draw):
+    # P T P^-1 with T upper triangular (Gaussian integer diagonal, repeats
+    # allowed) and P a product of unit triangular integer matrices
+    n = draw(st.integers(1, 6))
+    diag = draw(st.lists(st.builds(GaussRat, st.integers(-3, 3), st.integers(-1, 1)),
+                         min_size=n, max_size=n))
+    upper = draw(st.lists(st.sampled_from([ZERO, ZERO, ONE, GaussRat(-2), GaussRat(0, 1)]),
+                          min_size=n * n, max_size=n * n))
+    t = ExactMatrix(n, n, [diag[i] if i == j else upper[i * n + j] if j > i else ZERO
+                           for i in range(n) for j in range(n)])
+    low = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    high = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    p = (ExactMatrix(n, n, [1 if i == j else low[i * n + j] if j < i else 0
+                            for i in range(n) for j in range(n)])
+         @ ExactMatrix(n, n, [1 if i == j else high[i * n + j] if j > i else 0
+                              for i in range(n) for j in range(n)]))
+    return p @ t @ p.inverse(), diag
+
+
+@given(gaussian_spectrum_matrices())
+@settings(max_examples=40, deadline=None)
+def test_eigenspaces_match_domain_matrix_ranks(case):
+    m, diag = case
+    n = m.rows
+    spaces = eigenspaces(m)
+    assert [lam for lam, _ in spaces] == sorted(set(diag), key=GaussRat.sort_key)
+    for lam, kern in spaces:
+        shifted = m - ExactMatrix.identity(n).scale(lam)
+        assert len(kern) == n - _oracle_rank(shifted) >= 1
+        assert _oracle_rank(ExactMatrix.from_rows(kern)) == len(kern)
+        for v in kern:
+            assert m.apply(v) == [lam * x for x in v]
+
+
 # -- char_poly -------------------------------------------------------------
 
 
@@ -111,6 +252,15 @@ def test_char_poly_conjugation_invariant():
     p = mat([[1, 1, 0], [0, 1, 2], [0, 0, 1]])
     conj = p @ m @ p.inverse()
     assert conj.char_poly() == m.char_poly()
+
+
+def test_block_diagonal_and_block_round_trip():
+    a = mat([[1, 2], [3, 4]])
+    b = mat([[5, I, 0]])
+    d = ExactMatrix.block_diagonal(a, b)
+    assert d == mat([[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 5, I, 0]])
+    assert d.block(0, 0, 2, 2) == a and d.block(2, 2, 1, 3) == b
+    assert d.block(0, 2, 2, 3).is_zero()
 
 
 def test_solve_and_inverse_round_trip():

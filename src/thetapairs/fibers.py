@@ -17,7 +17,9 @@ from .gaussian import GaussRat, ZERO, SplittingFieldTooLarge
 from .involutions import (
     SplitWeylLifts,
     compute_subgroups,
+    reflection_lift,
     regular_classes,
+    root_value,
     theta_fixed_subgroup,
     torus_action_perm,
     weyl_group_of_g0,
@@ -43,7 +45,7 @@ from .matrix import (
     span_rank,
 )
 from .pairs import CatalogError, SymmetricPairRealization
-from .rootsystem import compose, enumerate_weyl, identity_perm
+from .rootsystem import compose, enumerate_weyl, identity_perm, invert
 from .slices import (
     ElementOfG1,
     NotRegular,
@@ -263,12 +265,6 @@ def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
 # -- G0 lifts of the little Weyl group and fiber conjugators --------------------
 
 
-def _exp_braid(pair, e: Vector, f: Vector) -> ExactMatrix:
-    ad = pair.ad
-    return (ad(e).exp_nilpotent() @ ad([-c for c in f]).exp_nilpotent()
-            @ ad(e).exp_nilpotent())
-
-
 def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
     """Ad matrices of G0 representatives for every little-Weyl element.
 
@@ -297,14 +293,13 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
             if scaled is None:
                 continue
             e, f = scaled
-            m = _exp_braid(pair, e, f)
+            m = reflection_lift(pair, e, f, split.torus, split.weights[k])
         elif img != k:
             # complex pair: the braid commutes with its theta image exactly
             # when the two sl2's are orthogonal; then the product is fixed
             seen_orbits.update({k, neg[k], img, neg[img]})
-            m1 = _root_braid(pair, split, k)
-            if m1 is None:
-                continue
+            m1 = reflection_lift(pair, e, split.root_vectors[neg[k]],
+                                 split.torus, split.weights[k])
             m_theta = theta_c @ m1 @ theta_c
             if m1 @ m_theta != m_theta @ m1:
                 continue
@@ -314,7 +309,7 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
         if theta_c @ m @ theta_c != m:
             continue
         try:
-            perm = torus_action_perm(pair, split, m)
+            perm = torus_action_perm(split, m)
         except CatalogError:
             continue
         gens.append((perm, m))
@@ -340,7 +335,7 @@ def _scale_real_root_vector(pair, split, k: int):
     e = split.root_vectors[k]
     theta_e = pair.theta_apply(e)
     h = pair.bracket(e, [-c for c in theta_e])
-    val = _root_value_at(split, k, h)
+    val = root_value(split.torus, split.weights[k], h)
     if val.is_zero():
         return None
     for cand in (GaussRat(2) / val, GaussRat(-2) / val):
@@ -349,28 +344,9 @@ def _scale_real_root_vector(pair, split, k: int):
             e2 = [c * x for x in e]
             f2 = [-x for x in pair.theta_apply(e2)]
             h2 = pair.bracket(e2, f2)
-            if _root_value_at(split, k, h2) == GaussRat(2):
+            if root_value(split.torus, split.weights[k], h2) == GaussRat(2):
                 return e2, f2
     return None
-
-
-def _root_value_at(split, k: int, h: Vector) -> GaussRat:
-    coeffs = coordinates_in_basis(split.torus, h)
-    if coeffs is None:
-        raise CatalogError("h is not in the split torus")
-    return _weight_value(split.weights[k], coeffs)
-
-
-def _root_braid(pair, split, k: int) -> Optional[ExactMatrix]:
-    neg = split.negation()
-    e = split.root_vectors[k]
-    f_raw = split.root_vectors[neg[k]]
-    h = pair.bracket(e, f_raw)
-    val = _root_value_at(split, k, h)
-    if val.is_zero():
-        return None
-    f = [(GaussRat(2) / val) * c for c in f_raw]
-    return _exp_braid(pair, e, f)
 
 
 def exhibit_fiber_conjugators(pair: SymmetricPairRealization,
@@ -493,17 +469,17 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     group = enumerate_weyl(split.datum)
     a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
 
-    mats = [lifts.torus_matrix(p) for p in group.elements]
-    inv_mats = [m.inverse() for m in mats]
-    points = [m.apply(x_t) for m in mats]
+    points = [lifts.torus_matrix(p).apply(x_t) for p in group.elements]
     if len({tuple(pt) for pt in points}) != group.order:
         raise NotRegular("Weyl orbit is not free; element is not regular enough")
 
+    # w.x is labelled by {v : v^{-1} w.x in a} = {w o u : u in inside},
+    # since torus_matrix is a representation of W
+    inside = [invert(u) for u, pt in zip(group.elements, points)
+              if coordinates_in_basis(a_cols, pt) is not None]
     labels: Dict[frozenset, List[int]] = {}
-    for idx, pt in enumerate(points):
-        label = frozenset(
-            v for v in range(group.order)
-            if coordinates_in_basis(a_cols, inv_mats[v].apply(pt)) is not None)
+    for idx, w in enumerate(group.elements):
+        label = frozenset(compose(w, u) for u in inside)
         labels.setdefault(label, []).append(idx)
     groups = sorted(labels.values(), key=lambda g: g[0])
     wa = compute_subgroups(pair).Wa_perms

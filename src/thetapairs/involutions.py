@@ -166,27 +166,42 @@ def _exp_ad(pair: SymmetricPairRealization, vec: Vector) -> ExactMatrix:
     return pair.ad(vec).exp_nilpotent()
 
 
+def root_value(torus: Sequence[Vector], weight: Sequence[GaussRat], h: Vector) -> GaussRat:
+    """alpha(h) for the root of the given weight (coordinates on the torus
+    basis); raises CatalogError when h is not in the torus."""
+    coeffs = coordinates_in_basis(torus, h)
+    if coeffs is None:
+        raise CatalogError("h is not in the torus")
+    return sum((c * x for c, x in zip(coeffs, weight)), ZERO)
+
+
 def reflection_lift(pair: SymmetricPairRealization, e: Vector, f_raw: Vector,
-                    value_of_h) -> ExactMatrix:
+                    torus: Sequence[Vector], weight: Sequence[GaussRat]) -> ExactMatrix:
     """Ad(n) for n = exp(e) exp(-f) exp(e), with f scaled so that
-    (e, h, f) is an sl2 triple; value_of_h(h_coords) must give alpha(h)."""
+    (e, h, f) is an sl2 triple; e is a root vector of the given weight on
+    the torus."""
     h = pair.bracket(e, f_raw)
-    val = value_of_h(h)
+    val = root_value(torus, weight, h)
     if val.is_zero():
         raise CatalogError("degenerate root pair in reflection lift")
     f = [(GaussRat(2) / val) * x for x in f_raw]
     return _exp_ad(pair, e) @ _exp_ad(pair, [-x for x in f]) @ _exp_ad(pair, e)
 
 
-def torus_action_perm(pair: SymmetricPairRealization, rdata: ConcreteRootData,
-                      ad_action: ExactMatrix) -> bytes:
+def torus_action_perm(rdata: ConcreteRootData, ad_action: ExactMatrix) -> bytes:
     """Permutation induced on rdata's roots by an algebra automorphism that
     normalizes the torus (given as a matrix on coordinates)."""
     m = restrict_action(ad_action, rdata.torus)
     if m is None:
         raise CatalogError("automorphism does not normalize the torus")
-    # the new weight alpha o Ad(n)^{-1}, in coordinates on the torus
-    on_weights = m.inverse().transpose()
+    return _weight_perm(rdata, m)
+
+
+def _weight_perm(rdata: ConcreteRootData, torus_matrix: ExactMatrix) -> bytes:
+    """Permutation induced on rdata's roots by an action on the torus
+    (given as a matrix on the torus basis)."""
+    # the new weight alpha o m^{-1}, in coordinates on the torus
+    on_weights = torus_matrix.inverse().transpose()
     weight_map = {w: k for k, w in enumerate(rdata.weights)}
     perm = []
     for w in rdata.weights:
@@ -224,13 +239,8 @@ def weyl_group_of_g0(pair: SymmetricPairRealization,
         if (negw, w) in seen_pairs:
             continue
         seen_pairs.add((w, negw))
-
-        def value_of_h(h, w=w):
-            coeffs = coordinates_in_basis(t0, h)
-            return sum((c * x for c, x in zip(coeffs, w)), ZERO)
-
-        lift = reflection_lift(pair, vec, root_vectors[negw], value_of_h)
-        gens.append(torus_action_perm(pair, rdata, lift))
+        lift = reflection_lift(pair, vec, root_vectors[negw], t0, w)
+        gens.append(torus_action_perm(rdata, lift))
     return _closure(gens, rdata.nroots)
 
 
@@ -248,15 +258,14 @@ class BorelChoice:
         return frozenset(self.perm[k] for k in base)
 
 
-def enumerate_split_borels(pair: SymmetricPairRealization,
-                           rdi: Optional[ConcreteRootData] = None) -> List[BorelChoice]:
+def enumerate_split_borels(pair: SymmetricPairRealization) -> List[BorelChoice]:
     """All theta-split Borels containing the pinned maximally split torus.
 
     Checks the torsor structure: the count equals |W_a| and W_a acts simply
     transitively by left translation.
     """
     pair.require_matrix_level()
-    split = rdi if rdi is not None else pair.split_roots
+    split = pair.split_roots
     group = enumerate_weyl(split.datum)
     base = list(split.positive)
     theta = split.theta_perm
@@ -265,7 +274,7 @@ def enumerate_split_borels(pair: SymmetricPairRealization,
         pos = {p[k] for k in base}
         if not pos & {theta[k] for k in pos}:
             chosen.append(BorelChoice(p))
-    wa = theta_fixed_subgroup(group, theta)
+    wa = compute_subgroups(pair).Wa_perms
     if len(chosen) != len(wa):
         raise CatalogError(
             f"{pair.pair_id}: {len(chosen)} split Borels but |W_a| = {len(wa)}")
@@ -403,56 +412,41 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
     """Ad(n) for the i-th simple reflection of the split-side datum."""
     split = pair.split_roots
     s_idx = split.simple_indices_of(list(split.positive))[i]
-    neg_w = tuple(-x for x in split.weights[s_idx])
-    neg_idx = split.weight_index(neg_w)
-    e = split.root_vectors[s_idx]
-    f_raw = split.root_vectors[neg_idx]
-
-    def value_of_h(h):
-        coeffs = coordinates_in_basis(split.torus, h)
-        return sum((c * x for c, x in zip(coeffs, split.weights[s_idx])), ZERO)
-
-    return reflection_lift(pair, e, f_raw, value_of_h)
+    neg_idx = split.weight_index(tuple(-x for x in split.weights[s_idx]))
+    return reflection_lift(pair, split.root_vectors[s_idx], split.root_vectors[neg_idx],
+                           split.torus, split.weights[s_idx])
 
 
 class SplitWeylLifts:
-    """Cached Ad(n_w) matrices for the split-side Weyl group of a pair;
+    """The split-side Weyl group acting on the split torus: cached torus
+    matrices of Ad(n_w), built from the restrictions of the simple lifts;
     `SplitWeylLifts.of(pair)` is the pair's one instance."""
 
     def __init__(self, pair: SymmetricPairRealization):
-        self.pair = pair
         self.split = pair.split_roots
-        self._simple = [split_simple_lift(pair, i)
-                        for i in range(self.split.datum.rank)]
-        self._cache: Dict[bytes, ExactMatrix] = {
-            identity_perm(self.split.nroots): ExactMatrix.identity(pair.dim_g)}
-        self._torus_cache: Dict[bytes, ExactMatrix] = {}
+        self._simple = []
+        for i in range(self.split.datum.rank):
+            m = restrict_action(split_simple_lift(pair, i), self.split.torus)
+            if m is None:
+                raise CatalogError("split lift does not normalize the torus")
+            self._simple.append(m)
+        self._cache: Dict[bytes, ExactMatrix] = {}
 
     @staticmethod
     @per_pair
     def of(pair: SymmetricPairRealization) -> "SplitWeylLifts":
         return SplitWeylLifts(pair)
 
-    def ad(self, perm: bytes) -> ExactMatrix:
+    def torus_matrix(self, perm: bytes) -> ExactMatrix:
         if perm not in self._cache:
             # w = s_{i_k} o ... o s_{i_1} for word = [i_1, ..., i_k]
-            word = weyl_word(self.split.datum, perm)
-            n_ad = ExactMatrix.identity(self.pair.dim_g)
-            for i in word:
-                n_ad = self._simple[i] @ n_ad
-            induced = torus_action_perm(self.pair, self.split, n_ad)
-            if induced != perm:
+            m = ExactMatrix.identity(len(self.split.torus))
+            for i in weyl_word(self.split.datum, perm):
+                m = self._simple[i] @ m
+            if _weight_perm(self.split, m) != perm:
                 raise CatalogError("split lift does not realize its Weyl element")
-            self._cache[perm] = n_ad
+            self._cache[perm] = m
         return self._cache[perm]
-
-    def torus_matrix(self, perm: bytes) -> ExactMatrix:
-        if perm not in self._torus_cache:
-            m = restrict_action(self.ad(perm), self.split.torus)
-            if m is None:
-                raise CatalogError("split lift does not normalize the torus")
-            self._torus_cache[perm] = m
-        return self._torus_cache[perm]
 
 
 @dataclass(frozen=True)

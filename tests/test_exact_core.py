@@ -196,6 +196,44 @@ def test_restrict_action_solves_the_invariant_case_only(a, data):
             assert b @ r == a @ b
 
 
+@given(sparse_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_domain_matrix_consistency(m, data):
+    # a right-hand side in the column span half of the time, an arbitrary one otherwise
+    coeffs = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    arbitrary = data.draw(st.lists(sparse_entries, min_size=m.rows, max_size=m.rows))
+    rhs = data.draw(st.sampled_from([m.apply(coeffs), arbitrary]))
+    x = m.solve(rhs)
+    augmented = ExactMatrix.from_columns(m.transpose().row_lists() + [rhs])
+    assert (x is None) == (_oracle_rank(augmented) > _oracle_rank(m))
+    if x is not None:
+        assert m.apply(x) == rhs
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_domain_matrix(m):
+    oracle = _oracle(m)
+    if _from_qq_i(oracle.det()).is_zero():
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        want = oracle.inv().to_list()
+        assert m.inverse().row_lists() == [[_from_qq_i(x) for x in row] for row in want]
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_domain_matrix(m):
+    assert m.det() == _from_qq_i(_oracle(m).det())
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_char_poly_matches_domain_matrix(m):
+    assert m.char_poly() == [_from_qq_i(c) for c in _oracle(m).charpoly()]
+
+
 @st.composite
 def gaussian_spectrum_matrices(draw):
     # P T P^-1 with T upper triangular (Gaussian integer diagonal, repeats

@@ -15,7 +15,10 @@ from thetapairs.fibers import (
     regular_ss_element,
 )
 from thetapairs.diagonal import diagonal_isomorphism_check
-from thetapairs.involutions import compute_subgroups
+from thetapairs.involutions import SplitWeylLifts, compute_subgroups
+from thetapairs.liealg import gvec
+from thetapairs.matrix import coordinates_in_basis
+from thetapairs.rootsystem import enumerate_weyl
 
 
 def a_combo(pair, coeffs):
@@ -99,6 +102,29 @@ def test_component_census(spec, points, groups, size):
     assert census.group_count == groups
     assert census.wa_order == size
     assert all(len(g) == size for g in census.groups)
+
+
+@pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])
+def test_census_groups_match_the_pairwise_solve_labels(spec):
+    pair = realize(spec)
+    x = regular_ss_element(pair)
+    census = component_census(pair, x)
+    # the reference: w.x is labelled by every v with v^{-1} w.x in a,
+    # one solve per pair (v, w)
+    split = pair.split_roots
+    ss, _ = x.jordan_parts()
+    x_t = coordinates_in_basis(split.torus, conjugate_ss_into_a(pair, ss).apply(gvec(x.coords)))
+    a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
+    mats = [SplitWeylLifts.of(pair).torus_matrix(w)
+            for w in enumerate_weyl(split.datum).elements]
+    inverses = [m.inverse() for m in mats]
+    labels = {}
+    for idx, m in enumerate(mats):
+        point = m.apply(x_t)
+        label = frozenset(v for v, inv in enumerate(inverses)
+                          if coordinates_in_basis(a_cols, inv.apply(point)) is not None)
+        labels.setdefault(label, []).append(idx)
+    assert sorted(census.groups) == sorted(labels.values())
 
 
 def test_census_rejects_mixed_elements():

@@ -4,14 +4,19 @@ import pytest
 
 from thetapairs.involutions import (
     MissingCompactness,
+    SplitWeylLifts,
     canonical_involution,
     classify_roots,
     compute_subgroups,
     detect_regular_borels,
     enumerate_split_borels,
+    root_value,
+    split_simple_lift,
+    weyl_word,
 )
-from thetapairs.matrix import ExactMatrix
-from thetapairs.pairs import MATRIX_CATALOG, realize
+from thetapairs.matrix import ExactMatrix, restrict_action
+from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
+from thetapairs.rootsystem import compose, enumerate_weyl
 
 
 def test_classify_roots_examples():
@@ -152,3 +157,38 @@ def test_canonical_involution_well_defined_everywhere():
         theta_can = canonical_involution(pair)  # asserts bitwise equality inside
         assert theta_can.is_involution
         assert theta_can.fixed_dim + pair.rank_r1 == pair.rank_g
+
+
+# glgl has a center that the roots do not see; diag:sl3 has none
+@pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])
+def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec):
+    pair = realize(spec)
+    split = pair.split_roots
+    lifts = SplitWeylLifts.of(pair)
+    simple = [split_simple_lift(pair, i) for i in range(split.datum.rank)]
+    for w in enumerate_weyl(split.datum).elements:
+        # the reference: Ad(n_w) on all of g, restricted to the torus
+        n_ad = ExactMatrix.identity(pair.dim_g)
+        for i in weyl_word(split.datum, w):
+            n_ad = simple[i] @ n_ad
+        assert lifts.torus_matrix(w) == restrict_action(n_ad, split.torus)
+
+
+@pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])
+def test_torus_matrix_is_a_representation(spec):
+    pair = realize(spec)
+    lifts = SplitWeylLifts.of(pair)
+    elements = enumerate_weyl(pair.split_roots.datum).elements
+    for v in elements:
+        for w in elements:
+            assert lifts.torus_matrix(compose(v, w)) == lifts.torus_matrix(v) @ lifts.torus_matrix(w)
+
+
+def test_root_value_rejects_h_outside_the_torus():
+    pair = realize("splitA:n=2")
+    split = pair.split_roots
+    k = split.positive[0]
+    h = pair.bracket(split.root_vectors[k], split.root_vectors[split.negation()[k]])
+    assert not root_value(split.torus, split.weights[k], h).is_zero()
+    with pytest.raises(CatalogError):
+        root_value(split.torus, split.weights[k], split.root_vectors[k])

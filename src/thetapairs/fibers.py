@@ -34,6 +34,7 @@ from .liealg import (
     gvec,
     vec_is_zero,
     weight_decomposition,
+    weight_value,
 )
 from .matrix import (
     ExactMatrix,
@@ -135,10 +136,6 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     return FiberReport(pair.pair_id, list(x.coords), points, len(wa), stab_count)
 
 
-def _weight_value(weight, torus_coords) -> GaussRat:
-    return sum((c * w for c, w in zip(torus_coords, weight)), ZERO)
-
-
 @dataclass
 class DefiningSlot:
     weight: Tuple[GaussRat, ...]   # torus weight on the defining column space
@@ -161,7 +158,7 @@ def _defining_slots(pair) -> List[DefiningSlot]:
                 k = n // 2
                 block = 0 if any(not vec[i].is_zero() for i in range(k)) else 1
             slots.append(DefiningSlot(w, vec, block))
-    slots.sort(key=lambda s: _weight_value(s.weight, h_t).sort_key(), reverse=True)
+    slots.sort(key=lambda s: weight_value(s.weight, h_t).sort_key(), reverse=True)
     return slots
 
 
@@ -180,7 +177,7 @@ def _flag_witness(pair, slots: List[DefiningSlot], ss1, nil1, ss_t, y_t) -> List
     taken: Dict[Tuple[int, GaussRat], int] = {}
     flags: Dict[int, List[List[GaussRat]]] = {b: [] for b in blocks}
     for slot in slots:
-        lam = _weight_value(slot.weight, y_t)
+        lam = weight_value(slot.weight, y_t)
         key = (slot.block, lam)
         if key not in filtrations:
             eig = _block_eigenspace(pair, ss_m, lam, slot.block)

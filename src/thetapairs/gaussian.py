@@ -49,8 +49,16 @@ class GaussRat:
 
     # -- arithmetic ------------------------------------------------------
 
+    # A zero product is the shared ZERO, and adding or subtracting it
+    # returns the other operand: the zero entries of computed vectors and
+    # matrices share one object instead of holding three each.
+
     def __add__(self, other):
         other = GaussRat.of(other)
+        if other is _CACHED_ZERO:
+            return self
+        if self is _CACHED_ZERO:
+            return other
         return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -60,6 +68,8 @@ class GaussRat:
 
     def __sub__(self, other):
         other = GaussRat.of(other)
+        if other is _CACHED_ZERO:
+            return self
         return GaussRat(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -72,6 +82,8 @@ class GaussRat:
             if self.re == 0:
                 return _CACHED_ZERO
             if other.im == 0:
+                if other.re == 0:
+                    return _CACHED_ZERO
                 return GaussRat(self.re * other.re)
             return GaussRat(self.re * other.re, self.re * other.im)
         if other.im == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO
-from .liealg import ConcreteRootData, Vector, weight_decomposition
+from .liealg import ConcreteRootData, Vector, weight_decomposition, weight_value
 from .matrix import ExactMatrix, coordinates_in_basis, independent_subset, restrict_action
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm
@@ -172,7 +172,7 @@ def root_value(torus: Sequence[Vector], weight: Sequence[GaussRat], h: Vector) -
     coeffs = coordinates_in_basis(torus, h)
     if coeffs is None:
         raise CatalogError("h is not in the torus")
-    return sum((c * x for c, x in zip(coeffs, weight)), ZERO)
+    return weight_value(weight, coeffs)
 
 
 def reflection_lift(pair: SymmetricPairRealization, e: Vector, f_raw: Vector,

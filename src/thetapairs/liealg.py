@@ -150,6 +150,12 @@ def flag_stabilizer(frame: LinearAlgebraFrame,
     return ExactMatrix.from_rows(rows).kernel_basis()
 
 
+def weight_value(weight: Sequence[GaussRat], torus_coords: Sequence[GaussRat]) -> GaussRat:
+    """A torus weight paired with a torus element given by its coordinates
+    on the same torus basis."""
+    return sum((c * w for c, w in zip(torus_coords, weight)), ZERO)
+
+
 def _combine(vectors: Sequence[Vector], coeffs: Sequence[GaussRat]) -> Vector:
     acc = [ZERO] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
@@ -293,7 +299,7 @@ def build_concrete_root_data(
         raise ValueError("regular element must lie in the torus")
     values = []
     for w in weights:
-        v = sum((c * x for c, x in zip(reg_coeffs, w)), ZERO)
+        v = weight_value(w, reg_coeffs)
         if v.is_zero():
             raise ValueError("positivity element is not regular")
         values.append(v)

@@ -1,15 +1,28 @@
-"""Dense exact matrices over Q(i).
+"""Exact matrices over Q(i): stored dense, computed sparse.
 
-Row-major, immutable after construction.  Pivoting is deterministic
-(lowest column index first, topmost nonzero row) so every echelon-derived
-answer is byte-stable across runs.  Sizes stay at desk scale; entry growth
-from exact elimination is accepted.
+An `ExactMatrix` is row-major and immutable after construction; its
+`entries` tuple is dense.  The kernel touches only nonzero entries:
+
+- one elimination core, `_eliminate`, works on rows held as
+  `{column: value}` dicts of nonzero entries.  `rref` and `det` call it, and
+  `kernel_basis`, `solve`, `inverse`, `rank` and the subspace helpers at the
+  end of the module go through `rref`.  Pivoting is deterministic (lowest
+  column index first, then the topmost nonzero row), so every
+  echelon-derived answer is byte-stable across runs;
+- when every entry is real, elimination and `char_poly` run on the
+  `Fraction` parts and wrap the results back into `GaussRat`
+  (`_field_values`);
+- products, sums and scalings skip zero entries;
+- `char_poly` reduces to Hessenberg form by similarity, O(n^3) field
+  operations.
+
+Sizes stay at desk scale; entry growth from exact elimination is accepted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO, ONE
 
@@ -18,11 +31,85 @@ def _coerce(value) -> GaussRat:
     return value if isinstance(value, GaussRat) else GaussRat.of(value)
 
 
+def _field_values(entries: Sequence[GaussRat]) -> Tuple[list, bool]:
+    """The entries as `Fraction`s when every one is real (flag True), else
+    as they are (flag False).
+
+    `Fraction` and `GaussRat` share `*`, `-`, `1/x` and truthiness, so the
+    elimination loops run unchanged on either.  `_wrap`, or the
+    `ExactMatrix` constructor, maps a result back.
+    """
+    if all(not e.im for e in entries):
+        return [e.re for e in entries], True
+    return list(entries), False
+
+
+def _wrap(value, real: bool) -> GaussRat:
+    return GaussRat(value) if real else value
+
+
+def _sparse_rows(entries: Sequence, rows: int, cols: int) -> List[Dict[int, object]]:
+    return [{j: v for j, v in enumerate(entries[i * cols:(i + 1) * cols]) if v}
+            for i in range(rows)]
+
+
+def _eliminate(rows: List[Dict[int, object]], cols: int) -> Tuple[List[int], list, int]:
+    """Reduce sparse rows to reduced row echelon form, in place.
+
+    Each row is a `{column: value}` dict of its nonzero entries, all of one
+    field type.  The pivot is taken in the lowest column that has a nonzero
+    entry at or below the current row, from the topmost such row.  Returns
+    the pivot columns, the pivot values before normalisation and the parity
+    of the row swaps: the determinant of a square input of full rank is
+    the signed product of those values, since adding multiples of the pivot
+    row to other rows leaves it unchanged.
+    """
+    pivots, values = [], []
+    swaps = 0
+    r = 0
+    for c in range(cols):
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            swaps ^= 1
+        prow = rows[r]
+        p = prow[c]
+        if p != 1:
+            inv = 1 / p
+            for j in prow:
+                prow[j] = prow[j] * inv
+        tail = [(j, v) for j, v in prow.items() if j != c]
+        for k, row in enumerate(rows):
+            f = row.pop(c, None) if k != r else None
+            if f is None:
+                continue
+            for j, v in tail:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -(f * v)
+                else:
+                    x = x - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivots.append(c)
+        values.append(p)
+        r += 1
+    return pivots, values, swaps
+
+
 class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
-        entries = tuple(_coerce(e) for e in entries)
+        entries = tuple(entries)
+        if set(map(type, entries)) - {GaussRat}:
+            entries = tuple(map(_coerce, entries))
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
@@ -110,38 +197,36 @@ class ExactMatrix:
     def __add__(self, other):
         self._check_shape(other)
         return ExactMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
+                           [a + b if b else a for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._check_shape(other)
         return ExactMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
+                           [a - b if b else a for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
         return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c) -> "ExactMatrix":
         c = _coerce(c)
-        return ExactMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        return ExactMatrix(self.rows, self.cols, [c * a if a else a for a in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
+        n, m = self.cols, other.cols
+        # the nonzero (j, b) of each row of other
+        other_rows = [[(j, b) for j, b in enumerate(other.entries[k * m:(k + 1) * m]) if b]
+                      for k in range(other.rows)]
         out = []
-        orows = other.row_lists()
         for i in range(self.rows):
-            mine = self.row(i)
-            acc = [ZERO] * other.cols
-            for k, a in enumerate(mine):
-                if a.is_zero():
-                    continue
-                orow = orows[k]
-                for j in range(other.cols):
-                    b = orow[j]
-                    if not b.is_zero():
+            acc = [ZERO] * m
+            for k, a in enumerate(self.entries[i * n:(i + 1) * n]):
+                if a:
+                    for j, b in other_rows[k]:
                         acc[j] = acc[j] + a * b
             out.extend(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix(self.rows, m, out)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -186,29 +271,17 @@ class ExactMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m = self.row_lists()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return ExactMatrix.from_rows(m) if self.rows else self, pivots
+        if not self.rows:
+            return self, []
+        values = _field_values(self.entries)[0]
+        rows = _sparse_rows(values, self.rows, self.cols)
+        pivots = _eliminate(rows, self.cols)[0]
+        out = [ZERO] * (self.rows * self.cols)
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                out[i * self.cols + j] = v
+        # the constructor wraps Fraction values back into GaussRat
+        return ExactMatrix(self.rows, self.cols, out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -260,45 +333,74 @@ class ExactMatrix:
     def det(self) -> GaussRat:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = self.row_lists()
-        n = self.rows
-        det = ONE
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, n):
-                if not m[i][c].is_zero():
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
+        values, real = _field_values(self.entries)
+        pivots, pivot_values, swaps = _eliminate(_sparse_rows(values, self.rows, self.cols),
+                                                 self.cols)
+        if len(pivots) < self.rows:
+            return ZERO
+        det = -1 if swaps else 1
+        for p in pivot_values:
+            det = p * det
+        return _wrap(det, real)
 
     def char_poly(self) -> List[GaussRat]:
         """Monic characteristic polynomial det(xI - m), descending degree.
 
-        Faddeev-LeVerrier: exact over Q(i), division only by integers.
+        Hessenberg method (Cohen, A Course in Computational Algebraic Number
+        Theory, Alg. 2.2.9): reduce to upper Hessenberg form H by
+        similarity, eliminating below the subdiagonal column by column (a
+        row-and-column swap brings a nonzero pivot onto the subdiagonal),
+        then expand det(xI - H) by the recurrence over its leading principal
+        minors.  O(n^3) exact field operations.
         """
         if self.rows != self.cols:
             raise ValueError("char_poly of non-square matrix")
         n = self.rows
-        coeffs = [ONE]
-        m_k = ExactMatrix.identity(n)
-        for k in range(1, n + 1):
-            m_k = self @ m_k
-            c = -(m_k.trace() / k)
-            coeffs.append(c)
-            if k < n:
-                m_k = m_k + ExactMatrix.identity(n).scale(c)
-        return coeffs
+        values, real = _field_values(self.entries)
+        zero, one = (Fraction(0), Fraction(1)) if real else (ZERO, ONE)
+        h = [values[i * n:(i + 1) * n] for i in range(n)]
+        for m in range(1, n - 1):
+            i = next((i for i in range(m, n) if h[i][m - 1]), None)
+            if i is None:
+                continue
+            if i != m:
+                h[i], h[m] = h[m], h[i]
+                for row in h:
+                    row[i], row[m] = row[m], row[i]
+            inv = 1 / h[m][m - 1]
+            pivot_row = h[m]
+            for i in range(m + 1, n):
+                row_i = h[i]
+                if not row_i[m - 1]:
+                    continue
+                u = row_i[m - 1] * inv
+                row_i[m - 1] = zero
+                for j in range(m, n):
+                    if pivot_row[j]:
+                        row_i[j] = row_i[j] - u * pivot_row[j]
+                for row in h:
+                    if row[i]:
+                        row[m] = row[m] + u * row[i]
+        # polys[k] = det(xI - H_k) for the leading k x k block, ascending degree
+        polys = [[one]]
+        for m in range(n):
+            prev = polys[m]
+            new = [zero] + prev
+            d = h[m][m]
+            if d:
+                for k, c in enumerate(prev):
+                    new[k] = new[k] - d * c
+            sub = one   # product of the subdiagonal entries h[i+1][i] .. h[m][m-1]
+            for i in range(m - 1, -1, -1):
+                sub = sub * h[i + 1][i]
+                if not sub:
+                    break
+                f = h[i][m] * sub
+                if f:
+                    for k, c in enumerate(polys[i]):
+                        new[k] = new[k] - f * c
+            polys.append(new)
+        return [_wrap(c, real) for c in reversed(polys[n])]
 
     def is_nilpotent(self) -> bool:
         if self.rows != self.cols:

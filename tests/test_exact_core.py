@@ -46,6 +46,12 @@ def test_gauss_field_axioms_spot():
     assert I * I == GaussRat(-1)
 
 
+def test_zero_results_share_the_zero_object():
+    a = GaussRat(Fraction(1, 2))
+    assert a * GaussRat(0) is ZERO and GaussRat(0) * a is ZERO
+    assert a + ZERO is a and ZERO + a is a and a - ZERO is a
+
+
 def test_gauss_sqrt_exact_cases():
     assert gauss_sqrt(GaussRat(-1)) == I or gauss_sqrt(GaussRat(-1)) == -I
     w = gauss_sqrt(GaussRat(0, 2))  # 2i = (1+i)^2
@@ -130,11 +136,20 @@ sparse_entries = st.one_of(
 )
 
 
+# the same with every entry real: the kernel then runs on Fraction parts
+real_sparse_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO), st.just(ZERO),
+    st.builds(GaussRat, st.integers(-4, 4)),
+    st.builds(GaussRat, st.fractions(-3, 3, max_denominator=3)),
+)
+
+
 @st.composite
 def sparse_matrices(draw, max_size=8, square=False):
     rows = draw(st.integers(1, max_size))
     cols = rows if square else draw(st.integers(1, max_size))
-    return ExactMatrix(rows, cols, draw(st.lists(sparse_entries, min_size=rows * cols,
+    entries = draw(st.sampled_from([sparse_entries, real_sparse_entries]))
+    return ExactMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
                                                  max_size=rows * cols)))
 
 
@@ -232,6 +247,73 @@ def test_det_matches_domain_matrix(m):
 @settings(max_examples=60, deadline=None)
 def test_char_poly_matches_domain_matrix(m):
     assert m.char_poly() == [_from_qq_i(c) for c in _oracle(m).charpoly()]
+
+
+def _from_oracle(dm):
+    return [[_from_qq_i(x) for x in row] for row in dm.to_list()]
+
+
+@given(sparse_matrices(max_size=6), st.integers(1, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_matmul_and_apply_match_domain_matrix(a, cols, data):
+    entries = data.draw(st.sampled_from([sparse_entries, real_sparse_entries]))
+    b = ExactMatrix(a.cols, cols, data.draw(st.lists(entries, min_size=a.cols * cols,
+                                                     max_size=a.cols * cols)))
+    want = _from_oracle(_oracle(a).matmul(_oracle(b)))
+    assert (a @ b).row_lists() == want
+    assert a.apply(b.column(0)) == [row[0] for row in want]
+
+
+def _is_gauss(values):
+    return all(type(x) is GaussRat for x in values)
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=60, deadline=None)
+def test_kernel_results_are_gauss_rationals(m):
+    # all-real inputs are eliminated on Fraction parts; every result comes back wrapped
+    red, _ = m.rref()
+    assert _is_gauss(red.entries)
+    assert all(_is_gauss(v) for v in m.kernel_basis())
+    assert type(m.det()) is GaussRat
+    assert _is_gauss(m.char_poly())
+    if not m.det().is_zero():
+        assert _is_gauss(m.inverse().entries)
+    x = m.solve(m.column(0))
+    assert x is not None and _is_gauss(x)
+
+
+@st.composite
+def permuted_nilpotent_matrices(draw):
+    # P N P^-1 for N strictly upper triangular and P a permutation matrix
+    n = draw(st.integers(1, 7))
+    upper = draw(st.lists(sparse_entries, min_size=n * n, max_size=n * n))
+    p = draw(st.permutations(range(n)))
+    return ExactMatrix(n, n, [upper[p[i] * n + p[j]] if p[j] > p[i] else ZERO
+                              for i in range(n) for j in range(n)])
+
+
+@given(permuted_nilpotent_matrices())
+@settings(max_examples=60, deadline=None)
+def test_char_poly_of_permuted_nilpotent_matrices(m):
+    assert m.char_poly() == [ONE] + [ZERO] * m.rows
+    assert m.char_poly() == [_from_qq_i(c) for c in _oracle(m).charpoly()]
+
+
+@given(sparse_matrices(max_size=4, square=True), sparse_matrices(max_size=4, square=True))
+@settings(max_examples=60, deadline=None)
+def test_char_poly_of_block_diagonal_matrices(a, b):
+    m = ExactMatrix.block_diagonal(a, b)
+    assert m.char_poly() == [_from_qq_i(c) for c in _oracle(m).charpoly()]
+    assert m.char_poly() == _times_poly(a.char_poly(), b.char_poly())
+
+
+def _times_poly(p, q):
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 @st.composite

@@ -51,7 +51,7 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
         flags = []
         for lam, kern in eigenspaces(restr.block(d, d, q, q)):
             if len(kern) != 1:
-                raise AssertionError("matrix is not regular; flag count infinite")
+                raise CatalogError("matrix is not regular; flag count infinite")
             line = _combine(space, kern[0])
             # done + [line] is independent, so the greedy subset keeps it
             rest = independent_subset(done + [line] + space)[d + 1:]
@@ -86,38 +86,31 @@ def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
     return matches[0] if len(matches) == 1 else None
 
 
-def _sorted_chart_opposite(frame: LinearAlgebraFrame, x: ExactMatrix,
-                           ss: ExactMatrix, b1_flag: Flag) -> Optional[Flag]:
+def _sorted_chart_opposite(ss: ExactMatrix, b1_flag: Flag) -> Optional[Flag]:
     """The literal Z_B(X_ss) U_P^op construction, valid when the flag order
     sorts the eigenvalues (so that Z.B is a parabolic); None otherwise."""
-    seen = []
-    for vec in b1_flag:
-        lam = _eigenvalue_on(ss, vec, frame)
-        if lam is None:
-            return None
-        if seen and any(lam == s for s in seen[:-1]) and seen[-1] != lam:
-            return None  # eigenvalues interleave; not the sorted chart
-        if not seen or seen[-1] != lam:
-            seen.append(lam)
-        # contiguous blocks only
-    # u_P^op: strictly lower block part relative to the sorted block order
+    # the eigenvalue blocks of the flag, in flag order
     blocks: Dict[GaussRat, List[Tuple[GaussRat, ...]]] = {}
     order: List[GaussRat] = []
     for vec in b1_flag:
-        lam = _eigenvalue_on(ss, vec, frame)
-        if lam not in blocks:
+        lam = _eigenvalue_on(ss, vec)
+        if lam is None:
+            return None
+        if not order or order[-1] != lam:
+            if lam in blocks:
+                return None  # eigenvalues interleave; not the sorted chart
             blocks[lam] = []
             order.append(lam)
         blocks[lam].append(vec)
+    # B2 = Z_B(X_ss) U_P^op: stabilizer of the block-reversed flag refined by
+    # the original in-block order
     opposite_flag: List[Tuple[GaussRat, ...]] = []
     for lam in reversed(order):
         opposite_flag.extend(blocks[lam])
-    # B2 = Z_B(X_ss) U_P^op: stabilizer of the block-reversed flag refined by
-    # the original in-block order
     return tuple(opposite_flag)
 
 
-def _eigenvalue_on(ss: ExactMatrix, vec, frame) -> Optional[GaussRat]:
+def _eigenvalue_on(ss: ExactMatrix, vec) -> Optional[GaussRat]:
     image = ss.apply(vec)
     coeff = coordinates_in_basis([vec], image)
     return coeff[0] if coeff is not None else None
@@ -143,7 +136,7 @@ def diagonal_isomorphism_check(pair: SymmetricPairRealization, seed: int = 0,
     while round_trips < n_samples:
         trial += 1
         if trial > 40 * n_samples + 100:
-            raise AssertionError("could not generate enough samples")
+            raise CatalogError("could not generate enough samples")
         x, ss, flag = _sample_chart_point(frame, k, rng)
         if x is None:
             continue
@@ -158,12 +151,12 @@ def _round_trip_holds(frame, x, ss, flag) -> bool:
     # the uniqueness of the completion; the content is existence and
     # uniqueness of the completion and the pair-point validity
     b2_flag = psi_complete(frame, x, ss, flag)
-    if b2_flag is None or not _is_pair_point(frame, x, ss, flag, b2_flag):
+    b2 = None if b2_flag is None else flag_stabilizer(frame, [b2_flag])
+    if b2 is None or not _is_pair_point(frame, x, ss, flag, b2):
         return False
     # in the sorted chart, the explicit opposite-parabolic formula agrees
-    sorted_guess = _sorted_chart_opposite(frame, x, ss, flag)
-    return sorted_guess is None or span_eq(flag_stabilizer(frame, [b2_flag]),
-                                           flag_stabilizer(frame, [sorted_guess]))
+    sorted_guess = _sorted_chart_opposite(ss, flag)
+    return sorted_guess is None or span_eq(b2, flag_stabilizer(frame, [sorted_guess]))
 
 
 def _sample_chart_point(frame, k, rng):
@@ -196,11 +189,10 @@ def _sample_chart_point(frame, k, rng):
     return x, ss, flag
 
 
-def _is_pair_point(frame, x, ss, b1_flag, b2_flag) -> bool:
+def _is_pair_point(frame, x, ss, b1_flag, b2) -> bool:
     """The defining property of the restricted family for diagonal pairs:
-    B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2."""
+    B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2 (b2 spans Lie(B2))."""
     b1 = flag_stabilizer(frame, [b1_flag])
-    b2 = flag_stabilizer(frame, [b2_flag])
     z = frame.centralizer([frame.to_coords(ss)])
     inter = intersect_spans(b1, b2)
     z_b1 = intersect_spans(b1, z)

@@ -45,7 +45,7 @@ from .matrix import (
     span_eq,
     span_rank,
 )
-from .pairs import CatalogError, SymmetricPairRealization
+from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import compose, enumerate_weyl, identity_perm, invert
 from .slices import (
     ElementOfG1,
@@ -126,11 +126,26 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
         raise CatalogError(f"{pair.pair_id}: W_a orbit size is not |W_a|/|Stab|")
 
     z = pair.frame.centralizer([ss1])
+    if not vec_is_zero(nil1):
+        nil_on_z = restrict_action(pair.ad(nil1), z)
+        if nil_on_z is None:
+            raise CatalogError("nilpotent part does not preserve its centralizer")
+        if len(nil_on_z.kernel_basis()) != pair.rank_g:
+            raise CatalogError("nilpotent part is not regular in the centralizer")
     slots = _defining_slots(pair)
+    # every orbit point has the eigenvalues of ss1, permuted across the slots
+    ss_m = pair.from_coords(ss1)
+    nil_m = pair.from_coords(nil1)
+    filtrations: Dict[Tuple[int, GaussRat], List[List[List[GaussRat]]]] = {}
+    for slot in slots:
+        key = (slot.block, weight_value(slot.weight, ss_t))
+        if key not in filtrations:
+            eig = _block_eigenspace(pair, ss_m, key[1], slot.block)
+            filtrations[key] = _kernel_filtration(nil_m, eig)
     points = []
     for key in sorted(orbit, key=lambda t: tuple(v.sort_key() for v in t)):
         y_t = list(key)
-        witness = _flag_witness(pair, slots, ss1, nil1, ss_t, y_t)
+        witness = _flag_witness(pair, slots, filtrations, y_t)
         literal = _verify_fiber_point(pair, z, ss1, nil1, witness)
         points.append(FiberPoint(tuple(y_t), witness, literal))
     return FiberReport(pair.pair_id, list(x.coords), points, len(wa), stab_count)
@@ -143,7 +158,8 @@ class DefiningSlot:
     block: int                     # factor index (diag pairs split per block)
 
 
-def _defining_slots(pair) -> List[DefiningSlot]:
+@per_pair
+def _defining_slots(pair: SymmetricPairRealization) -> List[DefiningSlot]:
     """Simultaneous eigenvectors of the split torus on the defining space,
     ordered by the pinned positivity element (descending values)."""
     n = pair.frame.n_def
@@ -162,34 +178,26 @@ def _defining_slots(pair) -> List[DefiningSlot]:
     return slots
 
 
-def _flag_witness(pair, slots: List[DefiningSlot], ss1, nil1, ss_t, y_t) -> List[Vector]:
+def _flag_witness(pair, slots: List[DefiningSlot], filtrations, y_t) -> List[Vector]:
     """Lie algebra of the Borel whose slice value pattern matches y.
 
     Slot i of the flag takes the next vector of the kernel filtration of
     the nilpotent part on the eigenspace of the semisimple part whose
-    eigenvalue equals the y-value of slot i (blockwise for diagonal pairs).
+    eigenvalue equals the y-value of slot i (blockwise for diagonal pairs);
+    `filtrations` holds those filtrations per (block, eigenvalue).
     """
-    ss_m = pair.from_coords(ss1)
-    nil_m = pair.from_coords(nil1)
-    blocks = sorted({s.block for s in slots})
-    # eigen filtrations per (block, eigenvalue)
-    filtrations: Dict[Tuple[int, GaussRat], List[List[GaussRat]]] = {}
     taken: Dict[Tuple[int, GaussRat], int] = {}
-    flags: Dict[int, List[List[GaussRat]]] = {b: [] for b in blocks}
+    flags: Dict[int, List[List[GaussRat]]] = {b: [] for b in sorted({s.block for s in slots})}
     for slot in slots:
-        lam = weight_value(slot.weight, y_t)
-        key = (slot.block, lam)
-        if key not in filtrations:
-            eig = _block_eigenspace(pair, ss_m, lam, slot.block)
-            filtrations[key] = _kernel_filtration(nil_m, eig)
-            taken[key] = 0
-        taken[key] += 1
-        filt = filtrations[key]
-        if taken[key] > len(filt):
-            raise AssertionError("slot pattern exceeds the eigenspace filtration")
-        flags[slot.block] = flags[slot.block] + [filt[taken[key] - 1][-1]]
+        key = (slot.block, weight_value(slot.weight, y_t))
+        filt = filtrations.get(key, [])
+        k = taken.get(key, 0)
+        if k >= len(filt):
+            raise CatalogError("slot pattern exceeds the eigenspace filtration")
+        taken[key] = k + 1
+        flags[slot.block].append(filt[k][-1])
     # stabilizer of the per-block flags inside g
-    return flag_stabilizer(pair.frame, [flags[b] for b in blocks])
+    return flag_stabilizer(pair.frame, list(flags.values()))
 
 
 def _block_eigenspace(pair, ss_m, lam, block) -> List[List[GaussRat]]:
@@ -212,7 +220,7 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
     d = len(eigenspace)
     restr = restrict_action(nil_m, eigenspace)
     if restr is None:
-        raise AssertionError("nilpotent part does not preserve the eigenspace")
+        raise CatalogError("nilpotent part does not preserve the eigenspace")
     chain = []
     power = ExactMatrix.identity(d)
     prev: List[List[GaussRat]] = []
@@ -220,7 +228,7 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
         power = power @ restr
         kern = power.kernel_basis()
         if len(kern) != k:
-            raise AssertionError("nilpotent part is not regular on the eigenspace")
+            raise CatalogError("nilpotent part is not regular on the eigenspace")
         # prev is independent, so the greedy subset keeps it and appends
         stage = independent_subset(prev + [_combine(eigenspace, c) for c in kern])
         if len(stage) != k:
@@ -235,27 +243,21 @@ def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
     B(theta) = Z_B(X_ss) holds at this point."""
     expected_dim = (pair.dim_g + pair.rank_g) // 2
     if span_rank(witness) != expected_dim:
-        raise AssertionError("witness is not a Borel subalgebra (wrong dimension)")
+        raise CatalogError("witness is not a Borel subalgebra (wrong dimension)")
     x1 = [a + b for a, b in zip(ss1, nil1)]
     if coordinates_in_basis(witness, x1) is None:
-        raise AssertionError("element does not lie in its fiber Borel")
+        raise CatalogError("element does not lie in its fiber Borel")
     theta_w = [pair.theta_apply(v) for v in witness]
     b_theta = intersect_spans(witness, theta_w)
     z_b = intersect_spans(witness, z)
     # Z_B(X_ss) must be a regular theta-stable Borel subalgebra of the Levi
     theta_zb = [pair.theta_apply(v) for v in z_b]
     if not span_eq(z_b, theta_zb):
-        raise AssertionError("Z_B(X_ss) is not theta-stable")
+        raise CatalogError("Z_B(X_ss) is not theta-stable")
     if span_rank(z_b) != (len(z) + pair.rank_g) // 2:
-        raise AssertionError("Z_B(X_ss) is not a Borel subalgebra of the Levi")
-    if not vec_is_zero(nil1):
-        if coordinates_in_basis(z_b, nil1) is None:
-            raise AssertionError("nilpotent part escapes Z_B(X_ss)")
-        nil_on_z = restrict_action(pair.ad(nil1), z)
-        if nil_on_z is None:
-            raise CatalogError("nilpotent part does not preserve its centralizer")
-        if len(nil_on_z.kernel_basis()) != pair.rank_g:
-            raise AssertionError("nilpotent part is not regular in the centralizer")
+        raise CatalogError("Z_B(X_ss) is not a Borel subalgebra of the Levi")
+    if not vec_is_zero(nil1) and coordinates_in_basis(z_b, nil1) is None:
+        raise CatalogError("nilpotent part escapes Z_B(X_ss)")
     return span_eq(b_theta, z_b)
 
 
@@ -482,9 +484,9 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     wa = compute_subgroups(pair).Wa_perms
     for g in groups:
         if len(g) != len(wa):
-            raise AssertionError("component group of unexpected size")
+            raise CatalogError("component group of unexpected size")
     if len(groups) != group.order // len(wa):
-        raise AssertionError("unexpected number of components")
+        raise CatalogError("unexpected number of components")
     return ComponentCensus(pair.pair_id, group.order, groups, len(wa))
 
 

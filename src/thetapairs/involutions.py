@@ -419,8 +419,8 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
 
 class SplitWeylLifts:
     """The split-side Weyl group acting on the split torus: cached torus
-    matrices of Ad(n_w), built from the restrictions of the simple lifts;
-    `SplitWeylLifts.of(pair)` is the pair's one instance."""
+    matrices of Ad(n_w), each the one-letter-shorter element's times a
+    restricted simple lift; `SplitWeylLifts.of(pair)` is the pair's one instance."""
 
     def __init__(self, pair: SymmetricPairRealization):
         self.split = pair.split_roots
@@ -430,7 +430,8 @@ class SplitWeylLifts:
             if m is None:
                 raise CatalogError("split lift does not normalize the torus")
             self._simple.append(m)
-        self._cache: Dict[bytes, ExactMatrix] = {}
+        self._cache: Dict[bytes, ExactMatrix] = {
+            identity_perm(self.split.nroots): ExactMatrix.identity(len(self.split.torus))}
 
     @staticmethod
     @per_pair
@@ -439,10 +440,10 @@ class SplitWeylLifts:
 
     def torus_matrix(self, perm: bytes) -> ExactMatrix:
         if perm not in self._cache:
-            # w = s_{i_k} o ... o s_{i_1} for word = [i_1, ..., i_k]
-            m = ExactMatrix.identity(len(self.split.torus))
-            for i in weyl_word(self.split.datum, perm):
-                m = self._simple[i] @ m
+            # w = (w o s_i) o s_i for the first letter i of w's reduced word
+            i = weyl_word(self.split.datum, perm)[0]
+            s_i = self.split.datum.simple_reflection_perm(i)
+            m = self.torus_matrix(compose(perm, s_i)) @ self._simple[i]
             if _weight_perm(self.split, m) != perm:
                 raise CatalogError("split lift does not realize its Weyl element")
             self._cache[perm] = m

@@ -131,20 +131,19 @@ class LinearAlgebraFrame:
 def flag_stabilizer(frame: LinearAlgebraFrame,
                     flags: Sequence[Sequence[Sequence[GaussRat]]]) -> List[Vector]:
     """Basis (in frame coordinates) of {M in g : M F subset F for every step
-    F of every flag}, where step j of a flag spans its first j vectors."""
+    F of every flag}, where step j of a flag spans its first j vectors.
+
+    Only the newest vector v_j of step F_j needs a condition, phi(M v_j) = 0
+    for every functional phi vanishing on F_j: the older vectors v_i already
+    satisfy M v_i in F_i subset F_j."""
     rows = []
     for flag in flags:
-        for j in range(1, len(flag) + 1):
-            step = flag[:j]
-            functionals = ExactMatrix.from_rows(step).kernel_basis()
-            for v in step:
-                for phi in functionals:
-                    # condition: phi(M v) = 0; unknowns M in g-coordinates
-                    row = []
-                    for b in frame.basis:
-                        mv = b.apply(v)
-                        row.append(sum((p * q for p, q in zip(phi, mv)), ZERO))
-                    rows.append(row)
+        for j, v in enumerate(flag, 1):
+            functionals = ExactMatrix.from_rows(flag[:j]).kernel_basis()
+            if functionals:
+                images = [b.apply(v) for b in frame.basis]
+                rows.extend([sum((p * q for p, q in zip(phi, mv)), ZERO) for mv in images]
+                            for phi in functionals)
     if not rows:
         return ExactMatrix.identity(frame.dim).row_lists()
     return ExactMatrix.from_rows(rows).kernel_basis()

@@ -124,6 +124,7 @@ def test_diag_report_has_isomorphism_audit(capsys):
 
 
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+RANK_SCALING_REPORTS = Path(__file__).resolve().parent / "data" / "rank_scaling"
 
 # runs `report <spec> --json --no-timing` for each spec in argv in one process
 # and writes {spec: [exit code, stdout]} as JSON
@@ -140,22 +141,63 @@ json.dump(out, sys.stdout)
 """
 
 
+def _golden_name(spec: str) -> str:
+    return spec.replace(":", "_").replace("=", "_") + ".json"
+
+
 def test_catalog_reports_under_python_O_match_golden():
     # the golden files are the `report <spec> --json --no-timing` stdout of
-    # every catalog pair; mathematical checks are explicit raises, so -O
-    # must change nothing
+    # every catalog pair, and of splitA:n=4 for the rank-scaling workload;
+    # mathematical checks are explicit raises, so -O must change nothing
     src = str(Path(thetapairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-O", "-c", _REPORT_ALL, *FULL_CATALOG],
+    run = subprocess.run([sys.executable, "-O", "-c", _REPORT_ALL, *FULL_CATALOG, "splitA:n=4"],
                          env=env, capture_output=True, text=True, check=True)
     got = json.loads(run.stdout)
-    names = {spec.replace(":", "_").replace("=", "_") + ".json": spec
-             for spec in FULL_CATALOG}
-    assert sorted(p.name for p in GOLDEN_REPORTS.iterdir()) == sorted(names)
-    for name, spec in names.items():
+    golden = {spec: GOLDEN_REPORTS / _golden_name(spec) for spec in FULL_CATALOG}
+    assert sorted(p.name for p in GOLDEN_REPORTS.iterdir()) == sorted(
+        p.name for p in golden.values())
+    golden["splitA:n=4"] = RANK_SCALING_REPORTS / _golden_name("splitA:n=4")
+    for spec, path in golden.items():
         code, out = got[spec]
         assert code == 0, spec
-        assert out.encode() == (GOLDEN_REPORTS / name).read_bytes(), spec
+        assert out.encode() == path.read_bytes(), spec
+
+
+REPORT_SCHEMA = Path(__file__).resolve().parents[1] / "report.schema.json"
+
+
+def _report_validator():
+    from jsonschema import Draft202012Validator
+
+    schema = json.loads(REPORT_SCHEMA.read_text())
+    Draft202012Validator.check_schema(schema)
+    return Draft202012Validator(schema)
+
+
+def test_reports_match_the_json_schema():
+    from thetapairs.report import build_report
+
+    validator = _report_validator()
+    paths = sorted(GOLDEN_REPORTS.iterdir()) + sorted(RANK_SCALING_REPORTS.iterdir())
+    assert len(paths) == len(FULL_CATALOG) + 2
+    for path in paths:
+        validator.validate(json.loads(path.read_text()))
+    timed = build_report("splitA:n=1")
+    assert "timing_ms" in timed
+    # validated as the CLI prints it
+    validator.validate(json.loads(json.dumps(timed)))
+
+
+def test_json_schema_rejects_a_renamed_key():
+    validator = _report_validator()
+    doc = json.loads((GOLDEN_REPORTS / "diag_sl2.json").read_text())
+    top = dict(doc)
+    top["fiber_report"] = top.pop("fiber_reports")
+    nested = json.loads(json.dumps(doc))
+    nested["kw_audit"]["round_trip"] = nested["kw_audit"].pop("round_trips")
+    for bad in (top, nested):
+        assert not validator.is_valid(bad)
 
 
 def test_report_stage_error_names_pair_and_stage(capsys, monkeypatch):

@@ -27,7 +27,15 @@ from thetapairs.jordan import (
     jordan_semisimple_part,
 )
 from thetapairs.lattice import cokernel_structure, diagonal_of, smith_normal_form
-from thetapairs.matrix import ExactMatrix, independent_subset, restrict_action, span_rank
+from thetapairs.liealg import LinearAlgebraFrame, flag_stabilizer
+from thetapairs.matrix import (
+    ExactMatrix,
+    coordinates_in_basis,
+    independent_subset,
+    restrict_action,
+    span_rank,
+)
+from thetapairs.pairs import _sl_basis, _unit
 
 
 def mat(rows):
@@ -209,6 +217,59 @@ def test_restrict_action_solves_the_invariant_case_only(a, data):
         if r is not None:
             b = ExactMatrix.from_columns(basis)
             assert b @ r == a @ b
+
+
+# sl(3), and gl(4) in its unit basis, with the dimension of their Borels
+FLAG_FRAMES = [(LinearAlgebraFrame(_sl_basis(3)), 3 * 4 // 2 - 1),
+               (LinearAlgebraFrame([_unit(4, i, j) for i in range(4) for j in range(4)]),
+                4 * 5 // 2)]
+
+
+@st.composite
+def frames_with_flags(draw):
+    """A frame with one or two flags (complete or partial) of its defining space."""
+    frame, borel_dim = draw(st.sampled_from(FLAG_FRAMES))
+    n = frame.n_def
+    units = ExactMatrix.identity(n).row_lists()
+    flags = []
+    for _ in range(draw(st.integers(1, 2))):
+        drawn = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n), max_size=n))
+        length = draw(st.one_of(st.just(n), st.integers(0, n)))
+        flags.append(independent_subset(drawn + units)[:length])
+    return frame, borel_dim, flags
+
+
+def _every_vector_flag_stabilizer(frame, flags):
+    # the reference: at each step, every vector of the step against every
+    # functional vanishing on the step
+    rows = []
+    for flag in flags:
+        for j in range(1, len(flag) + 1):
+            step = flag[:j]
+            functionals = ExactMatrix.from_rows(step).kernel_basis()
+            for v in step:
+                for phi in functionals:
+                    rows.append([sum((p * q for p, q in zip(phi, b.apply(v))), ZERO)
+                                 for b in frame.basis])
+    if not rows:
+        return ExactMatrix.identity(frame.dim).row_lists()
+    return ExactMatrix.from_rows(rows).kernel_basis()
+
+
+@given(frames_with_flags())
+@settings(max_examples=60, deadline=None)
+def test_flag_stabilizer_needs_only_the_newest_vector_of_each_step(case):
+    frame, borel_dim, flags = case
+    got = flag_stabilizer(frame, flags)
+    assert got == _every_vector_flag_stabilizer(frame, flags)
+    for coords in got:
+        m = frame.from_coords(coords)
+        for flag in flags:
+            for j in range(1, len(flag) + 1):
+                assert all(coordinates_in_basis(flag[:j], m.apply(v)) is not None
+                           for v in flag[:j])
+    if len(flags) == 1 and len(flags[0]) == frame.n_def:
+        assert len(got) == borel_dim
 
 
 @given(sparse_matrices(), st.data())

@@ -3,9 +3,11 @@
 Point-level fibers over regular elements (parametrized by theta-split
 parabolics with the centralizer Levi), the census of components of the
 fiber product over a regular semisimple element, the per-component
-dimension audit of the restricted family at arbitrary base points (via
-Cayley transforms to a fundamental torus of the centralizer), and the
-diagonal-pair comparison with the classical simultaneous resolution.
+dimension audit of the restricted family at arbitrary base points (at 0,
+whose centralizer is g, on the pair's own fundamental torus and regular
+Borel classes; elsewhere via Cayley transforms to a fundamental torus of
+the centralizer), and the diagonal-pair comparison with the classical
+simultaneous resolution.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .gaussian import GaussRat, ZERO, SplittingFieldTooLarge
 from .involutions import (
+    RegularClassReport,
     SplitWeylLifts,
     compute_subgroups,
+    detect_regular_borels,
     reflection_lift,
     regular_classes,
     root_value,
@@ -240,9 +244,10 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
 
 def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
     """Exact checks; returns whether the literal characterization
-    B(theta) = Z_B(X_ss) holds at this point."""
+    B(theta) = Z_B(X_ss) holds at this point.  The witness, z and their
+    intersection are bases, so their lengths are their dimensions."""
     expected_dim = (pair.dim_g + pair.rank_g) // 2
-    if span_rank(witness) != expected_dim:
+    if len(witness) != expected_dim:
         raise CatalogError("witness is not a Borel subalgebra (wrong dimension)")
     x1 = [a + b for a, b in zip(ss1, nil1)]
     if coordinates_in_basis(witness, x1) is None:
@@ -254,7 +259,7 @@ def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
     theta_zb = [pair.theta_apply(v) for v in z_b]
     if not span_eq(z_b, theta_zb):
         raise CatalogError("Z_B(X_ss) is not theta-stable")
-    if span_rank(z_b) != (len(z) + pair.rank_g) // 2:
+    if len(z_b) != (len(z) + pair.rank_g) // 2:
         raise CatalogError("Z_B(X_ss) is not a Borel subalgebra of the Levi")
     if not vec_is_zero(nil1) and coordinates_in_basis(z_b, nil1) is None:
         raise CatalogError("nilpotent part escapes Z_B(X_ss)")
@@ -566,19 +571,37 @@ def fiber_component_dimensions(pair: SymmetricPairRealization,
     For each regular theta-stable Borel class of the centralizer pair,
     checks dim g0 - dim(b(theta) cap g0) + dim(n(theta) cap g1)
     = dim g1 - r1; the component count is the number of regular classes.
+    At 0 the classes are those of `detect_regular_borels` on the pair's
+    fundamental torus; elsewhere they come from `_centralizer_classes`.
     """
     pair.require_matrix_level()
     a_point = gvec(a_point)
     if coordinates_in_basis(pair.a_basis, a_point) is None:
         raise CatalogError("base point must lie in the Cartan subspace")
-    # the centralizer of the base point; None when it is all of g
-    z_basis = None if vec_is_zero(a_point) else pair.frame.centralizer([a_point])
+    if vec_is_zero(a_point):
+        # the centralizer is all of g: the pair's own fundamental torus and
+        # regular Borel classes
+        rdata, classes = pair.fund_roots, detect_regular_borels(pair)
+    else:
+        rdata, classes = _centralizer_classes(pair, pair.frame.centralizer([a_point]))
+    return _class_audit(pair, a_point, rdata, classes)
+
+
+def _centralizer_classes(pair: SymmetricPairRealization,
+                         z_basis: Optional[List[Vector]]
+                         ) -> Tuple[ConcreteRootData, List[RegularClassReport]]:
+    """Root data of a fundamental torus of the centralizer pair spanned by
+    z_basis (all of g when None), reached by Cayley transforms from the
+    split torus, and its theta-stable Borel classes."""
     t_fund = _cayley_to_fundamental(pair, z_basis, pair.t_split_basis)
     rdata = _fundamental_root_data(pair, z_basis, t_fund)
     w_theta = theta_fixed_subgroup(enumerate_weyl(rdata.datum), rdata.theta_perm)
     w0 = weyl_group_of_g0(pair, rdata, z_basis)
-    classes = regular_classes(pair, rdata, w_theta, w0, z_basis)
+    return rdata, regular_classes(pair, rdata, w_theta, w0, z_basis)
 
+
+def _class_audit(pair: SymmetricPairRealization, a_point: Vector, rdata: ConcreteRootData,
+                 classes: List[RegularClassReport]) -> DimensionAudit:
     dim_g0 = pair.dim_g0
     dim_g1 = pair.dim_g1
     expected = dim_g1 - pair.rank_r1

@@ -22,9 +22,6 @@ class SplittingFieldTooLarge(Exception):
     """A characteristic polynomial has roots outside Q(i)."""
 
 
-_ZERO_FRACTION = Fraction(0)
-
-
 class GaussRat:
     """An element re + im*i of Q(i), immutable and hashable."""
 

@@ -198,17 +198,21 @@ def torus_action_perm(rdata: ConcreteRootData, ad_action: ExactMatrix) -> bytes:
 
 
 def _weight_perm(rdata: ConcreteRootData, torus_matrix: ExactMatrix) -> bytes:
-    """Permutation induced on rdata's roots by an action on the torus
-    (given as a matrix on the torus basis)."""
-    # the new weight alpha o m^{-1}, in coordinates on the torus
-    on_weights = torus_matrix.inverse().transpose()
+    """Permutation induced on rdata's roots by an action m on the torus
+    (given as a matrix on the torus basis): alpha_k o m^{-1} = alpha_perm(k).
+
+    Read without inverting m, as alpha_perm(k) o m = alpha_k: the weight
+    alpha o m has coordinates m^T alpha, and perm(k) is the j whose image
+    is alpha_k.  Raises CatalogError unless alpha -> alpha o m is a
+    bijection of the roots."""
+    on_weights = torus_matrix.transpose()
     weight_map = {w: k for k, w in enumerate(rdata.weights)}
-    perm = []
-    for w in rdata.weights:
-        img = tuple(on_weights.apply(w))
-        if img not in weight_map:
+    perm: List[Optional[int]] = [None] * rdata.nroots
+    for j, w in enumerate(rdata.weights):
+        k = weight_map.get(tuple(on_weights.apply(w)))
+        if k is None or perm[k] is not None:
             raise CatalogError("automorphism does not permute the roots")
-        perm.append(weight_map[img])
+        perm[k] = j
     return bytes(perm)
 
 

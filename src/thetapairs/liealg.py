@@ -42,6 +42,7 @@ class LinearAlgebraFrame:
         self._solver = gram.inverse() @ bt  # exact pseudo-inverse (full column rank)
         self._structure: Optional[List[ExactMatrix]] = None
         self._terms: Optional[List[Tuple[int, int, GaussRat]]] = None
+        self._entries: Optional[List[Tuple[int, int, int, GaussRat]]] = None
 
     # -- conversions ------------------------------------------------------
 
@@ -89,6 +90,15 @@ class LinearAlgebraFrame:
                            for f, c in enumerate(mat.entries) if not c.is_zero()]
         return self._terms
 
+    def _basis_entries(self) -> List[Tuple[int, int, int, GaussRat]]:
+        """The nonzero entries of the basis matrices as (k, row, column, c)
+        with basis[k][row, column] = c, in increasing order of k."""
+        if self._entries is None:
+            self._entries = [(k, *divmod(f, self.n_def), c)
+                             for k, b in enumerate(self.basis)
+                             for f, c in enumerate(b.entries) if not c.is_zero()]
+        return self._entries
+
     def ad(self, coords: Sequence) -> ExactMatrix:
         coords = gvec(coords)
         live = [not c.is_zero() for c in coords]
@@ -135,15 +145,23 @@ def flag_stabilizer(frame: LinearAlgebraFrame,
 
     Only the newest vector v_j of step F_j needs a condition, phi(M v_j) = 0
     for every functional phi vanishing on F_j: the older vectors v_i already
-    satisfy M v_i in F_i subset F_j."""
+    satisfy M v_i in F_i subset F_j.  The row of phi has entry
+    phi(B_k v_j) at basis matrix B_k, summed over the nonzero entries of B_k."""
+    entries = frame._basis_entries()
     rows = []
     for flag in flags:
         for j, v in enumerate(flag, 1):
             functionals = ExactMatrix.from_rows(flag[:j]).kernel_basis()
-            if functionals:
-                images = [b.apply(v) for b in frame.basis]
-                rows.extend([sum((p * q for p, q in zip(phi, mv)), ZERO) for mv in images]
-                            for phi in functionals)
+            if not functionals:
+                continue
+            # the nonzero terms B_k[r, c] v_c of the images B_k v, as (k, r, term)
+            terms = [(k, r, c * v[col]) for k, r, col, c in entries if not v[col].is_zero()]
+            for phi in functionals:
+                row = [ZERO] * frame.dim
+                for k, r, t in terms:
+                    if not phi[r].is_zero():
+                        row[k] = row[k] + phi[r] * t
+                rows.append(row)
     if not rows:
         return ExactMatrix.identity(frame.dim).row_lists()
     return ExactMatrix.from_rows(rows).kernel_basis()

@@ -436,9 +436,17 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
 
 
 def span_eq(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    """Whether two lists of vectors span the same subspace."""
-    ra = span_rank(a)
-    return ra == span_rank(b) and span_rank(list(a) + list(b)) == ra
+    """Whether two lists of vectors span the same subspace: a subspace has
+    exactly one reduced row echelon form, so the nonzero rows agree."""
+    return _echelon_rows(a) == _echelon_rows(b)
+
+
+def _echelon_rows(vectors: Sequence[Sequence]) -> Tuple[GaussRat, ...]:
+    """The nonzero rows of the reduced row echelon form, flattened."""
+    if not vectors:
+        return ()
+    red, pivots = ExactMatrix.from_rows(vectors).rref()
+    return red.entries[:len(pivots) * red.cols]
 
 
 def coordinates_in_basis(basis: Sequence[Sequence], target: Sequence):

@@ -147,17 +147,20 @@ def _golden_name(spec: str) -> str:
 
 def test_catalog_reports_under_python_O_match_golden():
     # the golden files are the `report <spec> --json --no-timing` stdout of
-    # every catalog pair, and of splitA:n=4 for the rank-scaling workload;
+    # every catalog pair, and of splitA:n=4 and glgl:n=3 for rank scaling;
     # mathematical checks are explicit raises, so -O must change nothing
+    rank_scaling = ["splitA:n=4", "glgl:n=3"]
     src = str(Path(thetapairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-O", "-c", _REPORT_ALL, *FULL_CATALOG, "splitA:n=4"],
+    run = subprocess.run([sys.executable, "-O", "-c", _REPORT_ALL, *FULL_CATALOG, *rank_scaling],
                          env=env, capture_output=True, text=True, check=True)
     got = json.loads(run.stdout)
     golden = {spec: GOLDEN_REPORTS / _golden_name(spec) for spec in FULL_CATALOG}
     assert sorted(p.name for p in GOLDEN_REPORTS.iterdir()) == sorted(
         p.name for p in golden.values())
-    golden["splitA:n=4"] = RANK_SCALING_REPORTS / _golden_name("splitA:n=4")
+    golden.update((spec, RANK_SCALING_REPORTS / _golden_name(spec)) for spec in rank_scaling)
+    assert sorted(p.name for p in RANK_SCALING_REPORTS.iterdir()) == sorted(
+        _golden_name(spec) for spec in rank_scaling)
     for spec, path in golden.items():
         code, out = got[spec]
         assert code == 0, spec

@@ -33,6 +33,7 @@ from thetapairs.matrix import (
     coordinates_in_basis,
     independent_subset,
     restrict_action,
+    span_eq,
     span_rank,
 )
 from thetapairs.pairs import _sl_basis, _unit
@@ -227,15 +228,25 @@ FLAG_FRAMES = [(LinearAlgebraFrame(_sl_basis(3)), 3 * 4 // 2 - 1),
 
 @st.composite
 def frames_with_flags(draw):
-    """A frame with one or two flags (complete or partial) of its defining space."""
+    """A frame with one or two flags (complete or partial) of its defining
+    space, or with one complete flag per diagonal block of an even-sized
+    defining space (the per-block shape of the diagonal pairs' fiber witnesses)."""
     frame, borel_dim = draw(st.sampled_from(FLAG_FRAMES))
     n = frame.n_def
     units = ExactMatrix.identity(n).row_lists()
+    vectors = st.lists(st.lists(sparse_entries, min_size=n, max_size=n), max_size=n)
+    if n % 2 == 0 and draw(st.booleans()):
+        flags = []
+        for block in (range(n // 2), range(n // 2, n)):
+            # a complete flag of the block's coordinate subspace
+            drawn = [[x if i in block else ZERO for i, x in enumerate(v)]
+                     for v in draw(vectors)]
+            flags.append(independent_subset(drawn + [units[i] for i in block]))
+        return frame, borel_dim, flags
     flags = []
     for _ in range(draw(st.integers(1, 2))):
-        drawn = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n), max_size=n))
         length = draw(st.one_of(st.just(n), st.integers(0, n)))
-        flags.append(independent_subset(drawn + units)[:length])
+        flags.append(independent_subset(draw(vectors) + units)[:length])
     return frame, borel_dim, flags
 
 
@@ -270,6 +281,32 @@ def test_flag_stabilizer_needs_only_the_newest_vector_of_each_step(case):
                            for v in flag[:j])
     if len(flags) == 1 and len(flags[0]) == frame.n_def:
         assert len(got) == borel_dim
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_span_eq_matches_domain_matrix_ranks(data):
+    # span(a) = span(b) exactly when rank a = rank b = rank(a + b); b is a
+    # shuffle of recombinations of a and zero vectors, with or without a
+    n = data.draw(st.integers(1, 5))
+    entries = data.draw(st.sampled_from([sparse_entries, real_sparse_entries]))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    a = data.draw(st.lists(vectors, max_size=5))
+    if a and data.draw(st.booleans()):
+        coeffs = st.lists(sparse_entries, min_size=len(a), max_size=len(a))
+        combos = [ExactMatrix.from_columns(a).apply(c)
+                  for c in data.draw(st.lists(coeffs, max_size=4))]
+        kept = a if data.draw(st.booleans()) else []
+        zeros = [[ZERO] * n] * data.draw(st.integers(0, 2))
+        b = data.draw(st.permutations(kept + combos + zeros))
+    else:
+        b = data.draw(st.lists(vectors, max_size=5))
+
+    def rank(vs):
+        return _oracle_rank(ExactMatrix.from_rows(vs)) if vs else 0
+
+    want = rank(a) == rank(b) == rank(a + b)
+    assert span_eq(a, b) == want == span_eq(b, a)
 
 
 @given(sparse_matrices(), st.data())

@@ -6,6 +6,8 @@ from thetapairs.gaussian import GaussRat, ZERO
 from thetapairs.pairs import MATRIX_CATALOG, realize
 from thetapairs.slices import ElementOfG1, NotRegular, build_kw_section, conjugate_ss_into_a
 from thetapairs.fibers import (
+    _centralizer_classes,
+    _class_audit,
     component_census,
     exhibit_fiber_conjugators,
     fiber_component_dimensions,
@@ -167,6 +169,23 @@ def test_dimension_audit_zero_and_degenerate(spec):
     audit_d = fiber_component_dimensions(pair, ss1)
     assert audit_d.passes()
     assert audit_d.component_count >= 1
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG + ("splitA:n=4",))
+def test_dimension_audit_at_zero_matches_the_cayley_route(spec):
+    # at 0 the audit reads the pair's fundamental torus and regular Borel
+    # classes; the Cayley route from the split torus, which every other base
+    # point takes, must find the same components and class audits
+    pair = realize(spec)
+    zero = [ZERO] * pair.dim_g
+    audit = fiber_component_dimensions(pair, zero)
+    cayley = _class_audit(pair, zero, *_centralizer_classes(pair, None))
+
+    def audits(a):
+        return sorted((c.regular, c.audit_value, c.expected) for c in a.classes)
+
+    assert cayley.component_count == audit.component_count
+    assert audits(cayley) == audits(audit)
 
 
 def test_glgl2_degenerate_centralizer_factor():

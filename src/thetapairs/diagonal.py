@@ -67,10 +67,21 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
     return out
 
 
+class Completion(NamedTuple):
+    """psi's completion of (X, B1) with the spans it was decided on, all in
+    frame coordinates: Lie(B1), z = Z_g(X_ss), Z_B1(X_ss) and Lie(B2)."""
+    flag: Flag
+    b1: List[List[GaussRat]]
+    z: List[List[GaussRat]]
+    z_b1: List[List[GaussRat]]
+    b2: List[List[GaussRat]]
+
+
 def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
-                 b1_flag: Flag) -> Optional[Flag]:
+                 b1_flag: Flag) -> Optional[Completion]:
     """The unique X-invariant flag B2 with B1 cap B2 = Z_{B1}(X_ss)
-    = Z_{B2}(X_ss), or None when there is no such flag or more than one."""
+    = Z_{B2}(X_ss), with the spans it was found on, or None when there is
+    no such flag or more than one."""
     b1 = flag_stabilizer(frame, [b1_flag])
     z = frame.centralizer([frame.to_coords(ss)])
     z_b1 = intersect_spans(b1, z)
@@ -82,7 +93,7 @@ def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
             continue
         z_b2 = intersect_spans(b2, z)
         if span_eq(z_b2, z_b1):
-            matches.append(flag)
+            matches.append(Completion(flag, b1, z, z_b1, b2))
     return matches[0] if len(matches) == 1 else None
 
 
@@ -150,13 +161,13 @@ def _round_trip_holds(frame, x, ss, flag) -> bool:
     # phi(psi(X,B)) = (X,B) by construction, and psi(phi(X,B1,B2)) = B2 by
     # the uniqueness of the completion; the content is existence and
     # uniqueness of the completion and the pair-point validity
-    b2_flag = psi_complete(frame, x, ss, flag)
-    b2 = None if b2_flag is None else flag_stabilizer(frame, [b2_flag])
-    if b2 is None or not _is_pair_point(frame, x, ss, flag, b2):
+    completion = psi_complete(frame, x, ss, flag)
+    if completion is None or not _is_pair_point(frame, x, completion):
         return False
     # in the sorted chart, the explicit opposite-parabolic formula agrees
     sorted_guess = _sorted_chart_opposite(ss, flag)
-    return sorted_guess is None or span_eq(b2, flag_stabilizer(frame, [sorted_guess]))
+    return sorted_guess is None or span_eq(completion.b2,
+                                           flag_stabilizer(frame, [sorted_guess]))
 
 
 def _sample_chart_point(frame, k, rng):
@@ -189,13 +200,12 @@ def _sample_chart_point(frame, k, rng):
     return x, ss, flag
 
 
-def _is_pair_point(frame, x, ss, b1_flag, b2) -> bool:
+def _is_pair_point(frame, x, completion: Completion) -> bool:
     """The defining property of the restricted family for diagonal pairs:
-    B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2 (b2 spans Lie(B2))."""
-    b1 = flag_stabilizer(frame, [b1_flag])
-    z = frame.centralizer([frame.to_coords(ss)])
+    B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2, checked on the spans
+    the completion was built from."""
+    b1, z, z_b1, b2 = completion.b1, completion.z, completion.z_b1, completion.b2
     inter = intersect_spans(b1, b2)
-    z_b1 = intersect_spans(b1, z)
     z_b2 = intersect_spans(b2, z)
     return (span_eq(inter, z_b1) and span_eq(inter, z_b2)
             and coordinates_in_basis(b2, frame.to_coords(x)) is not None)

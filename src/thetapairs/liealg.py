@@ -10,14 +10,16 @@ compactness tags) into an abstract root datum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussRat, ZERO
+from .gaussian import GaussRat, ONE, ZERO
 from .jordan import eigenspaces
 from .matrix import ExactMatrix, coordinates_in_basis, restrict_action
 from .rootsystem import RootDatum
 
 Vector = List[GaussRat]
+SparseVector = Dict[int, GaussRat]   # index -> nonzero entry
 
 
 def gvec(values) -> Vector:
@@ -26,6 +28,26 @@ def gvec(values) -> Vector:
 
 def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
+
+
+def sparse_sum(terms: Iterable[Tuple[GaussRat, SparseVector]]) -> SparseVector:
+    """The sum of c * v over pairs of a scalar c and a sparse vector v, zero
+    entries dropped, so two sums are equal exactly when their dicts are."""
+    acc: SparseVector = {}
+    for c, vec in terms:
+        for k, x in vec.items():
+            acc[k] = acc.get(k, ZERO) + c * x
+    return {k: x for k, x in acc.items() if not x.is_zero()}
+
+
+def _product_terms(left, right, n: int, sign: GaussRat):
+    """sign * L @ R as sparse_sum terms on flat indices r * n + column: each
+    nonzero entry L[r, m] = a, given as (r, m, a), times row m of R (rows
+    given as {m: [(column, b)]}) placed in row r."""
+    for r, m, a in left:
+        row = right.get(m)
+        if row:
+            yield sign * a, {r * n + col: b for col, b in row}
 
 
 class LinearAlgebraFrame:
@@ -40,7 +62,7 @@ class LinearAlgebraFrame:
         bt = self._basis_mat.transpose()
         gram = bt @ self._basis_mat
         self._solver = gram.inverse() @ bt  # exact pseudo-inverse (full column rank)
-        self._structure: Optional[List[ExactMatrix]] = None
+        self._table: Optional[List[List[SparseVector]]] = None
         self._terms: Optional[List[Tuple[int, int, GaussRat]]] = None
         self._entries: Optional[List[Tuple[int, int, int, GaussRat]]] = None
 
@@ -69,25 +91,62 @@ class LinearAlgebraFrame:
 
     # -- brackets ----------------------------------------------------------
 
+    def structure_table(self) -> List[List[SparseVector]]:
+        """The structure constants, built once: table[i][j] = {k: c} for
+        the nonzero c with [b_i, b_j] = sum_k c b_k, so table[i][j] holds
+        the nonzero entries of column j of ad(b_i).
+
+        Every bracket is computed on its own (table[j][i] is not read off
+        table[i][j]): the commutator is multiplied out over the nonzero
+        basis-matrix entries, its coordinates are read through the nonzero
+        entries of the pseudo-inverse, and they must rebuild the commutator
+        exactly."""
+        if self._table is None:
+            n, dim = self.n_def, self.dim
+            entries = [[] for _ in range(dim)]   # entries[k] = [(r, column, c)] of B_k
+            rows = [{} for _ in range(dim)]      # rows[k] = {r: [(column, c)]} of B_k
+            flat = [{} for _ in range(dim)]      # flat[k] = {r * n + column: c} of B_k
+            for k, r, col, c in self._basis_entries():
+                entries[k].append((r, col, c))
+                rows[k].setdefault(r, []).append((col, c))
+                flat[k][r * n + col] = c
+            # solver_cols[f] = {k: s}, the nonzero entries of pseudo-inverse column f
+            solver_cols = [{} for _ in range(n * n)]
+            for index, s in enumerate(self._solver.entries):
+                if not s.is_zero():
+                    k, f = divmod(index, n * n)
+                    solver_cols[f][k] = s
+            table = []
+            for i in range(dim):
+                row = []
+                for j in range(dim):
+                    commutator = sparse_sum(chain(_product_terms(entries[i], rows[j], n, ONE),
+                                                  _product_terms(entries[j], rows[i], n, -ONE)))
+                    coords = sparse_sum((v, solver_cols[f]) for f, v in commutator.items())
+                    if sparse_sum((c, flat[k]) for k, c in coords.items()) != commutator:
+                        raise ValueError("matrix is not in the algebra's span")
+                    row.append(coords)
+                table.append(row)
+            self._table = table
+        return self._table
+
     def structure_matrices(self) -> List[ExactMatrix]:
         """C_i with bracket(x, y) = (sum_i x_i C_i) @ y in coordinates."""
-        if self._structure is None:
-            cols_per_i = []
-            for bi in self.basis:
-                cols = []
-                for bj in self.basis:
-                    cols.append(self.to_coords(bi.commutator(bj)))
-                cols_per_i.append(ExactMatrix.from_columns(cols))
-            self._structure = cols_per_i
-        return self._structure
+        mats = [[ZERO] * (self.dim * self.dim) for _ in range(self.dim)]
+        for i, f, c in self._structure_terms():
+            mats[i][f] = c
+        return [ExactMatrix(self.dim, self.dim, flat) for flat in mats]
 
     def _structure_terms(self) -> List[Tuple[int, int, GaussRat]]:
         """The nonzero structure constants as (i, flat index, c) with
-        C_i.entries[flat index] = c, in increasing order of i."""
+        C_i.entries[flat index] = c, in increasing order of i and then of
+        the flat index."""
         if self._terms is None:
             self._terms = [(i, f, c)
-                           for i, mat in enumerate(self.structure_matrices())
-                           for f, c in enumerate(mat.entries) if not c.is_zero()]
+                           for i, row in enumerate(self.structure_table())
+                           for f, c in sorted((k * self.dim + j, c)
+                                              for j, col in enumerate(row)
+                                              for k, c in col.items())]
         return self._terms
 
     def _basis_entries(self) -> List[Tuple[int, int, int, GaussRat]]:

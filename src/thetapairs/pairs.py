@@ -14,7 +14,13 @@ Combinatorial-only entries (root data, no matrices):
 * e6qs        -- the split involution of E6 built on the diagram flip.
 
 Construction validates every structural invariant eagerly; a bad catalog
-entry must be impossible to consume.
+entry must be impossible to consume.  The bracket checks read the frame's
+sparse structure table (`LinearAlgebraFrame.structure_table`, column j of
+ad(b_i) as a dict {k: c^k_ij}, each entry an exact commutator read back in
+the basis): antisymmetry on every basis pair i < j, Jacobi as
+ad([b_i, b_j]) b_l = [b_i, [b_j, b_l]] - [b_j, [b_i, b_l]] on every such pair
+and every l, and theta, once it is diag(+1 on g0, -1 on g1) on the adapted
+basis, as s_i s_j s_k = 1 wherever c^k_ij is nonzero.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .gaussian import GaussRat, ONE, ZERO
@@ -33,6 +40,7 @@ from .liealg import (
     _combine,
     build_concrete_root_data,
     gvec,
+    sparse_sum,
     vec_is_zero,
 )
 from .matrix import ExactMatrix, coordinates_in_basis, span_rank
@@ -238,7 +246,7 @@ def _build_splitA(n: int) -> SymmetricPairRealization:
     h_fund = _combine(rot, [GaussRat(2 ** j) for j in range(len(rot))])
 
     return _assemble_matrix_pair(
-        PairSpec("splitA", n=n), frame, len(g0), theta, theta_coords,
+        PairSpec("splitA", n=n), frame, len(g0), theta_coords,
         a_basis, h_a, t_fund, h_fund, rank_g=N - 1,
     )
 
@@ -265,7 +273,7 @@ def _build_glgl(n: int) -> SymmetricPairRealization:
     h_fund = _combine(t_fund, [GaussRat(2 ** i) for i in range(N)])
 
     return _assemble_matrix_pair(
-        PairSpec("glgl", n=n), frame, len(same), theta, theta_coords,
+        PairSpec("glgl", n=n), frame, len(same), theta_coords,
         a_basis, h_a, t_fund, h_fund, rank_g=N,
     )
 
@@ -297,7 +305,7 @@ def _build_diag(base: str) -> SymmetricPairRealization:
     h_fund = frame.to_coords(h_fund_m)
 
     return _assemble_matrix_pair(
-        PairSpec("diag", base=base), frame, len(g0), theta, theta_coords,
+        PairSpec("diag", base=base), frame, len(g0), theta_coords,
         a_basis, h_a, t_fund, h_fund, rank_g=2 * (k - 1),
     )
 
@@ -307,7 +315,7 @@ def _theta_coords_matrix(frame: LinearAlgebraFrame, theta) -> ExactMatrix:
     return ExactMatrix.from_columns(cols)
 
 
-def _assemble_matrix_pair(spec, frame, dim_g0, theta, theta_coords,
+def _assemble_matrix_pair(spec, frame, dim_g0, theta_coords,
                           a_basis, h_a, t_fund, h_fund, rank_g):
     split_torus = frame.centralizer(a_basis)
     if len(split_torus) != rank_g:
@@ -334,7 +342,7 @@ def _assemble_matrix_pair(spec, frame, dim_g0, theta, theta_coords,
         fund_roots=fund_roots,
         split_positivity=gvec(h_a),
     )
-    _validate_matrix_pair(pair, theta)
+    _validate_matrix_pair(pair)
     return pair
 
 
@@ -385,7 +393,7 @@ def _build_e6qs() -> SymmetricPairRealization:
 # -- validation ----------------------------------------------------------------
 
 
-def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
+def _validate_matrix_pair(pair: SymmetricPairRealization):
     frame = pair.frame
     dim = frame.dim
     theta_c = pair.theta_coords
@@ -399,27 +407,37 @@ def _validate_matrix_pair(pair: SymmetricPairRealization, theta):
         if theta_c.column(k) != want:
             raise CatalogError(f"{pair.pair_id}: basis not adapted to theta at index {k}")
 
-    structure = frame.structure_matrices()
-    # antisymmetry of the bracket on basis pairs
+    table = frame.structure_table()
+    # antisymmetry: column j of ad(b_i) is minus column i of ad(b_j)
     for i in range(dim):
-        col_i = structure[i]
         for j in range(i + 1, dim):
-            if col_i.column(j) != [-x for x in structure[j].column(i)]:
+            if table[i][j] != {k: -c for k, c in table[j][i].items()}:
                 raise CatalogError(f"{pair.pair_id}: bracket not antisymmetric")
 
-    # Jacobi, as ad being a Lie homomorphism on basis pairs
+    # Jacobi, as ad being a Lie homomorphism on basis pairs, column by column:
+    # ad([b_i, b_j]) b_l = [b_i, [b_j, b_l]] - [b_j, [b_i, b_l]]
     for i in range(dim):
-        ad_i = structure[i]
         for j in range(i + 1, dim):
-            ad_j = structure[j]
-            lhs = frame.ad(structure[i].column(j))
-            if lhs != ad_i @ ad_j - ad_j @ ad_i:
-                raise CatalogError(f"{pair.pair_id}: Jacobi fails on basis pair ({i},{j})")
+            bracket_ij = table[i][j]
+            for l in range(dim):
+                ad_j_l, ad_i_l = table[j][l], table[i][l]
+                if not (bracket_ij or ad_j_l or ad_i_l):
+                    continue  # both sides are sums of no terms
+                lhs = sparse_sum((c, table[k][l]) for k, c in bracket_ij.items())
+                rhs = sparse_sum(chain(((c, table[i][m]) for m, c in ad_j_l.items()),
+                                        ((-c, table[j][m]) for m, c in ad_i_l.items())))
+                if lhs != rhs:
+                    raise CatalogError(
+                        f"{pair.pair_id}: Jacobi fails on basis pair ({i},{j})")
 
-    # theta is a Lie algebra automorphism
-    for i in range(dim):
-        if theta_c @ structure[i] @ theta_c != frame.ad(theta_c.column(i)):
-            raise CatalogError(f"{pair.pair_id}: theta is not an automorphism")
+    # theta is a Lie algebra automorphism: with theta = diag(s) on the adapted
+    # basis, theta [b_i, b_j] = [theta b_i, theta b_j] says s_i s_j s_k = 1
+    # wherever the structure constant c^k_ij is nonzero
+    sign = [1] * pair.dim_g0 + [-1] * pair.dim_g1
+    for i, row in enumerate(table):
+        for j, col in enumerate(row):
+            if any(sign[i] * sign[j] * sign[k] != 1 for k in col):
+                raise CatalogError(f"{pair.pair_id}: theta is not an automorphism")
 
     # a is abelian, inside g1, of dimension r1
     for x in pair.a_basis:

@@ -19,7 +19,7 @@ from .involutions import (
     detect_regular_borels,
     enumerate_split_borels,
 )
-from .pairs import SymmetricPairRealization, realize
+from .pairs import PairSpec, SymmetricPairRealization, realize
 from .slices import ElementOfG1, build_kw_section, conjugate_ss_into_a, kw_audit
 from .fibers import (
     component_census,
@@ -194,25 +194,33 @@ def torus_section(pair: SymmetricPairRealization, seed: int = 0) -> Optional[Dic
 
 
 def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
-    """Run every applicable section for the pair and assemble the
+    """Realize the pair and run every applicable section, assembling the
     document; sampling uses the seed, verdict fields never depend on it.
-    A section that raises is reported with the pair and stage: as
+    A spec that does not parse raises CatalogError.  A stage that raises,
+    `realize` included, is reported with the pair and stage: as
     SplittingFieldTooLarge when it left the exact domain, as SectionError
     otherwise."""
-    pair = realize(spec)
-    doc: Dict = {"schema_version": SCHEMA_VERSION, "pair_id": pair.pair_id}
+    parsed = PairSpec.parse(spec)
+    pair_id = parsed.render()
     timing: Dict[str, float] = {}
 
-    def put(key, name, section):
+    def stage(name, compute):
         start = time.perf_counter()
         try:
-            value = section(pair, seed)
+            value = compute()
         except SplittingFieldTooLarge as exc:
-            raise SplittingFieldTooLarge(f"{pair.pair_id}: {name}: {exc}") from exc
+            raise SplittingFieldTooLarge(f"{pair_id}: {name}: {exc}") from exc
         except Exception as exc:
             raise SectionError(
-                f"{pair.pair_id}: {name}: {type(exc).__name__}: {exc}") from exc
+                f"{pair_id}: {name}: {type(exc).__name__}: {exc}") from exc
         timing[name] = round((time.perf_counter() - start) * 1000, 3)
+        return value
+
+    pair = stage("realize", lambda: realize(parsed))
+    doc: Dict = {"schema_version": SCHEMA_VERSION, "pair_id": pair_id}
+
+    def put(key, name, section):
+        value = stage(name, lambda: section(pair, seed))
         if value is not None:
             doc[key] = value
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import thetapairs
 from thetapairs.cli import main
 from thetapairs.pairs import FULL_CATALOG, CatalogError
@@ -216,6 +218,32 @@ def test_report_stage_error_names_pair_and_stage(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: splitA:n=1: fibers: CatalogError: "
         "kernel filtration step has the wrong dimension"]
+
+
+def _wrong_rank(vectors):
+    return -1
+
+
+def _dividing_by_zero(vectors):
+    raise ZeroDivisionError("Fraction(1, 0)")
+
+
+@pytest.mark.parametrize("span_rank, message", [
+    # the check "a has dimension r1" fails
+    (_wrong_rank, "CatalogError: splitA:n=1: a has wrong dimension"),
+    # a check raises outside its own error type
+    (_dividing_by_zero, "ZeroDivisionError: Fraction(1, 0)"),
+])
+def test_failed_realize_check_names_the_realize_stage(capsys, monkeypatch,
+                                                      span_rank, message):
+    from thetapairs import pairs
+
+    monkeypatch.setattr(pairs, "span_rank", span_rank)
+    pairs._realize_cached.cache_clear()
+    code, out, err = run_cli(capsys, "report", "splitA:n=1", "--json", "--no-timing")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: splitA:n=1: realize: {message}"]
 
 
 def test_package_has_no_bare_asserts():

@@ -210,7 +210,13 @@ def test_diagonal_failed_round_trips_are_counted(monkeypatch, capsys):
     from thetapairs.report import build_report
 
     # a wrong completion: B2 = B1 is a pair point only when X_ss is central
-    monkeypatch.setattr(diagonal, "psi_complete", lambda frame, x, ss, b1_flag: b1_flag)
+    psi = diagonal.psi_complete
+
+    def wrong_completion(frame, x, ss, b1_flag):
+        completion = psi(frame, x, ss, b1_flag)
+        return completion._replace(flag=b1_flag, b2=completion.b1)
+
+    monkeypatch.setattr(diagonal, "psi_complete", wrong_completion)
     audit = diagonal_isomorphism_check(realize("diag:sl2"), n_samples=10)
     assert audit.round_trips == 10 and audit.failures > 0
     doc = build_report("diag:sl2", with_timing=False)

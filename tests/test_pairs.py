@@ -2,18 +2,21 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetapairs.gaussian import GaussRat
-from thetapairs.liealg import vec_is_zero
+from thetapairs.liealg import LinearAlgebraFrame, vec_is_zero
 from thetapairs.matrix import ExactMatrix
 from thetapairs.pairs import (
     MATRIX_CATALOG,
     CatalogError,
     PairSpec,
+    _unit,
+    _validate_matrix_pair,
     realize,
     root_decomposition,
     split_root_decomposition,
@@ -194,3 +197,101 @@ def test_a_fresh_pair_gets_fresh_derived_state():
     assert sub.W0_perms == old_sub.W0_perms
     assert [c.rep_perm for c in classes] == [c.rep_perm for c in old_classes]
     assert set(new.derived) == {"compute_subgroups", "detect_regular_borels"}
+
+
+# -- the structure table and the realize checks read from it ------------------
+#
+# `realize` checks antisymmetry, Jacobi and theta on the sparse structure table
+# (`LinearAlgebraFrame.structure_table`).  The dense forms below are the
+# independent oracle: brackets as matrix commutators read back with
+# `to_coords`, Jacobi as ad_i @ ad_j - ad_j @ ad_i == ad([b_i, b_j]) and theta
+# as theta C_i theta == ad(theta b_i).
+
+ORACLE_PAIRS = MATRIX_CATALOG + ("splitA:n=4", "glgl:n=3")
+
+
+def dense_structure(frame):
+    return [ExactMatrix.from_columns([frame.to_coords(bi.commutator(bj))
+                                      for bj in frame.basis])
+            for bi in frame.basis]
+
+
+@pytest.mark.parametrize("spec", ORACLE_PAIRS)
+def test_structure_table_matches_dense_commutators(spec):
+    frame = realize(spec).frame
+    dense = dense_structure(frame)
+    assert frame.structure_matrices() == dense
+    for i, row in enumerate(frame.structure_table()):
+        for j, col in enumerate(row):
+            assert col == {k: c for k, c in enumerate(dense[i].column(j)) if c}
+
+
+@pytest.mark.parametrize("spec", ORACLE_PAIRS)
+def test_dense_bracket_checks_hold_where_realize_passes(spec):
+    pair = realize(spec)
+    frame, theta = pair.frame, pair.theta_coords
+    structure = dense_structure(frame)
+    for i, ad_i in enumerate(structure):
+        for j in range(i + 1, frame.dim):
+            ad_j = structure[j]
+            assert ad_i.column(j) == [-x for x in ad_j.column(i)]
+            assert frame.ad(ad_i.column(j)) == ad_i @ ad_j - ad_j @ ad_i
+        assert theta @ ad_i @ theta == frame.ad(theta.column(i))
+
+
+def fresh_frame_pair(spec):
+    """The realized pair on a new frame over the same basis, whose structure
+    table a test may corrupt without touching the cached pair."""
+    pair = realize(spec)
+    return replace(pair, frame=LinearAlgebraFrame(pair.frame.basis), derived={})
+
+
+def first_bracket(table):
+    return next((i, j) for i, row in enumerate(table)
+                for j, col in enumerate(row) if i < j and col)
+
+
+def test_basis_not_closed_under_bracket_raises():
+    # [E_01, E_10] = E_00 - E_11 is not in span(E_01, E_10)
+    frame = LinearAlgebraFrame([_unit(2, 0, 1), _unit(2, 1, 0)])
+    with pytest.raises(ValueError, match="not in the algebra's span"):
+        frame.structure_table()
+
+
+def test_corrupted_antisymmetry_is_caught():
+    pair = fresh_frame_pair("splitA:n=2")
+    table = pair.frame.structure_table()
+    i, j = first_bracket(table)
+    table[i][j] = {k: c * 2 for k, c in table[i][j].items()}
+    structure = pair.frame.structure_matrices()
+    assert structure[i].column(j) != [-x for x in structure[j].column(i)]
+    with pytest.raises(CatalogError, match="bracket not antisymmetric"):
+        _validate_matrix_pair(pair)
+
+
+def test_corrupted_jacobi_is_caught():
+    # one bracket doubled on both sides: still antisymmetric, no longer Lie
+    pair = fresh_frame_pair("splitA:n=2")
+    table = pair.frame.structure_table()
+    i, j = first_bracket(table)
+    table[i][j] = {k: c * 2 for k, c in table[i][j].items()}
+    table[j][i] = {k: c * 2 for k, c in table[j][i].items()}
+    structure = pair.frame.structure_matrices()
+    ad_i, ad_j = structure[i], structure[j]
+    assert pair.frame.ad(ad_i.column(j)) != ad_i @ ad_j - ad_j @ ad_i
+    with pytest.raises(CatalogError, match=rf"Jacobi fails on basis pair \({i},{j}\)"):
+        _validate_matrix_pair(pair)
+
+
+def test_theta_that_is_not_an_automorphism_is_caught():
+    # gl(2) on (E_00, E_11, E_01, E_10) with theta = diag(1, 1, 1, -1): an
+    # involution adapted to the basis, but [E_01, E_10] = E_00 - E_11 has
+    # theta-signs 1 * -1 * 1
+    pair = realize("glgl:n=1")
+    theta = ExactMatrix.diagonal([1, 1, 1, -1])
+    bad = replace(pair, dim_g0=3, dim_g1=1, theta_coords=theta, derived={})
+    structure = pair.frame.structure_matrices()
+    assert any(theta @ c_i @ theta != pair.frame.ad(theta.column(i))
+               for i, c_i in enumerate(structure))
+    with pytest.raises(CatalogError, match="theta is not an automorphism"):
+        _validate_matrix_pair(bad)

@@ -21,6 +21,7 @@ from .involutions import (
     SplitWeylLifts,
     compute_subgroups,
     detect_regular_borels,
+    lift_closure,
     reflection_lift,
     regular_classes,
     root_value,
@@ -50,7 +51,7 @@ from .matrix import (
     span_rank,
 )
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
-from .rootsystem import compose, enumerate_weyl, identity_perm, invert
+from .rootsystem import compose, enumerate_weyl, invert
 from .slices import (
     ElementOfG1,
     NotRegular,
@@ -318,19 +319,7 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
             continue
         gens.append((perm, m))
 
-    lifts: Dict[bytes, ExactMatrix] = {
-        identity_perm(split.nroots): ExactMatrix.identity(pair.dim_g)}
-    frontier = list(lifts)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gp, gm in gens:
-                q = compose(gp, p)
-                if q not in lifts:
-                    lifts[q] = gm @ lifts[p]
-                    nxt.append(q)
-        frontier = nxt
-    return lifts
+    return lift_closure(gens, split.nroots, ExactMatrix.identity(pair.dim_g))
 
 
 def _scale_real_root_vector(pair, split, k: int):
@@ -469,20 +458,20 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
 
     split = pair.split_roots
     x_t = coordinates_in_basis(split.torus, x1)
-    lifts = SplitWeylLifts.of(pair)
-    group = enumerate_weyl(split.datum)
+    # the table lists W in enumerate_weyl's order, which the labels index
+    table = SplitWeylLifts.of(pair).table
     a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
 
-    points = [lifts.torus_matrix(p).apply(x_t) for p in group.elements]
-    if len({tuple(pt) for pt in points}) != group.order:
+    points = [m.apply(x_t) for m in table.values()]
+    if len({tuple(pt) for pt in points}) != len(table):
         raise NotRegular("Weyl orbit is not free; element is not regular enough")
 
     # w.x is labelled by {v : v^{-1} w.x in a} = {w o u : u in inside},
-    # since torus_matrix is a representation of W
-    inside = [invert(u) for u, pt in zip(group.elements, points)
+    # since the table is a representation of W
+    inside = [invert(u) for u, pt in zip(table, points)
               if coordinates_in_basis(a_cols, pt) is not None]
     labels: Dict[frozenset, List[int]] = {}
-    for idx, w in enumerate(group.elements):
+    for idx, w in enumerate(table):
         label = frozenset(compose(w, u) for u in inside)
         labels.setdefault(label, []).append(idx)
     groups = sorted(labels.values(), key=lambda g: g[0])
@@ -490,9 +479,9 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     for g in groups:
         if len(g) != len(wa):
             raise CatalogError("component group of unexpected size")
-    if len(groups) != group.order // len(wa):
+    if len(groups) != len(table) // len(wa):
         raise CatalogError("unexpected number of components")
-    return ComponentCensus(pair.pair_id, group.order, groups, len(wa))
+    return ComponentCensus(pair.pair_id, len(table), groups, len(wa))
 
 
 # -- centralizer pairs and the dimension audit -------------------------------------

@@ -436,12 +436,3 @@ def _sympy_to_gauss(value) -> GaussRat:
         Fraction(int(re_part.numerator), int(re_part.denominator)),
         Fraction(int(im_part.numerator), int(im_part.denominator)),
     )
-
-
-def splits_over_gaussians(coeffs) -> bool:
-    """True when the monic polynomial factors into linear terms over Q(i)."""
-    try:
-        gaussian_roots(poly_squarefree_part(coeffs))
-        return True
-    except SplittingFieldTooLarge:
-        return False

@@ -17,7 +17,7 @@ from .gaussian import GaussRat, ZERO
 from .liealg import ConcreteRootData, Vector, weight_decomposition, weight_value
 from .matrix import ExactMatrix, coordinates_in_basis, independent_subset, restrict_action
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
-from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm
+from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm, invert
 
 
 class MissingCompactness(Exception):
@@ -389,29 +389,6 @@ def detect_regular_borels(pair: SymmetricPairRealization) -> List[RegularClassRe
 # -- canonical involution ---------------------------------------------------------
 
 
-def weyl_word(datum, perm: bytes) -> List[int]:
-    """A reduced word for a Weyl element (indices of simple reflections)."""
-    simples = datum.simple_indices
-    gens = [datum.simple_reflection_perm(i) for i in range(datum.rank)]
-    roots = datum.all_roots
-    word = []
-    cur = perm
-    ident = identity_perm(len(perm))
-    guard = 0
-    while cur != ident:
-        guard += 1
-        if guard > 10_000:
-            raise AssertionError("weyl word extraction did not terminate")
-        for i, s in enumerate(simples):
-            if sum(roots[cur[s]]) < 0:
-                word.append(i)
-                cur = compose(cur, gens[i])
-                break
-        else:
-            raise AssertionError("no descent found; not a Weyl element?")
-    return word
-
-
 def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
     """Ad(n) for the i-th simple reflection of the split-side datum."""
     split = pair.split_roots
@@ -421,21 +398,48 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
                            split.torus, split.weights[s_idx])
 
 
+def lift_closure(gens: Sequence[Tuple[bytes, ExactMatrix]], nroots: int,
+                 identity: ExactMatrix) -> Dict[bytes, ExactMatrix]:
+    """The group generated by the permutations of gens, each element mapped
+    to the product of the generator matrices along the path that first
+    reached it.  Breadth-first in the element order of
+    `rootsystem._closure`: a generator that repeats an earlier permutation
+    never reaches a new element."""
+    table = {identity_perm(nroots): identity}
+    frontier = list(table)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gp, gm in gens:
+                q = compose(gp, p)
+                if q not in table:
+                    table[q] = gm @ table[p]
+                    nxt.append(q)
+        frontier = nxt
+    return table
+
+
 class SplitWeylLifts:
-    """The split-side Weyl group acting on the split torus: cached torus
-    matrices of Ad(n_w), each the one-letter-shorter element's times a
-    restricted simple lift; `SplitWeylLifts.of(pair)` is the pair's one instance."""
+    """The split-side Weyl group acting on the split torus: `table` maps
+    every element w, in the element order of `enumerate_weyl`, to the torus
+    matrix of Ad(n_w), built once by `lift_closure` from the r restricted
+    simple lifts.  Only the simple lifts are checked to realize their
+    reflections: the table is a product of them, and a product of lifts
+    realizing s_i realizes the product of the s_i.
+    `SplitWeylLifts.of(pair)` is the pair's one instance."""
 
     def __init__(self, pair: SymmetricPairRealization):
-        self.split = pair.split_roots
-        self._simple = []
-        for i in range(self.split.datum.rank):
-            m = restrict_action(split_simple_lift(pair, i), self.split.torus)
+        split = pair.split_roots
+        gens = []
+        for i in range(split.datum.rank):
+            m = restrict_action(split_simple_lift(pair, i), split.torus)
             if m is None:
                 raise CatalogError("split lift does not normalize the torus")
-            self._simple.append(m)
-        self._cache: Dict[bytes, ExactMatrix] = {
-            identity_perm(self.split.nroots): ExactMatrix.identity(len(self.split.torus))}
+            s_i = split.datum.simple_reflection_perm(i)
+            if _weight_perm(split, m) != s_i:
+                raise CatalogError("split lift does not realize its Weyl element")
+            gens.append((s_i, m))
+        self.table = lift_closure(gens, split.nroots, ExactMatrix.identity(len(split.torus)))
 
     @staticmethod
     @per_pair
@@ -443,15 +447,7 @@ class SplitWeylLifts:
         return SplitWeylLifts(pair)
 
     def torus_matrix(self, perm: bytes) -> ExactMatrix:
-        if perm not in self._cache:
-            # w = (w o s_i) o s_i for the first letter i of w's reduced word
-            i = weyl_word(self.split.datum, perm)[0]
-            s_i = self.split.datum.simple_reflection_perm(i)
-            m = self.torus_matrix(compose(perm, s_i)) @ self._simple[i]
-            if _weight_perm(self.split, m) != perm:
-                raise CatalogError("split lift does not realize its Weyl element")
-            self._cache[perm] = m
-        return self._cache[perm]
+        return self.table[perm]
 
 
 @dataclass(frozen=True)
@@ -465,18 +461,19 @@ class CanonicalInvolution:
 
 def canonical_involution(pair: SymmetricPairRealization) -> CanonicalInvolution:
     """The involution on the universal Cartan t = b/[b,b], computed from
-    every theta-split Borel containing the pinned torus.  Raises CatalogError
-    unless every Borel gives the bitwise same matrix; whether it squares to
-    1 and its fixed dimension are reported, not asserted."""
+    every theta-split Borel containing the pinned torus: M_w^{-1} theta M_w
+    for the Borel's Weyl element w, with both factors read from the
+    `SplitWeylLifts` table (M_w^{-1} is the matrix of w^{-1}, since the
+    table is a representation).  Raises CatalogError unless every Borel
+    gives the bitwise same matrix; whether it squares to 1 and its fixed
+    dimension are reported, not asserted."""
     pair.require_matrix_level()
     theta_t = restrict_action(pair.theta_coords, pair.split_roots.torus)
     if theta_t is None:
         raise CatalogError(f"{pair.pair_id}: the split torus is not theta-stable")
     lifts = SplitWeylLifts.of(pair)
-    matrices = []
-    for borel in enumerate_split_borels(pair):
-        m_w = lifts.torus_matrix(borel.perm)  # the lift realizes borel.perm
-        matrices.append(m_w.inverse() @ theta_t @ m_w)
+    matrices = [lifts.torus_matrix(invert(b.perm)) @ theta_t @ lifts.torus_matrix(b.perm)
+                for b in enumerate_split_borels(pair)]
     first = matrices[0]
     for m in matrices[1:]:
         if m != first:

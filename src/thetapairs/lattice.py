@@ -159,25 +159,3 @@ class IntLattice:
         if self.endomorphism is None:
             raise ValueError("lattice carries no endomorphism")
         return [list(r) for r in self.endomorphism]
-
-
-@dataclass(frozen=True)
-class QuotientStructure:
-    """Structure of Z^n / im(M): free rank plus cyclic torsion factors."""
-
-    free_rank: int
-    torsion: Tuple[int, ...]  # invariant factors > 1, divisibility chain
-
-
-def cokernel_structure(m: List[List[int]], ambient_rank: Optional[int] = None) -> QuotientStructure:
-    """Invariant factors of Z^rows / column-span of m."""
-    rows = len(m)
-    if ambient_rank is None:
-        ambient_rank = rows
-    if rows == 0:
-        return QuotientStructure(ambient_rank, ())
-    d, _, _ = smith_normal_form(m)
-    diag = diagonal_of(d)
-    torsion = tuple(x for x in diag if x > 1)
-    zero_count = sum(1 for x in diag if x == 0) + (ambient_rank - len(diag))
-    return QuotientStructure(zero_count, torsion)

@@ -130,13 +130,6 @@ class LinearAlgebraFrame:
             self._table = table
         return self._table
 
-    def structure_matrices(self) -> List[ExactMatrix]:
-        """C_i with bracket(x, y) = (sum_i x_i C_i) @ y in coordinates."""
-        mats = [[ZERO] * (self.dim * self.dim) for _ in range(self.dim)]
-        for i, f, c in self._structure_terms():
-            mats[i][f] = c
-        return [ExactMatrix(self.dim, self.dim, flat) for flat in mats]
-
     def _structure_terms(self) -> List[Tuple[int, int, GaussRat]]:
         """The nonzero structure constants as (i, flat index, c) with
         C_i.entries[flat index] = c, in increasing order of i and then of

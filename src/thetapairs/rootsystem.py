@@ -244,30 +244,6 @@ def identity_perm(n: int) -> bytes:
     return bytes(range(n))
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element as a permutation of the root list."""
-
-    perm: bytes
-    datum: RootDatum = field(compare=False, hash=False, repr=False)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(compose(self.perm, other.perm), self.datum)
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement(invert(self.perm), self.datum)
-
-    def is_identity(self) -> bool:
-        return self.perm == identity_perm(len(self.perm))
-
-    def lattice_matrix(self) -> List[List[Fraction]]:
-        return self.datum.perm_matrix_on_lattice(self.perm)
-
-    def commutes_with_negation(self) -> bool:
-        neg = self.datum.negation_perm()
-        return compose(self.perm, neg) == compose(neg, self.perm)
-
-
 @dataclass
 class WeylGroup:
     datum: RootDatum
@@ -282,20 +258,6 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element(self, k: int) -> WeylElement:
-        return WeylElement(self.elements[k], self.datum)
-
-    def __iter__(self):
-        return (WeylElement(p, self.datum) for p in self.elements)
-
-    def longest_element(self) -> WeylElement:
-        pos = self.datum.positive_indices()
-        roots = self.datum.all_roots
-        for p in self.elements:
-            if all(sum(roots[p[k]]) < 0 for k in pos):
-                return WeylElement(p, self.datum)
-        raise AssertionError("no longest element found")
 
 
 def _closure(gens: Sequence[bytes], nroots: int, bound: int = ENUMERATION_BOUND) -> List[bytes]:
@@ -404,42 +366,6 @@ def recognize_type(order: int, reflection_root_norms: Sequence[Fraction]) -> str
                 return label
     raise UnrecognizedSignature(
         f"order={order}, reflections={len(norms)}, profile={profile_t}")
-
-
-def recognize_weyl_group(group: WeylGroup) -> str:
-    """Type of a Weyl group acting on its own root datum."""
-    datum = group.datum
-    norms = []
-    seen_lines = set()
-    for p in group.elements:
-        line = _reflection_root_index(datum, p)
-        if line is not None and line not in seen_lines:
-            seen_lines.add(line)
-            norms.append(datum.form(datum.all_roots[line], datum.all_roots[line]))
-    return recognize_type(group.order, norms)
-
-
-def _reflection_root_index(datum: RootDatum, perm: bytes) -> Optional[int]:
-    """If perm is a reflection of the datum's lattice, the index of a
-    positive root on its (-1)-eigenline; else None.
-
-    An involution with trace rank-2 has eigenvalues (-1, 1, ..., 1), and a
-    reflection inside a Weyl group is always a root reflection, so the
-    negated positive root is unique.
-    """
-    if perm == identity_perm(len(perm)):
-        return None
-    if compose(perm, perm) != identity_perm(len(perm)):
-        return None
-    mat = datum.perm_matrix_on_lattice(perm)
-    trace = sum(mat[i][i] for i in range(datum.rank))
-    if trace != datum.rank - 2:
-        return None
-    neg = datum.negation_perm()
-    negated = [k for k in datum.positive_indices() if perm[k] == neg[k]]
-    if len(negated) != 1:
-        raise ArithmeticError("reflection must negate a single positive root")
-    return negated[0]
 
 
 def restricted_reflection_norms(

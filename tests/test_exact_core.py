@@ -18,7 +18,6 @@ from thetapairs.gaussian import (
     gaussian_roots,
     poly_gcd,
     poly_squarefree_part,
-    splits_over_gaussians,
 )
 from thetapairs.jordan import (
     eigenspaces,
@@ -26,7 +25,7 @@ from thetapairs.jordan import (
     jordan_decomposition,
     jordan_semisimple_part,
 )
-from thetapairs.lattice import cokernel_structure, diagonal_of, smith_normal_form
+from thetapairs.lattice import diagonal_of, smith_normal_form
 from thetapairs.liealg import LinearAlgebraFrame, flag_stabilizer
 from thetapairs.matrix import (
     ExactMatrix,
@@ -543,10 +542,12 @@ def test_snf_properties(entries):
 
 
 def test_cokernel_structure_of_doubling():
-    q = cokernel_structure([[2]])
-    assert q.free_rank == 0 and q.torsion == (2,)
-    q = cokernel_structure([[1, -1], [-1, 1]])
-    assert q.free_rank == 1 and q.torsion == ()
+    # Z / 2Z: one torsion factor 2, no free part
+    d, _, _ = smith_normal_form([[2]])
+    assert diagonal_of(d) == [2]
+    # Z^2 / im(1 - swap) = Z: one unit factor and one free rank
+    d, _, _ = smith_normal_form([[1, -1], [-1, 1]])
+    assert diagonal_of(d) == [1, 0]
 
 
 # -- polynomial helpers ----------------------------------------------------
@@ -565,7 +566,6 @@ def test_gaussian_roots_and_splitting():
     # x^2 + 1 = (x-i)(x+i)
     roots = gaussian_roots([GaussRat(1), GaussRat(0), GaussRat(1)])
     assert set(roots) == {I, -I}
-    assert splits_over_gaussians([GaussRat(1), GaussRat(0), GaussRat(-2)]) is False
     with pytest.raises(SplittingFieldTooLarge):
         gaussian_roots([GaussRat(1), GaussRat(0), GaussRat(-2)])
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from thetapairs import involutions
 from thetapairs.involutions import (
     MissingCompactness,
     SplitWeylLifts,
@@ -12,11 +13,10 @@ from thetapairs.involutions import (
     enumerate_split_borels,
     root_value,
     split_simple_lift,
-    weyl_word,
 )
 from thetapairs.matrix import ExactMatrix, restrict_action
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
-from thetapairs.rootsystem import compose, enumerate_weyl
+from thetapairs.rootsystem import compose, enumerate_weyl, identity_perm
 
 
 def test_classify_roots_examples():
@@ -159,6 +159,19 @@ def test_canonical_involution_well_defined_everywhere():
         assert theta_can.fixed_dim + pair.rank_r1 == pair.rank_g
 
 
+def reduced_word(datum, w):
+    """Simple-reflection indices i_1, ..., i_k with w = s_{i_k} ... s_{i_1},
+    read off right descents: w sends the i-th simple root negative exactly
+    when w o s_i is shorter."""
+    word = []
+    while w != identity_perm(len(w)):
+        i = next(i for i, s in enumerate(datum.simple_indices)
+                 if sum(datum.all_roots[w[s]]) < 0)
+        word.append(i)
+        w = compose(w, datum.simple_reflection_perm(i))
+    return word
+
+
 # glgl has a center that the roots do not see; diag:sl3 has none
 @pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])
 def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec):
@@ -169,9 +182,28 @@ def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec):
     for w in enumerate_weyl(split.datum).elements:
         # the reference: Ad(n_w) on all of g, restricted to the torus
         n_ad = ExactMatrix.identity(pair.dim_g)
-        for i in weyl_word(split.datum, w):
+        for i in reduced_word(split.datum, w):
             n_ad = simple[i] @ n_ad
         assert lifts.torus_matrix(w) == restrict_action(n_ad, split.torus)
+
+
+def test_a_simple_lift_of_the_wrong_reflection_is_caught(monkeypatch):
+    # "realizes its Weyl element" is checked on the simple lifts only;
+    # their products inherit it, so a wrong generator must be refused here
+    pair = realize("splitA:n=2")
+    rank = pair.split_roots.datum.rank
+    monkeypatch.setattr(involutions, "split_simple_lift",
+                        lambda p, i: split_simple_lift(p, (i + 1) % rank))
+    with pytest.raises(CatalogError, match="does not realize its Weyl element"):
+        SplitWeylLifts(pair)
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_lift_table_lists_the_weyl_group_in_enumeration_order(spec):
+    # component_census labels index enumerate_weyl's element list
+    pair = realize(spec)
+    table = SplitWeylLifts.of(pair).table
+    assert list(table) == enumerate_weyl(pair.split_roots.datum).elements
 
 
 @pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])

@@ -8,10 +8,18 @@ from thetapairs.rootsystem import (
     build_root_datum,
     compose,
     enumerate_weyl,
+    identity_perm,
     recognize_type,
-    recognize_weyl_group,
     restricted_reflection_norms,
 )
+
+
+def datum_type(datum, order):
+    """recognize_type on a Weyl group order and the datum's positive-root
+    norms."""
+    roots = datum.all_roots
+    return recognize_type(order, [datum.form(roots[k], roots[k])
+                                  for k in datum.positive_indices()])
 
 
 @pytest.mark.parametrize("label,nroots,order", [
@@ -29,7 +37,7 @@ def test_classical_counts(label, nroots, order):
     assert len(datum.all_roots) == nroots
     group = enumerate_weyl(datum)
     assert group.order == order
-    assert recognize_weyl_group(group) == label
+    assert datum_type(datum, group.order) == label
 
 
 def test_e6_has_72_roots_and_order_51840():
@@ -57,13 +65,10 @@ def test_weyl_elements_preserve_structure(label):
     datum = build_root_datum(label)
     group = enumerate_weyl(datum)
     neg = datum.negation_perm()
-    root_set = set(datum.all_roots)
     simples = datum.simple_indices
-    for k, p in enumerate(group.elements):
-        w = group.element(k)
-        assert w.commutes_with_negation()
-        # the induced lattice map sends roots to roots with the same pairings
-        mat = w.lattice_matrix()
+    for p in group.elements:
+        assert compose(p, neg) == compose(neg, p)
+        # the images of the simple roots have the same pairings
         for i in simples:
             for j in simples:
                 a = datum.all_roots[p[i]]
@@ -76,24 +81,24 @@ def test_weyl_elements_preserve_structure(label):
 def test_longest_element(label):
     datum = build_root_datum(label)
     group = enumerate_weyl(datum)
-    w0 = group.longest_element()
     pos = datum.positive_indices()
-    for k in pos:
-        assert sum(datum.all_roots[w0.perm[k]]) < 0
-    assert (w0 * w0).is_identity()
+    longest = [p for p in group.elements
+               if all(sum(datum.all_roots[p[k]]) < 0 for k in pos)]
+    assert len(longest) == 1
+    assert compose(longest[0], longest[0]) == identity_perm(len(datum.all_roots))
 
 
 def test_recognize_full_a2():
-    group = enumerate_weyl(build_root_datum("A2"))
-    assert recognize_weyl_group(group) == "A2"
+    datum = build_root_datum("A2")
+    assert datum_type(datum, enumerate_weyl(datum).order) == "A2"
 
 
 def test_b4_c4_disambiguation_by_lengths():
-    b4 = enumerate_weyl(build_root_datum("B4"))
-    c4 = enumerate_weyl(build_root_datum("C4"))
-    assert recognize_weyl_group(b4) == "B4"
-    assert recognize_weyl_group(c4) == "C4"
-    assert b4.order == c4.order  # equal orders force the length profile
+    b4, c4 = build_root_datum("B4"), build_root_datum("C4")
+    order = enumerate_weyl(b4).order
+    assert order == enumerate_weyl(c4).order  # equal orders force the length profile
+    assert datum_type(b4, order) == "B4"
+    assert datum_type(c4, order) == "C4"
 
 
 def test_e6_involution_fixed_group_is_f4():

@@ -135,7 +135,10 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
         nil_on_z = restrict_action(pair.ad(nil1), z)
         if nil_on_z is None:
             raise CatalogError("nilpotent part does not preserve its centralizer")
-        if len(nil_on_z.kernel_basis()) != pair.rank_g:
+        # z is reductive of rank rank g, so ker(nil on z) has dimension at
+        # least rank g, and a rank of dim z - rank g mod PRIME proves equality
+        if (nil_on_z.rank_mod_p() != len(z) - pair.rank_g
+                and len(nil_on_z.kernel_basis()) != pair.rank_g):
             raise CatalogError("nilpotent part is not regular in the centralizer")
     slots = _defining_slots(pair)
     # every orbit point has the eigenvalues of ss1, permuted across the slots

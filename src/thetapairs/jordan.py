@@ -64,7 +64,8 @@ def jordan_semisimple_part(m: ExactMatrix) -> ExactMatrix:
         dpx = _poly_of_matrix(poly_derivative(p), x)
         x = x - px @ dpx.inverse()
     else:
-        raise AssertionError("Newton iteration failed to terminate")
+        from .pairs import CatalogError   # pairs imports this module
+        raise CatalogError("Newton iteration failed to terminate")
     if not _poly_of_matrix(p, x).is_zero():
         raise ArithmeticError("Jordan semisimple part is not annihilated by p")
     if not x.commutator(m).is_zero():

@@ -137,10 +137,6 @@ def smith_normal_form(m: List[List[int]]) -> Tuple[List[List[int]], List[List[in
     return d, u, v
 
 
-def diagonal_of(d: List[List[int]]) -> List[int]:
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 @dataclass(frozen=True)
 class IntLattice:
     """A free Z-module of finite rank, optionally with an endomorphism."""

@@ -10,12 +10,20 @@ compactness tags) into an abstract root datum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO
 from .jordan import eigenspaces
-from .matrix import ExactMatrix, coordinates_in_basis, restrict_action
+from .matrix import (
+    PRIME,
+    ExactMatrix,
+    coordinates_in_basis,
+    modular_rank,
+    residue,
+    restrict_action,
+)
 from .rootsystem import RootDatum
 
 Vector = List[GaussRat]
@@ -150,6 +158,37 @@ class LinearAlgebraFrame:
                              for k, b in enumerate(self.basis)
                              for f, c in enumerate(b.entries) if not c.is_zero()]
         return self._entries
+
+    @cached_property
+    def _structure_residues(self) -> Optional[List[List[Tuple[int, int]]]]:
+        """The structure constants reduced mod PRIME, built once: entry i
+        lists (flat index, residue) for the nonzero constants of C_i, or
+        None when some constant has no residue."""
+        out = [[] for _ in range(self.dim)]
+        for i, f, c in self._structure_terms():
+            r = residue(c)
+            if r is None:
+                return None
+            out[i].append((f, r))
+        return out
+
+    def ad_rank_mod_p(self, coords: Sequence) -> Optional[int]:
+        """The rank of ad(coords) reduced mod PRIME, a lower bound on the
+        rank of `ad(coords)`, built from the structure residues without the
+        exact matrix; None when a coordinate or a structure constant has no
+        residue."""
+        terms = self._structure_residues
+        xs = [residue(c) for c in gvec(coords)]
+        if terms is None or None in xs:
+            return None
+        dim = self.dim
+        flat = [0] * (dim * dim)
+        for x, row in zip(xs, terms):
+            if x:
+                for f, c in row:
+                    flat[f] += c * x
+        return modular_rank([[v % PRIME for v in flat[r * dim:(r + 1) * dim]]
+                             for r in range(dim)])
 
     def ad(self, coords: Sequence) -> ExactMatrix:
         coords = gvec(coords)

@@ -14,7 +14,10 @@ An `ExactMatrix` is row-major and immutable after construction; its
   (`_field_values`);
 - products, sums and scalings skip zero entries;
 - `char_poly` reduces to Hessenberg form by similarity, O(n^3) field
-  operations.
+  operations;
+- `rank_mod_p` reduces the entries modulo a fixed prime and eliminates on
+  plain ints.  Its rank is a lower bound on `rank`, so it can certify that
+  a rank is as large as it can be without any exact elimination.
 
 Sizes stay at desk scale; entry growth from exact elimination is accepted.
 """
@@ -101,6 +104,49 @@ def _eliminate(rows: List[Dict[int, object]], cols: int) -> Tuple[List[int], lis
         values.append(p)
         r += 1
     return pivots, values, swaps
+
+
+# -- rank modulo a prime ------------------------------------------------------
+#
+# PRIME is 1 mod 4, so -1 has a square root in F_PRIME, and (a + b i)/d ->
+# (a + b SQRT_MINUS_ONE) d^-1 is a ring map onto F_PRIME from the Gaussian
+# rationals whose denominators are prime to PRIME.  A minor that is nonzero
+# mod PRIME is nonzero over Q(i), so the rank of a reduced matrix is a lower
+# bound on its rank over Q(i).
+
+PRIME = 2305843009213693921
+SQRT_MINUS_ONE = 583529827753931384   # squares to -1 mod PRIME
+
+
+def residue(x: GaussRat) -> Optional[int]:
+    """x reduced mod PRIME, or None when a denominator of x is divisible by
+    PRIME (it has no inverse there)."""
+    try:
+        re = x.re.numerator * pow(x.re.denominator, -1, PRIME)
+        im = x.im.numerator * pow(x.im.denominator, -1, PRIME)
+    except ValueError:
+        return None
+    return (re + im * SQRT_MINUS_ONE) % PRIME
+
+
+def modular_rank(rows: List[List[int]]) -> int:
+    """The rank over F_PRIME of a matrix of residues in [0, PRIME), given as
+    a list of rows; the rows are reduced in place."""
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        prow = rows[rank]
+        inv = pow(prow[c], -1, PRIME)
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][c]
+            if f:
+                f = f * inv % PRIME
+                rows[k] = [(a - f * b) % PRIME for a, b in zip(rows[k], prow)]
+        rank += 1
+    return rank
 
 
 class ExactMatrix:
@@ -285,6 +331,15 @@ class ExactMatrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
+
+    def rank_mod_p(self) -> Optional[int]:
+        """The rank of the matrix reduced mod PRIME, at most `rank`, or None
+        when some entry has no residue."""
+        values = [residue(e) for e in self.entries]
+        if None in values:
+            return None
+        return modular_rank([values[i * self.cols:(i + 1) * self.cols]
+                             for i in range(self.rows)])
 
     def kernel_basis(self) -> List[List[GaussRat]]:
         """Deterministic basis of the right null space.

@@ -174,8 +174,12 @@ class SymmetricPairRealization:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         return self.frame.bracket(x, y)
 
-    def centralizer_dim(self, coords: Sequence) -> int:
-        return len(self.ad(coords).kernel_basis())
+    def is_regular(self, coords: Sequence) -> bool:
+        """dim z_g(x) == rank g.  Every centralizer in the reductive g has
+        dimension at least rank g, so a rank of dim g - rank g for ad x mod
+        PRIME proves it; otherwise the exact kernel decides."""
+        return (self.frame.ad_rank_mod_p(coords) == self.dim_g - self.rank_g
+                or len(self.ad(coords).kernel_basis()) == self.rank_g)
 
     def sample_a_element(self, rng: random.Random) -> Vector:
         coeffs = [rng.randint(-9, 9) for _ in self.a_basis]
@@ -455,7 +459,7 @@ def _validate_matrix_pair(pair: SymmetricPairRealization):
         x = pair.sample_a_element(rng)
         if vec_is_zero(x):
             continue
-        if pair.centralizer_dim(x) == pair.rank_g:
+        if pair.is_regular(x):
             break
     else:
         raise CatalogError(f"{pair.pair_id}: no regular element found in a")

@@ -247,13 +247,7 @@ def identity_perm(n: int) -> bytes:
 @dataclass
 class WeylGroup:
     datum: RootDatum
-    generators: List[bytes]
     elements: List[bytes]
-    index: Dict[bytes, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {p: k for k, p in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -314,7 +308,7 @@ def enumerate_weyl(datum: RootDatum, bound: int = ENUMERATION_BOUND) -> WeylGrou
     """Full Weyl group by breadth-first closure over simple reflections."""
     gens = [datum.simple_reflection_perm(i) for i in range(datum.rank)]
     elements = _closure(gens, len(datum.all_roots), bound)
-    return WeylGroup(datum, gens, elements)
+    return WeylGroup(datum, elements)
 
 
 # -- type recognition --------------------------------------------------------

@@ -72,9 +72,9 @@ class ElementOfG1:
             ss = self.pair.to_coords(ss_m)
             nil = [a - b for a, b in zip(self.coords, ss)]
             if not self.pair.in_g1(ss):
-                raise AssertionError("semisimple part left g1")
+                raise CatalogError("semisimple part left g1")
             if not self.pair.in_g1(nil):
-                raise AssertionError("nilpotent part left g1")
+                raise CatalogError("nilpotent part left g1")
             self._ss, self._nil = ss, nil
         return self._ss, self._nil
 
@@ -83,9 +83,11 @@ class ElementOfG1:
 
 
 def is_regular(pair: SymmetricPairRealization, x) -> bool:
-    """dim ker(ad x on g) == rank(g); valid for quasi-split pairs."""
+    """dim ker(ad x on g) == rank(g), certified by the rank of ad x mod a
+    prime and decided by the exact kernel when that fails
+    (`SymmetricPairRealization.is_regular`)."""
     coords = x.coords if isinstance(x, ElementOfG1) else gvec(x)
-    return len(pair.ad(coords).kernel_basis()) == pair.rank_g
+    return pair.is_regular(coords)
 
 
 def chi1(pair: SymmetricPairRealization, x) -> Tuple[GaussRat, ...]:
@@ -254,11 +256,11 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
         sampled.add(coeffs)
         x = section.slice_point(coeffs)
         if not is_regular(pair, x):
-            raise AssertionError("slice sample is not regular")
+            raise CatalogError("slice sample is not regular")
         regular_count += 1
         key = chi1(pair, x)
         if key in seen:
-            raise AssertionError("chi1 is not injective on the slice")
+            raise CatalogError("chi1 is not injective on the slice")
         seen[key] = coeffs
     round_trips = 0
     for _ in range(n_round_trips):
@@ -313,7 +315,7 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
         raise ConjugationOutsideField("conjugation missed the Cartan subspace")
     theta_c = pair.theta_coords
     if theta_c @ ad_g @ theta_c != ad_g:
-        raise AssertionError("conjugator is not theta-fixed")
+        raise CatalogError("conjugator is not theta-fixed")
     return ad_g
 
 

@@ -51,7 +51,7 @@ def centralizer_plane(pair: SymmetricPairRealization, x) -> AbelianPlane:
         raise NotRegular("centralizer_plane needs a regular element")
     space = pair.frame.centralizer([coords], ambient=pair.g1_basis_coords())
     if len(space) != pair.rank_r1:
-        raise AssertionError("regular centralizer in g1 has the wrong dimension")
+        raise CatalogError("regular centralizer in g1 has the wrong dimension")
     return AbelianPlane(pair, space, source=list(coords))
 
 

@@ -246,12 +246,20 @@ def test_failed_realize_check_names_the_realize_stage(capsys, monkeypatch,
     assert err.splitlines() == [f"error: splitA:n=1: realize: {message}"]
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_bare_asserts():
-    # an assert vanishes under -O; mathematical checks must be explicit raises
+    # an assert vanishes under -O; mathematical checks must be explicit raises,
+    # and a failed internal check raises CatalogError, not AssertionError
     package = Path(thetapairs.__file__).resolve().parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and node.exc is not None
+             and _raises_assertion_error(node)]
     assert found == []
 
 

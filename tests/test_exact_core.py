@@ -25,12 +25,15 @@ from thetapairs.jordan import (
     jordan_decomposition,
     jordan_semisimple_part,
 )
-from thetapairs.lattice import diagonal_of, smith_normal_form
+from thetapairs.lattice import smith_normal_form
 from thetapairs.liealg import LinearAlgebraFrame, flag_stabilizer
 from thetapairs.matrix import (
+    PRIME,
+    SQRT_MINUS_ONE,
     ExactMatrix,
     coordinates_in_basis,
     independent_subset,
+    residue,
     restrict_action,
     span_eq,
     span_rank,
@@ -159,6 +162,59 @@ def sparse_matrices(draw, max_size=8, square=False):
     entries = draw(st.sampled_from([sparse_entries, real_sparse_entries]))
     return ExactMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
                                                  max_size=rows * cols)))
+
+
+def test_the_modulus_is_a_prime_with_a_square_root_of_minus_one():
+    from sympy import isprime
+
+    assert isprime(PRIME) and PRIME % 4 == 1
+    assert (SQRT_MINUS_ONE * SQRT_MINUS_ONE + 1) % PRIME == 0
+
+
+gauss_rationals = st.builds(GaussRat, st.fractions(-30, 30, max_denominator=12),
+                            st.fractions(-30, 30, max_denominator=12))
+
+
+@given(gauss_rationals, gauss_rationals)
+@settings(max_examples=80, deadline=None)
+def test_residue_is_a_ring_map(a, b):
+    assert residue(a * b) == residue(a) * residue(b) % PRIME
+    assert residue(a + b) == (residue(a) + residue(b)) % PRIME
+    if not a.is_zero():
+        assert residue(a) * residue(1 / a) % PRIME == 1
+
+
+def test_residue_exists_unless_a_denominator_is_divisible_by_the_prime():
+    assert residue(I) == SQRT_MINUS_ONE
+    assert residue(GaussRat(Fraction(1, PRIME))) is None
+    assert residue(GaussRat(0, Fraction(3, 2 * PRIME))) is None
+    m = mat([[GaussRat(Fraction(1, PRIME)), 0], [0, 1]])
+    assert m.rank_mod_p() is None and m.rank() == 2
+    # a bound, not the rank: PRIME itself reduces to 0
+    assert mat([[PRIME]]).rank_mod_p() == 0
+
+
+@given(sparse_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_mod_p_never_exceeds_the_domain_matrix_rank(m):
+    assert m.rank_mod_p() <= _oracle_rank(m)
+
+
+# Gaussian integers with |re|, |im| <= 3 in at most 8 columns: by Hadamard's
+# bound every minor has norm below PRIME, so none that is nonzero vanishes
+# mod PRIME and the two ranks agree
+@st.composite
+def small_gaussian_integer_matrices(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(ZERO), st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)))
+    return ExactMatrix(rows, cols, draw(st.lists(entry, min_size=rows * cols,
+                                                 max_size=rows * cols)))
+
+
+@given(small_gaussian_integer_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_mod_p_is_the_rank_below_the_hadamard_bound(m):
+    assert m.rank_mod_p() == _oracle_rank(m)
 
 
 @given(sparse_matrices())
@@ -517,6 +573,10 @@ def _rational_rank(m):
                 work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+def diagonal_of(d):
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def test_snf_swap_involution_coinvariants():

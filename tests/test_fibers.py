@@ -18,8 +18,8 @@ from thetapairs.fibers import (
 )
 from thetapairs.diagonal import diagonal_isomorphism_check
 from thetapairs.involutions import SplitWeylLifts, compute_subgroups
-from thetapairs.liealg import gvec
-from thetapairs.matrix import coordinates_in_basis
+from thetapairs.liealg import LinearAlgebraFrame, gvec
+from thetapairs.matrix import ExactMatrix, coordinates_in_basis
 from thetapairs.rootsystem import enumerate_weyl
 
 
@@ -53,6 +53,18 @@ def test_fiber_cardinalities(spec):
     deg = mixed_degenerate_element(pair)
     rep_d = fiber_over_regular(pair, deg)
     assert rep_d.cardinality == rep_d.orbit_size_formula
+
+
+@pytest.mark.parametrize("spec", ["splitA:n=2", "glgl:n=2"])
+def test_fibers_without_the_modular_certificate(spec, monkeypatch):
+    # with no rank mod PRIME available, the exact kernels decide the same fibers
+    pair = realize(spec)
+    elements = [ElementOfG1.from_coords(pair, build_kw_section(pair).e),
+                mixed_degenerate_element(pair)]
+    certified = [fiber_over_regular(pair, x) for x in elements]
+    monkeypatch.setattr(ExactMatrix, "rank_mod_p", lambda self: None)
+    monkeypatch.setattr(LinearAlgebraFrame, "ad_rank_mod_p", lambda self, coords: None)
+    assert [fiber_over_regular(pair, x) for x in elements] == certified
 
 
 def test_glgl2_degenerate_fiber_is_four():

@@ -115,7 +115,8 @@ def test_quasi_split_witness_regular_element():
             x = p.sample_a_element(rng)
             if vec_is_zero(x):
                 continue
-            if p.centralizer_dim(x) == p.rank_g:
+            if p.is_regular(x):
+                assert len(p.ad(x).kernel_basis()) == p.rank_g
                 found = True
                 break
         assert found

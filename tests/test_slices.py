@@ -1,11 +1,14 @@
 """Elements of g1, the quotient map, and Kostant-Weierstrass slices."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from thetapairs.gaussian import GaussRat, I, ZERO
-from thetapairs.matrix import ExactMatrix
+from thetapairs.gaussian import GaussRat, I, ONE, ZERO
+from thetapairs.matrix import PRIME, ExactMatrix
 from thetapairs.pairs import MATRIX_CATALOG, realize
 from thetapairs.slices import (
     ConjugationOutsideField,
@@ -68,6 +71,91 @@ def test_is_regular_examples():
     assert is_regular(p, a_combo(p, [1, 3]))  # distinct eigenvalue coordinates
     section = build_kw_section(p)
     assert is_regular(p, section.e)
+
+
+def _exact_regular(pair, x):
+    return len(pair.ad(x).kernel_basis()) == pair.rank_g
+
+
+small_gauss = st.builds(GaussRat, st.integers(-3, 3), st.integers(-1, 1))
+sparse_gauss = st.one_of(st.just(ZERO), st.just(ZERO), small_gauss)
+
+
+@st.composite
+def g1_points(draw):
+    """A catalog pair and a point of its g1: a random g1 point, an a-point
+    (small coordinates put many on walls), 0, a multiple of the slice's e, a
+    random nilpotent (g1 parts of positive roots of the theta-stable Borel)
+    or a slice point."""
+    p = realize(draw(st.sampled_from(MATRIX_CATALOG)))
+    kind = draw(st.sampled_from(["g1", "a", "zero", "e", "nilpotent", "slice"]))
+    if kind == "g1":
+        x = [ZERO] * p.dim_g0 + draw(st.lists(sparse_gauss, min_size=p.dim_g1,
+                                              max_size=p.dim_g1))
+    elif kind == "a":
+        x = a_combo(p, draw(st.lists(st.integers(-2, 2), min_size=p.rank_r1,
+                                     max_size=p.rank_r1)))
+    elif kind == "zero":
+        x = [ZERO] * p.dim_g
+    elif kind == "e":
+        c = draw(st.builds(GaussRat, st.integers(1, 3), st.integers(-1, 1)))
+        x = [c * v for v in build_kw_section(p).e]
+    elif kind == "nilpotent":
+        fund = p.fund_roots
+        x = [ZERO] * p.dim_g
+        for k in fund.positive:
+            c = draw(st.sampled_from([ZERO, ONE, -ONE, I]))
+            x = [a + c * b for a, b in zip(x, p.g1_part(fund.root_vectors[k]))]
+    else:
+        coeffs = draw(st.lists(sparse_gauss, min_size=p.rank_r1, max_size=p.rank_r1))
+        x = build_kw_section(p).slice_point(coeffs)
+    return p, x
+
+
+@given(g1_points())
+@settings(max_examples=120, deadline=None)
+def test_is_regular_matches_the_exact_kernel(case):
+    p, x = case
+    assert p.in_g1(x)
+    expected = _exact_regular(p, x)
+    event("regular" if expected else "not regular")
+    assert is_regular(p, x) == expected
+    # the certificate is a lower bound on the exact rank
+    assert p.frame.ad_rank_mod_p(x) <= p.ad(x).rank()
+
+
+def test_coordinates_without_a_useful_residue_take_the_exact_path(monkeypatch):
+    p = realize("splitA:n=2")
+    regular = a_combo(p, [1, 3])
+    wall = a_combo(p, [1, 2])   # two equal eigenvalues
+    assert _exact_regular(p, regular) and not _exact_regular(p, wall)
+    exact_calls = []
+    ad = p.ad
+    monkeypatch.setattr(p, "ad", lambda coords: exact_calls.append(1) or ad(coords))
+    # a denominator divisible by PRIME: no residue, no bound
+    no_residue = GaussRat(Fraction(1, PRIME))
+    assert p.frame.ad_rank_mod_p([no_residue * c for c in regular]) is None
+    assert is_regular(p, [no_residue * c for c in regular])
+    assert not is_regular(p, [no_residue * c for c in wall])
+    # a multiple of PRIME: ad x vanishes mod PRIME, so the bound is too low
+    unlucky = [GaussRat(PRIME) * c for c in regular]
+    assert p.frame.ad_rank_mod_p(unlucky) == 0
+    assert is_regular(p, unlucky)
+    assert len(exact_calls) == 3
+    # the certificate alone decides a regular point with residues
+    assert is_regular(p, regular) and len(exact_calls) == 3
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_slice_samples_are_certified_regular(spec):
+    # kw_audit's samples need no exact kernel: ad x has rank dim g - rank g mod PRIME
+    p = realize(spec)
+    section = build_kw_section(p)
+    rng = random.Random(5)
+    for _ in range(10):
+        x = section.slice_point([GaussRat(rng.randint(-40, 40), rng.randint(-3, 3))
+                                 for _ in range(p.rank_r1)])
+        assert p.frame.ad_rank_mod_p(x) == p.dim_g - p.rank_g
 
 
 def test_jordan_parts_stay_in_g1():

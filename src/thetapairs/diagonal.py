@@ -69,12 +69,15 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
 
 class Completion(NamedTuple):
     """psi's completion of (X, B1) with the spans it was decided on, all in
-    frame coordinates: Lie(B1), z = Z_g(X_ss), Z_B1(X_ss) and Lie(B2)."""
+    frame coordinates: Lie(B1), z = Z_g(X_ss), Z_B1(X_ss), Lie(B2),
+    B1 cap B2 and Z_B2(X_ss)."""
     flag: Flag
     b1: List[List[GaussRat]]
     z: List[List[GaussRat]]
     z_b1: List[List[GaussRat]]
     b2: List[List[GaussRat]]
+    inter: List[List[GaussRat]]
+    z_b2: List[List[GaussRat]]
 
 
 def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
@@ -93,7 +96,7 @@ def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
             continue
         z_b2 = intersect_spans(b2, z)
         if span_eq(z_b2, z_b1):
-            matches.append(Completion(flag, b1, z, z_b1, b2))
+            matches.append(Completion(flag, b1, z, z_b1, b2, inter, z_b2))
     return matches[0] if len(matches) == 1 else None
 
 
@@ -204,8 +207,6 @@ def _is_pair_point(frame, x, completion: Completion) -> bool:
     """The defining property of the restricted family for diagonal pairs:
     B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2, checked on the spans
     the completion was built from."""
-    b1, z, z_b1, b2 = completion.b1, completion.z, completion.z_b1, completion.b2
-    inter = intersect_spans(b1, b2)
-    z_b2 = intersect_spans(b2, z)
-    return (span_eq(inter, z_b1) and span_eq(inter, z_b2)
+    inter, b2 = completion.inter, completion.b2
+    return (span_eq(inter, completion.z_b1) and span_eq(inter, completion.z_b2)
             and coordinates_in_basis(b2, frame.to_coords(x)) is not None)

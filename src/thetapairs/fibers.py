@@ -48,7 +48,6 @@ from .matrix import (
     intersect_spans,
     restrict_action,
     span_eq,
-    span_rank,
 )
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import compose, enumerate_weyl, invert
@@ -249,25 +248,30 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
 def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
     """Exact checks; returns whether the literal characterization
     B(theta) = Z_B(X_ss) holds at this point.  The witness, z and their
-    intersection are bases, so their lengths are their dimensions."""
+    intersection are bases, so their lengths are their dimensions.
+
+    With theta = diag(+1 on g0, -1 on g1), a span V meets g0 in dimension
+    dim V - rank(g1 block of V) and g1 in dim V - rank(g0 block of V), and
+    V is theta-stable exactly when it is the sum of those two.  B cap theta B
+    is theta-stable, so it is (B cap g0) + (B cap g1); and Z_B(X_ss), once
+    theta-stable, lies in B cap theta B, so the literal equality is one of
+    dimensions."""
     expected_dim = (pair.dim_g + pair.rank_g) // 2
     if len(witness) != expected_dim:
         raise CatalogError("witness is not a Borel subalgebra (wrong dimension)")
     x1 = [a + b for a, b in zip(ss1, nil1)]
     if coordinates_in_basis(witness, x1) is None:
         raise CatalogError("element does not lie in its fiber Borel")
-    theta_w = [pair.theta_apply(v) for v in witness]
-    b_theta = intersect_spans(witness, theta_w)
     z_b = intersect_spans(witness, z)
     # Z_B(X_ss) must be a regular theta-stable Borel subalgebra of the Levi
-    theta_zb = [pair.theta_apply(v) for v in z_b]
-    if not span_eq(z_b, theta_zb):
+    if pair.g0_rank(z_b) + pair.g1_rank(z_b) != len(z_b):
         raise CatalogError("Z_B(X_ss) is not theta-stable")
     if len(z_b) != (len(z) + pair.rank_g) // 2:
         raise CatalogError("Z_B(X_ss) is not a Borel subalgebra of the Levi")
     if not vec_is_zero(nil1) and coordinates_in_basis(z_b, nil1) is None:
         raise CatalogError("nilpotent part escapes Z_B(X_ss)")
-    return span_eq(b_theta, z_b)
+    b_theta_dim = 2 * len(witness) - pair.g0_rank(witness) - pair.g1_rank(witness)
+    return b_theta_dim == len(z_b)
 
 
 # -- G0 lifts of the little Weyl group and fiber conjugators --------------------
@@ -283,7 +287,6 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
     the generated group; the catalog pairs are fully covered.
     """
     split = pair.split_roots
-    theta_c = pair.theta_coords
     neg = split.negation()
     gens: List[Tuple[bytes, ExactMatrix]] = []
     seen_orbits = set()
@@ -308,13 +311,13 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
             seen_orbits.update({k, neg[k], img, neg[img]})
             m1 = reflection_lift(pair, e, split.root_vectors[neg[k]],
                                  split.torus, split.weights[k])
-            m_theta = theta_c @ m1 @ theta_c
+            m_theta = pair.theta_conjugate(m1)
             if m1 @ m_theta != m_theta @ m1:
                 continue
             m = m1 @ m_theta
         else:
             continue
-        if theta_c @ m @ theta_c != m:
+        if pair.theta_conjugate(m) != m:
             continue
         try:
             perm = torus_action_perm(split, m)
@@ -521,7 +524,7 @@ def _cayley_to_fundamental(pair, z_basis: List[Vector], torus: List[Vector]):
             decomposition = weight_decomposition(frame, torus, ambient=z_basis)
         except SplittingFieldTooLarge as exc:
             raise CentralizerTorusError(str(exc)) from exc
-        theta_t = restrict_action(pair.theta_coords, torus)
+        theta_t = restrict_action(pair.theta_apply, torus)
         if theta_t is None:
             raise CentralizerTorusError("the torus is not theta-stable")
         # the weight alpha o theta, in coordinates on the torus
@@ -601,9 +604,8 @@ def _class_audit(pair: SymmetricPairRealization, a_point: Vector, rdata: Concret
     for cls in classes:
         positive = [cls.rep_perm[k] for k in rdata.positive]
         pos_vectors = [rdata.root_vectors[k] for k in positive]
-        b_theta = rdata.torus + pos_vectors
-        b_g0 = span_rank([pair.g0_part(v) for v in b_theta])
-        n_g1 = span_rank([pair.g1_part(v) for v in pos_vectors])
+        b_g0 = pair.g0_rank(rdata.torus + pos_vectors)
+        n_g1 = pair.g1_rank(pos_vectors)
         audits.append(CentralizerClassAudit(
             regular=cls.regular,
             class_size=cls.class_size,
@@ -631,7 +633,7 @@ def _fundamental_root_data(pair, z_basis, t_fund) -> ConcreteRootData:
                   for a, b in zip(h0, t)]
         try:
             return build_concrete_root_data(
-                frame, t_fund, pair.theta_coords, h0,
+                frame, t_fund, pair.theta_apply, h0,
                 compute_compactness=True, ambient=z_basis)
         except ValueError as exc:
             last_error = exc

@@ -1,11 +1,10 @@
 """Weyl-group-with-involution combinatorics.
 
-Root classification, the subgroup chain W0 <= W^theta <= W, the little
-Weyl group, the torsor of theta-split Borels over the maximally split
-torus, detection of regular theta-stable Borels (semantic matrix test
-cross-validated against the compact-simple-root shortcut), and the
-canonical involution on the universal Cartan recomputed from every
-theta-split Borel choice.
+The subgroup chain W0 <= W^theta <= W, the little Weyl group, the torsor
+of theta-split Borels over the maximally split torus, detection of
+regular theta-stable Borels (semantic matrix test cross-validated against
+the compact-simple-root shortcut), and the canonical involution on the
+universal Cartan recomputed from every theta-split Borel choice.
 """
 
 from __future__ import annotations
@@ -22,46 +21,6 @@ from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_p
 
 class MissingCompactness(Exception):
     pass
-
-
-# -- root classification -----------------------------------------------------
-
-
-def classify_roots(rdi) -> Dict[str, List[int]]:
-    """Partition root indices into real / imaginary compact / imaginary
-    noncompact / complex.
-
-    Accepts a ConcreteRootData or CombinatorialData; imaginary roots must
-    carry compactness tags.
-    """
-    datum, theta_perm, compactness = _unpack(rdi)
-    neg = datum.negation_perm()
-    out: Dict[str, List[int]] = {
-        "real": [], "imaginary_compact": [], "imaginary_noncompact": [], "complex": [],
-    }
-    for k in range(len(datum.all_roots)):
-        img = theta_perm[k]
-        if img == k:
-            if compactness is None or k not in compactness:
-                raise MissingCompactness(f"imaginary root {k} lacks a compactness tag")
-            out[f"imaginary_{compactness[k]}"].append(k)
-        elif img == neg[k]:
-            out["real"].append(k)
-        else:
-            out["complex"].append(k)
-    if len(out["complex"]) % 2:
-        raise CatalogError("complex roots do not come in theta-pairs")
-    for k in out["complex"]:
-        if theta_perm[theta_perm[k]] != k:
-            raise CatalogError(f"theta does not pair complex root {k} with its image")
-    return out
-
-
-def _unpack(rdi):
-    datum = rdi.datum
-    theta_perm = rdi.theta_perm
-    compactness = getattr(rdi, "compactness", None)
-    return datum, theta_perm, compactness
 
 
 # -- subgroup chain ------------------------------------------------------------
@@ -344,13 +303,17 @@ def regular_classes(pair: SymmetricPairRealization, rdata: ConcreteRootData,
             seen.update((s, rdata.theta_perm[s]))
             part = pair.g1_part(rdata.root_vectors[s])
             witness = [a + b for a, b in zip(witness, part)]
-        ad_w = pair.ad(witness)
-        if z_basis is not None:
-            ad_w = restrict_action(ad_w, z_basis)
+        if z_basis is None:
+            regular = pair.is_regular(witness)
+        else:
+            ad_w = restrict_action(pair.ad(witness), z_basis)
             if ad_w is None:
                 raise CatalogError(f"{pair.pair_id}: a class witness does not "
                                    "preserve the centralizer")
-        regular = len(ad_w.kernel_basis()) == pair.rank_g
+            # the view is reductive of rank rank g, so as in `is_regular` a
+            # rank of dim z - rank g mod PRIME proves dim z_z(witness) = rank g
+            regular = (ad_w.rank_mod_p() == len(z_basis) - pair.rank_g
+                       or len(ad_w.kernel_basis()) == pair.rank_g)
         shortcut = compact_simple is None
         if regular != shortcut:
             raise CatalogError(
@@ -468,7 +431,7 @@ def canonical_involution(pair: SymmetricPairRealization) -> CanonicalInvolution:
     gives the bitwise same matrix; whether it squares to 1 and its fixed
     dimension are reported, not asserted."""
     pair.require_matrix_level()
-    theta_t = restrict_action(pair.theta_coords, pair.split_roots.torus)
+    theta_t = restrict_action(pair.theta_apply, pair.split_roots.torus)
     if theta_t is None:
         raise CatalogError(f"{pair.pair_id}: the split torus is not theta-stable")
     lifts = SplitWeylLifts.of(pair)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO
 from .jordan import eigenspaces
@@ -372,7 +372,7 @@ def is_positive_value(value: GaussRat) -> bool:
 def build_concrete_root_data(
     frame: LinearAlgebraFrame,
     torus: Sequence[Vector],
-    theta_coords: ExactMatrix,
+    theta: Callable[[Vector], Vector],
     regular_element: Vector,
     compute_compactness: bool,
     ambient: Optional[Sequence[Vector]] = None,
@@ -381,8 +381,9 @@ def build_concrete_root_data(
 
     `regular_element` (coordinates of a torus element) defines positivity
     through the lexicographic order on Q(i); it must not annihilate any
-    root.  Compactness is tagged through the theta eigenvalue on imaginary
-    root spaces when requested.
+    root.  `theta` applies the involution to coordinates.  Compactness is
+    tagged through the theta eigenvalue on imaginary root spaces when
+    requested.
     """
     torus = [gvec(t) for t in torus]
     decomposition = weight_decomposition(frame, torus, ambient=ambient)
@@ -414,7 +415,7 @@ def build_concrete_root_data(
     positive = tuple(k for k, v in enumerate(values) if is_positive_value(v))
 
     # theta action on roots
-    theta_t = restrict_action(theta_coords, torus)
+    theta_t = restrict_action(theta, torus)
     if theta_t is None:
         raise ValueError("torus is not theta-stable")
     # the weight alpha o theta, in coordinates on the torus
@@ -436,7 +437,7 @@ def build_concrete_root_data(
         for k, vec in enumerate(vectors):
             if perm[k] != k:
                 continue
-            img = theta_coords.apply(vec)
+            img = theta(vec)
             if img == vec:
                 compactness[k] = "compact"
             elif img == [-x for x in vec]:

@@ -511,15 +511,17 @@ def coordinates_in_basis(basis: Sequence[Sequence], target: Sequence):
     return ExactMatrix.from_columns(basis).solve(target)
 
 
-def restrict_action(action: ExactMatrix, basis: Sequence[Sequence]) -> Optional[ExactMatrix]:
+def restrict_action(action, basis: Sequence[Sequence]) -> Optional[ExactMatrix]:
     """Matrix, in the given (independent) basis, of an action that preserves
-    its span, or None when some image leaves the span.
+    its span, or None when some image leaves the span.  The action is an
+    `ExactMatrix` or a function on coordinate vectors.
 
     All images are solved by one elimination of [B | action B]."""
     d = len(basis)
     if not d:
         return ExactMatrix.zero(0, 0)
-    images = [action.apply(b) for b in basis]
+    apply = action.apply if isinstance(action, ExactMatrix) else action
+    images = [apply(b) for b in basis]
     red, pivots = ExactMatrix.from_columns(list(basis) + images).rref()
     if pivots and pivots[-1] >= d:
         return None
@@ -530,13 +532,18 @@ def restrict_action(action: ExactMatrix, basis: Sequence[Sequence]) -> Optional[
 
 
 def intersect_spans(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List[GaussRat]]:
-    """Basis of span(a) ∩ span(b), deterministic."""
+    """Basis of span(a) ∩ span(b), deterministic, by one elimination
+    (Zassenhaus): the rows (u, u) for u in a and (w, 0) for w in b span
+    {(u + w, u)}, whose vectors with a zero left half are (0, u) for u in
+    both spans.  The reduced rows pivoting in the right half are a basis of
+    those vectors."""
     if not a or not b:
         return []
-    m = ExactMatrix.from_columns(list(a) + list(b))
-    amat = ExactMatrix.from_columns(a)
-    # the kernel basis may over-count; reduce to an independent set
-    return independent_subset([amat.apply(vec[:len(a)]) for vec in m.kernel_basis()])
+    n = len(a[0])
+    zero = [ZERO] * n
+    red, pivots = ExactMatrix.from_rows([list(u) * 2 for u in a]
+                                        + [list(w) + zero for w in b]).rref()
+    return [red.row(r)[n:] for r, pc in enumerate(pivots) if pc >= n]
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[List[GaussRat]]:

@@ -21,6 +21,10 @@ the basis): antisymmetry on every basis pair i < j, Jacobi as
 ad([b_i, b_j]) b_l = [b_i, [b_j, b_l]] - [b_j, [b_i, b_l]] on every such pair
 and every l, and theta, once it is diag(+1 on g0, -1 on g1) on the adapted
 basis, as s_i s_j s_k = 1 wherever c^k_ij is nonzero.
+
+That theta is the pair's sign vector: the builders check theta(b) = +b on
+the first dim_g0 basis matrices and theta(b) = -b on the rest, at matrix
+level, and every later reader of theta reads the two coordinate blocks.
 """
 
 from __future__ import annotations
@@ -112,7 +116,6 @@ class SymmetricPairRealization:
     frame: Optional[LinearAlgebraFrame] = None
     dim_g0: int = 0
     dim_g1: int = 0
-    theta_coords: Optional[ExactMatrix] = None
     a_basis: List[Vector] = field(default_factory=list)
     t_split_basis: List[Vector] = field(default_factory=list)
     split_roots: Optional[ConcreteRootData] = None
@@ -141,26 +144,38 @@ class SymmetricPairRealization:
         self.require_matrix_level()
         return self.frame.from_coords(coords)
 
+    # -- theta: diag(+1 on the first dim_g0 coordinates, -1 on the rest) --
+
     def theta_apply(self, coords: Sequence) -> Vector:
-        return self.theta_coords.apply(gvec(coords))
+        coords = gvec(coords)
+        return coords[:self.dim_g0] + [-c for c in coords[self.dim_g0:]]
 
     def g0_part(self, coords: Sequence) -> Vector:
-        coords = gvec(coords)
-        half = self.theta_apply(coords)
-        return [(a + b) / 2 for a, b in zip(coords, half)]
+        return gvec(coords)[:self.dim_g0] + [ZERO] * self.dim_g1
 
     def g1_part(self, coords: Sequence) -> Vector:
-        coords = gvec(coords)
-        half = self.theta_apply(coords)
-        return [(a - b) / 2 for a, b in zip(coords, half)]
+        return [ZERO] * self.dim_g0 + gvec(coords)[self.dim_g0:]
 
     def in_g1(self, coords: Sequence) -> bool:
-        coords = gvec(coords)
-        return self.theta_apply(coords) == [-c for c in coords]
+        return vec_is_zero(gvec(coords)[:self.dim_g0])
 
     def in_g0(self, coords: Sequence) -> bool:
-        coords = gvec(coords)
-        return self.theta_apply(coords) == coords
+        return vec_is_zero(gvec(coords)[self.dim_g0:])
+
+    def g0_rank(self, vectors: Sequence[Sequence]) -> int:
+        """dim of the g0 parts of span(vectors): the rank of their g0 block."""
+        return span_rank([gvec(v)[:self.dim_g0] for v in vectors])
+
+    def g1_rank(self, vectors: Sequence[Sequence]) -> int:
+        """dim of the g1 parts of span(vectors): the rank of their g1 block."""
+        return span_rank([gvec(v)[self.dim_g0:] for v in vectors])
+
+    def theta_conjugate(self, m: ExactMatrix) -> ExactMatrix:
+        """theta m theta for a coordinate matrix m: entry (i, j) changes sign
+        by s_i s_j, that is, on the g0 <-> g1 blocks."""
+        d0, n = self.dim_g0, m.cols
+        return ExactMatrix(m.rows, n, [-e if (k // n < d0) != (k % n < d0) else e
+                                       for k, e in enumerate(m.entries)])
 
     def g0_basis_coords(self) -> List[Vector]:
         return ExactMatrix.identity(self.dim_g).row_lists()[:self.dim_g0]
@@ -237,7 +252,6 @@ def _build_splitA(n: int) -> SymmetricPairRealization:
     def theta(m: ExactMatrix) -> ExactMatrix:
         return -m.transpose()
 
-    theta_coords = _theta_coords_matrix(frame, theta)
     a_basis = [frame.to_coords(_unit(N, i, i) - _unit(N, i + 1, i + 1))
                for i in range(N - 1)]
     mean = Fraction(sum(range(N)), N)
@@ -250,7 +264,7 @@ def _build_splitA(n: int) -> SymmetricPairRealization:
     h_fund = _combine(rot, [GaussRat(2 ** j) for j in range(len(rot))])
 
     return _assemble_matrix_pair(
-        PairSpec("splitA", n=n), frame, len(g0), theta_coords,
+        PairSpec("splitA", n=n), frame, len(g0), theta,
         a_basis, h_a, t_fund, h_fund, rank_g=N - 1,
     )
 
@@ -268,7 +282,6 @@ def _build_glgl(n: int) -> SymmetricPairRealization:
     def theta(m: ExactMatrix) -> ExactMatrix:
         return eps @ m @ eps
 
-    theta_coords = _theta_coords_matrix(frame, theta)
     a_basis = [frame.to_coords(_unit(N, j, n + j) + _unit(N, n + j, j))
                for j in range(n)]
     h_a = _combine(a_basis, [GaussRat(j + 1) for j in range(n)])
@@ -277,7 +290,7 @@ def _build_glgl(n: int) -> SymmetricPairRealization:
     h_fund = _combine(t_fund, [GaussRat(2 ** i) for i in range(N)])
 
     return _assemble_matrix_pair(
-        PairSpec("glgl", n=n), frame, len(same), theta_coords,
+        PairSpec("glgl", n=n), frame, len(same), theta,
         a_basis, h_a, t_fund, h_fund, rank_g=N,
     )
 
@@ -296,7 +309,6 @@ def _build_diag(base: str) -> SymmetricPairRealization:
     def theta(m: ExactMatrix) -> ExactMatrix:
         return swap @ m @ swap
 
-    theta_coords = _theta_coords_matrix(frame, theta)
     diag_sl = [_unit(k, i, i) - _unit(k, i + 1, i + 1) for i in range(k - 1)]
     a_basis = [frame.to_coords(ExactMatrix.block_diagonal(h, -h)) for h in diag_sl]
     mean = Fraction(sum(range(k)), k)
@@ -309,27 +321,28 @@ def _build_diag(base: str) -> SymmetricPairRealization:
     h_fund = frame.to_coords(h_fund_m)
 
     return _assemble_matrix_pair(
-        PairSpec("diag", base=base), frame, len(g0), theta_coords,
+        PairSpec("diag", base=base), frame, len(g0), theta,
         a_basis, h_a, t_fund, h_fund, rank_g=2 * (k - 1),
     )
 
 
-def _theta_coords_matrix(frame: LinearAlgebraFrame, theta) -> ExactMatrix:
-    cols = [frame.to_coords(theta(b)) for b in frame.basis]
-    return ExactMatrix.from_columns(cols)
+def _check_adapted_basis(pair_id: str, frame: LinearAlgebraFrame, dim_g0: int, theta):
+    """The defining involution theta (on matrices) is diag(+1 on the first
+    dim_g0 basis matrices, -1 on the rest); this makes theta an involution
+    and the pair's sign vector trustworthy."""
+    for k, b in enumerate(frame.basis):
+        if theta(b) != (b if k < dim_g0 else -b):
+            raise CatalogError(f"{pair_id}: basis not adapted to theta at index {k}")
 
 
-def _assemble_matrix_pair(spec, frame, dim_g0, theta_coords,
+def _assemble_matrix_pair(spec, frame, dim_g0, theta,
                           a_basis, h_a, t_fund, h_fund, rank_g):
+    _check_adapted_basis(spec.render(), frame, dim_g0, theta)
     split_torus = frame.centralizer(a_basis)
     if len(split_torus) != rank_g:
         raise CatalogError(
             f"{spec.render()}: centralizer of a has dimension {len(split_torus)}, "
             f"expected rank {rank_g} (pair not quasi-split as realized)")
-    split_roots = build_concrete_root_data(
-        frame, split_torus, theta_coords, h_a, compute_compactness=False)
-    fund_roots = build_concrete_root_data(
-        frame, t_fund, theta_coords, h_fund, compute_compactness=True)
     pair = SymmetricPairRealization(
         pair_id=spec.render(),
         spec=spec,
@@ -339,13 +352,14 @@ def _assemble_matrix_pair(spec, frame, dim_g0, theta_coords,
         frame=frame,
         dim_g0=dim_g0,
         dim_g1=frame.dim - dim_g0,
-        theta_coords=theta_coords,
         a_basis=[gvec(a) for a in a_basis],
         t_split_basis=split_torus,
-        split_roots=split_roots,
-        fund_roots=fund_roots,
         split_positivity=gvec(h_a),
     )
+    pair.split_roots = build_concrete_root_data(
+        frame, split_torus, pair.theta_apply, h_a, compute_compactness=False)
+    pair.fund_roots = build_concrete_root_data(
+        frame, t_fund, pair.theta_apply, h_fund, compute_compactness=True)
     _validate_matrix_pair(pair)
     return pair
 
@@ -400,17 +414,6 @@ def _build_e6qs() -> SymmetricPairRealization:
 def _validate_matrix_pair(pair: SymmetricPairRealization):
     frame = pair.frame
     dim = frame.dim
-    theta_c = pair.theta_coords
-
-    if theta_c @ theta_c != ExactMatrix.identity(dim):
-        raise CatalogError(f"{pair.pair_id}: theta^2 != id")
-
-    # adapted basis: +1 block then -1 block
-    for k, unit in enumerate(ExactMatrix.identity(dim).row_lists()):
-        want = unit if k < pair.dim_g0 else [-u for u in unit]
-        if theta_c.column(k) != want:
-            raise CatalogError(f"{pair.pair_id}: basis not adapted to theta at index {k}")
-
     table = frame.structure_table()
     # antisymmetry: column j of ad(b_i) is minus column i of ad(b_j)
     for i in range(dim):
@@ -518,12 +521,6 @@ def root_decomposition(pair: SymmetricPairRealization) -> ConcreteRootData:
     involution and compactness tags; matrix-level pairs only."""
     pair.require_matrix_level()
     return pair.fund_roots
-
-
-def split_root_decomposition(pair: SymmetricPairRealization) -> ConcreteRootData:
-    """Roots of the maximally split torus Z(a); matrix-level pairs only."""
-    pair.require_matrix_level()
-    return pair.split_roots
 
 
 MATRIX_CATALOG = ("splitA:n=1", "splitA:n=2", "splitA:n=3",

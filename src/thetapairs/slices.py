@@ -313,8 +313,8 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
     image = ad_g.apply(ss)
     if coordinates_in_basis(pair.a_basis, image) is None:
         raise ConjugationOutsideField("conjugation missed the Cartan subspace")
-    theta_c = pair.theta_coords
-    if theta_c @ ad_g @ theta_c != ad_g:
+    # theta-fixed: Ad(g) has no g0 <-> g1 blocks
+    if pair.theta_conjugate(ad_g) != ad_g:
         raise CatalogError("conjugator is not theta-fixed")
     return ad_g
 

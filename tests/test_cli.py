@@ -263,6 +263,16 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
+def test_package_has_no_dense_theta():
+    # theta is the pair's sign vector (+1 on g0, -1 on g1 coordinates); a
+    # dense dim g x dim g form of it is an oracle of the tests only
+    package = Path(thetapairs.__file__).resolve().parent
+    found = [f"{path.name}:{lineno}" for path in sorted(package.glob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if "theta_coords" in line]
+    assert found == []
+
+
 def test_perfbench_trace_targets_resolve():
     # perfbench/run.py --trace 1 wraps these names from outside the package
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -33,6 +33,7 @@ from thetapairs.matrix import (
     ExactMatrix,
     coordinates_in_basis,
     independent_subset,
+    intersect_spans,
     residue,
     restrict_action,
     span_eq,
@@ -362,6 +363,35 @@ def test_span_eq_matches_domain_matrix_ranks(data):
 
     want = rank(a) == rank(b) == rank(a + b)
     assert span_eq(a, b) == want == span_eq(b, a)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_intersect_spans_matches_domain_matrix_ranks(data):
+    # a and b may be empty, dependent or share vectors; b mixes
+    # recombinations of a, fresh vectors and zero vectors
+    n = data.draw(st.integers(1, 5))
+    entries = data.draw(st.sampled_from([sparse_entries, real_sparse_entries]))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    a = data.draw(st.lists(vectors, max_size=5))
+    combos = []
+    if a:
+        coeffs = st.lists(sparse_entries, min_size=len(a), max_size=len(a))
+        combos = [ExactMatrix.from_columns(a).apply(c)
+                  for c in data.draw(st.lists(coeffs, max_size=3))]
+    zeros = [[ZERO] * n] * data.draw(st.integers(0, 1))
+    b = data.draw(st.permutations(combos + data.draw(st.lists(vectors, max_size=3)) + zeros))
+
+    def rank(vs):
+        return _oracle_rank(ExactMatrix.from_rows(vs)) if vs else 0
+
+    got = intersect_spans(a, b)
+    # dim(A cap B) = dim A + dim B - dim(A + B)
+    assert len(got) == rank(a) + rank(b) - rank(a + b)
+    assert rank(got) == len(got)
+    for v in got:
+        assert len(v) == n and all(isinstance(x, GaussRat) for x in v)
+        assert rank(a + [v]) == rank(a) and rank(b + [v]) == rank(b)
 
 
 @given(sparse_matrices(), st.data())

@@ -1,10 +1,18 @@
 """Fibers, census, dimension audits, and the diagonal comparison."""
 
+import random
+
 import pytest
 
 from thetapairs.gaussian import GaussRat, ZERO
 from thetapairs.pairs import MATRIX_CATALOG, realize
-from thetapairs.slices import ElementOfG1, NotRegular, build_kw_section, conjugate_ss_into_a
+from thetapairs.slices import (
+    ElementOfG1,
+    NotRegular,
+    build_kw_section,
+    conjugate_ss_into_a,
+    is_regular,
+)
 from thetapairs.fibers import (
     _centralizer_classes,
     _class_audit,
@@ -19,7 +27,13 @@ from thetapairs.fibers import (
 from thetapairs.diagonal import diagonal_isomorphism_check
 from thetapairs.involutions import SplitWeylLifts, compute_subgroups
 from thetapairs.liealg import LinearAlgebraFrame, gvec
-from thetapairs.matrix import ExactMatrix, coordinates_in_basis
+from thetapairs.matrix import (
+    ExactMatrix,
+    coordinates_in_basis,
+    intersect_spans,
+    span_eq,
+    span_rank,
+)
 from thetapairs.rootsystem import enumerate_weyl
 
 
@@ -67,6 +81,38 @@ def test_fibers_without_the_modular_certificate(spec, monkeypatch):
     assert [fiber_over_regular(pair, x) for x in elements] == certified
 
 
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_block_rank_forms_match_the_dense_theta_span_forms(spec, dense_theta):
+    # at the fiber points over random regular elements of a and over the
+    # degenerate sample, the coordinate-block ranks that `_verify_fiber_point`
+    # and `_class_audit` read agree with the span forms of a dense theta
+    pair = realize(spec)
+    theta = dense_theta(pair)
+    rng = random.Random(spec)
+    elements = [mixed_degenerate_element(pair)]
+    while len(elements) < 3:
+        coeffs = [rng.randint(-5, 5) for _ in pair.a_basis]
+        x = ElementOfG1.from_coords(pair, a_combo(pair, coeffs))
+        if is_regular(pair, x):
+            elements.append(x)
+    for x in elements:
+        ss, _ = x.jordan_parts()
+        z = pair.frame.centralizer([conjugate_ss_into_a(pair, ss).apply(ss)])
+        for point in fiber_over_regular(pair, x).fiber_points:
+            w = point.witness_borel
+            images = [theta.apply(v) for v in w]
+            assert images == [pair.theta_apply(v) for v in w]
+            g0 = [[(a + b) / 2 for a, b in zip(v, t)] for v, t in zip(w, images)]
+            g1 = [[(a - b) / 2 for a, b in zip(v, t)] for v, t in zip(w, images)]
+            assert (pair.g0_rank(w), pair.g1_rank(w)) == (span_rank(g0), span_rank(g1))
+            b_theta = intersect_spans(w, images)
+            assert 2 * len(w) - pair.g0_rank(w) - pair.g1_rank(w) == len(b_theta)
+            z_b = intersect_spans(w, z)
+            assert span_eq(z_b, [theta.apply(v) for v in z_b])
+            assert pair.g0_rank(z_b) + pair.g1_rank(z_b) == len(z_b)
+            assert point.split_characterization == span_eq(b_theta, z_b)
+
+
 def test_glgl2_degenerate_fiber_is_four():
     # hyperoctahedral stabilizer of a repeated coordinate has order 2: 8/2 = 4
     pair = realize("glgl:n=2")
@@ -80,12 +126,12 @@ def test_glgl2_degenerate_fiber_is_four():
     assert literal == 2
 
 
-def test_g0_lifts_cover_little_weyl_group():
+def test_g0_lifts_cover_little_weyl_group(dense_theta):
     for spec in MATRIX_CATALOG:
         pair = realize(spec)
         lifts = g0_weyl_lifts(pair)
         assert set(lifts) == set(compute_subgroups(pair).Wa_perms)
-        theta = pair.theta_coords
+        theta = dense_theta(pair)
         for m in lifts.values():
             assert theta @ m @ theta == m  # honest G0 elements
 
@@ -183,6 +229,19 @@ def test_dimension_audit_zero_and_degenerate(spec):
     assert audit_d.component_count >= 1
 
 
+@pytest.mark.parametrize("spec", ["splitA:n=2", "glgl:n=2", "diag:sl3"])
+def test_regular_classes_without_the_modular_certificate(spec, monkeypatch):
+    # with no rank mod PRIME available, the exact kernels mark the same
+    # classes regular, on g and on the centralizer of a degenerate point
+    pair = realize(spec)
+    ss, _ = mixed_degenerate_element(pair).jordan_parts()
+    z = pair.frame.centralizer([conjugate_ss_into_a(pair, ss).apply(ss)])
+    certified = [_centralizer_classes(pair, view) for view in (None, z)]
+    monkeypatch.setattr(ExactMatrix, "rank_mod_p", lambda self: None)
+    monkeypatch.setattr(LinearAlgebraFrame, "ad_rank_mod_p", lambda self, coords: None)
+    assert [_centralizer_classes(pair, view) for view in (None, z)] == certified
+
+
 @pytest.mark.parametrize("spec", MATRIX_CATALOG + ("splitA:n=4",))
 def test_dimension_audit_at_zero_matches_the_cayley_route(spec):
     # at 0 the audit reads the pair's fundamental torus and regular Borel
@@ -221,12 +280,14 @@ def test_diagonal_failed_round_trips_are_counted(monkeypatch, capsys):
     from thetapairs.cli import main
     from thetapairs.report import build_report
 
-    # a wrong completion: B2 = B1 is a pair point only when X_ss is central
+    # a wrong completion: B2 = B1 is a pair point only when X_ss is central;
+    # its spans are those of B2 = B1 (B1 cap B2 = B1, Z_B2(X_ss) = Z_B1(X_ss))
     psi = diagonal.psi_complete
 
     def wrong_completion(frame, x, ss, b1_flag):
         completion = psi(frame, x, ss, b1_flag)
-        return completion._replace(flag=b1_flag, b2=completion.b1)
+        return completion._replace(flag=b1_flag, b2=completion.b1,
+                                   inter=completion.b1, z_b2=completion.z_b1)
 
     monkeypatch.setattr(diagonal, "psi_complete", wrong_completion)
     audit = diagonal_isomorphism_check(realize("diag:sl2"), n_samples=10)

@@ -7,7 +7,6 @@ from thetapairs.involutions import (
     MissingCompactness,
     SplitWeylLifts,
     canonical_involution,
-    classify_roots,
     compute_subgroups,
     detect_regular_borels,
     enumerate_split_borels,
@@ -17,6 +16,29 @@ from thetapairs.involutions import (
 from thetapairs.matrix import ExactMatrix, restrict_action
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.rootsystem import compose, enumerate_weyl, identity_perm
+
+
+def classify_roots(rdi):
+    """Root indices by kind: real / imaginary compact / imaginary
+    noncompact / complex, for a ConcreteRootData or CombinatorialData whose
+    imaginary roots carry compactness tags."""
+    compactness = getattr(rdi, "compactness", None)
+    neg = rdi.datum.negation_perm()
+    out = {"real": [], "imaginary_compact": [], "imaginary_noncompact": [], "complex": []}
+    for k in range(len(rdi.datum.all_roots)):
+        img = rdi.theta_perm[k]
+        if img == k:
+            if compactness is None or k not in compactness:
+                raise MissingCompactness(f"imaginary root {k} lacks a compactness tag")
+            out[f"imaginary_{compactness[k]}"].append(k)
+        elif img == neg[k]:
+            out["real"].append(k)
+        else:
+            out["complex"].append(k)
+    # theta pairs the complex roots
+    assert len(out["complex"]) % 2 == 0
+    assert all(rdi.theta_perm[rdi.theta_perm[k]] == k for k in out["complex"])
+    return out
 
 
 def test_classify_roots_examples():

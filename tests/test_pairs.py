@@ -15,11 +15,11 @@ from thetapairs.pairs import (
     MATRIX_CATALOG,
     CatalogError,
     PairSpec,
+    _check_adapted_basis,
     _unit,
     _validate_matrix_pair,
     realize,
     root_decomposition,
-    split_root_decomposition,
 )
 
 
@@ -100,7 +100,7 @@ def test_torus_decomposition_bookkeeping():
         t0 = sum(1 for v in t if p.in_g0(v))
         # t = t0 + a with the g1 part exactly the Cartan subspace
         assert t0 + p.rank_r1 == p.rank_g
-        split = split_root_decomposition(p)
+        split = p.split_roots
         assert split.nroots + p.rank_g == p.dim_g
 
 
@@ -237,9 +237,9 @@ def test_structure_table_matches_dense_commutators(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_PAIRS)
-def test_dense_bracket_checks_hold_where_realize_passes(spec):
+def test_dense_bracket_checks_hold_where_realize_passes(spec, dense_theta):
     pair = realize(spec)
-    frame, theta = pair.frame, pair.theta_coords
+    frame, theta = pair.frame, dense_theta(pair)
     structure = dense_structure(frame)
     for i, ad_i in enumerate(structure):
         for j in range(i + 1, frame.dim):
@@ -294,14 +294,40 @@ def test_corrupted_jacobi_is_caught():
 
 
 def test_theta_that_is_not_an_automorphism_is_caught():
-    # gl(2) on (E_00, E_11, E_01, E_10) with theta = diag(1, 1, 1, -1): an
-    # involution adapted to the basis, but [E_01, E_10] = E_00 - E_11 has
-    # theta-signs 1 * -1 * 1
+    # gl(2) on (E_00, E_11, E_01, E_10) with the sign vector of dim_g0 = 3,
+    # theta = diag(1, 1, 1, -1): an involution adapted to the basis, but
+    # [E_01, E_10] = E_00 - E_11 has theta-signs 1 * -1 * 1
     pair = realize("glgl:n=1")
+    bad = replace(pair, dim_g0=3, dim_g1=1, derived={})
+    units = ExactMatrix.identity(4).row_lists()
     theta = ExactMatrix.diagonal([1, 1, 1, -1])
-    bad = replace(pair, dim_g0=3, dim_g1=1, theta_coords=theta, derived={})
+    assert [bad.theta_apply(u) for u in units] == theta.row_lists()
     structure = structure_matrices(pair.frame)
-    assert any(theta @ c_i @ theta != pair.frame.ad(theta.column(i))
-               for i, c_i in enumerate(structure))
+    assert any(bad.theta_conjugate(c_i) != pair.frame.ad(bad.theta_apply(u))
+               for u, c_i in zip(units, structure))
     with pytest.raises(CatalogError, match="theta is not an automorphism"):
         _validate_matrix_pair(bad)
+
+
+def test_basis_not_adapted_to_theta_is_caught():
+    # glgl:n=1's theta negates E_01, which a sign vector with dim_g0 = 3
+    # would keep
+    pair = realize("glgl:n=1")
+    eps = ExactMatrix.diagonal([1, -1])
+    theta = lambda m: eps @ m @ eps  # noqa: E731
+    _check_adapted_basis("glgl:n=1", pair.frame, 2, theta)
+    with pytest.raises(CatalogError, match="basis not adapted to theta at index 2"):
+        _check_adapted_basis("glgl:n=1", pair.frame, 3, theta)
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_sign_vector_matches_the_defining_involution(spec, dense_theta):
+    pair = realize(spec)
+    theta = dense_theta(pair)
+    units = ExactMatrix.identity(pair.dim_g).row_lists()
+    assert [pair.theta_apply(u) for u in units] == theta.row_lists()
+    for u in units:
+        assert pair.g0_part(u) == [(a + b) / 2 for a, b in zip(u, theta.apply(u))]
+        assert pair.g1_part(u) == [(a - b) / 2 for a, b in zip(u, theta.apply(u))]
+    m = pair.ad(pair.a_basis[0])
+    assert pair.theta_conjugate(m) == theta @ m @ theta

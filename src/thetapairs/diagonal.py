@@ -15,7 +15,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO
-from .jordan import eigenspaces
+from .jordan import eigenvalues
 from .liealg import LinearAlgebraFrame, _combine, flag_stabilizer
 from .matrix import (
     ExactMatrix,
@@ -37,9 +37,11 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
 
     At every step the invariant lines of the induced quotient action are
     the eigenlines, one per eigenvalue (regularity keeps the quotients
-    regular, so the eigenspaces stay one-dimensional).
+    regular, so the eigenspaces stay one-dimensional).  The quotient's
+    spectrum is m's without the eigenvalues of the lines already chosen.
     """
-    def rec(space: List[List[GaussRat]], done: List[List[GaussRat]]):
+    def rec(space: List[List[GaussRat]], done: List[List[GaussRat]],
+            spectrum: List[GaussRat]):
         # space: lifts spanning a complement of the flag built so far
         if not space:
             return [[]]
@@ -48,19 +50,25 @@ def invariant_flags(m: ExactMatrix) -> List[Flag]:
         restr = restrict_action(m, done + space)
         if restr is None:
             raise CatalogError("the lifts do not span the whole space")
+        quotient = restr.block(d, d, q, q)
         flags = []
-        for lam, kern in eigenspaces(restr.block(d, d, q, q)):
+        for lam in sorted(set(spectrum), key=GaussRat.sort_key):
+            kern = (quotient - ExactMatrix.identity(q).scale(lam)).kernel_basis()
+            if not kern:
+                raise CatalogError("an eigenvalue of m is not one of the quotient action")
             if len(kern) != 1:
                 raise CatalogError("matrix is not regular; flag count infinite")
             line = _combine(space, kern[0])
             # done + [line] is independent, so the greedy subset keeps it
             rest = independent_subset(done + [line] + space)[d + 1:]
-            for tail in rec(rest, done + [line]):
+            left = list(spectrum)
+            left.remove(lam)
+            for tail in rec(rest, done + [line], left):
                 flags.append([line] + tail)
         return flags
 
     out = []
-    for chain in rec(ExactMatrix.identity(m.rows).row_lists(), []):
+    for chain in rec(ExactMatrix.identity(m.rows).row_lists(), [], eigenvalues(m)):
         if len(chain) != m.rows:
             raise CatalogError("an invariant flag is not complete")
         out.append(tuple(tuple(v) for v in chain))

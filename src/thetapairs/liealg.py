@@ -214,10 +214,12 @@ class LinearAlgebraFrame:
     def centralizer(self, vectors: Sequence[Vector],
                     ambient: Optional[Sequence[Vector]] = None) -> List[Vector]:
         """Basis of the joint kernel of ad(v) inside a subspace (default g)."""
-        if ambient is None:
-            space = ExactMatrix.identity(self.dim).row_lists()
-        else:
+        if ambient is not None:
             space = [gvec(v) for v in ambient]
+        elif vectors:
+            space, vectors = self.ad(vectors[0]).kernel_basis(), vectors[1:]
+        else:
+            space = ExactMatrix.identity(self.dim).row_lists()
         for v in vectors:
             if not space:
                 break

@@ -3,15 +3,16 @@
 An `ExactMatrix` is row-major and immutable after construction; its
 `entries` tuple is dense.  The kernel touches only nonzero entries:
 
-- one elimination core, `_eliminate`, works on rows held as
-  `{column: value}` dicts of nonzero entries.  `rref` and `det` call it, and
-  `kernel_basis`, `solve`, `inverse`, `rank` and the subspace helpers at the
-  end of the module go through `rref`.  Pivoting is deterministic (lowest
+- one elimination core, `_echelon`, is fraction-free: rows are primitive
+  Gaussian-integer `{column: (a, b)}` dicts of their nonzero entries.
+  `rref` divides each reduced row by its pivot once; `rank`,
+  `independent_subset` and `det` read the pivots of a forward elimination.
+  `kernel_basis`, `solve`, `inverse` and the subspace helpers at the end
+  of the module go through `rref`.  Pivoting is deterministic (lowest
   column index first, then the topmost nonzero row), so every
   echelon-derived answer is byte-stable across runs;
-- when every entry is real, elimination and `char_poly` run on the
-  `Fraction` parts and wrap the results back into `GaussRat`
-  (`_field_values`);
+- when every entry is real, `char_poly` runs on the `Fraction` parts and
+  wraps the results back into `GaussRat` (`_field_values`);
 - products, sums and scalings skip zero entries;
 - `char_poly` reduces to Hessenberg form by similarity, O(n^3) field
   operations;
@@ -25,6 +26,7 @@ Sizes stay at desk scale; entry growth from exact elimination is accepted.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO, ONE
@@ -39,71 +41,93 @@ def _field_values(entries: Sequence[GaussRat]) -> Tuple[list, bool]:
     as they are (flag False).
 
     `Fraction` and `GaussRat` share `*`, `-`, `1/x` and truthiness, so the
-    elimination loops run unchanged on either.  `_wrap`, or the
-    `ExactMatrix` constructor, maps a result back.
+    `char_poly` loops run unchanged on either.
     """
     if all(not e.im for e in entries):
         return [e.re for e in entries], True
     return list(entries), False
 
 
-def _wrap(value, real: bool) -> GaussRat:
-    return GaussRat(value) if real else value
+def _integer_rows(m: "ExactMatrix"):
+    """The rows of m as `{column: (a, b)}` dicts of nonzero Gaussian integers
+    a + b i: each row scaled by the lcm of its denominators and divided by
+    its content.  Also returns the products of those lcms and contents."""
+    rows, fractional = [{} for _ in range(m.rows)], set()
+    for k, e in enumerate(m.entries):
+        if e is not ZERO:
+            re, im = e.re, e.im
+            if re.numerator or im.numerator:
+                i, j = divmod(k, m.cols)
+                if re.denominator == 1 == im.denominator:
+                    rows[i][j] = (re.numerator, im.numerator)
+                else:
+                    rows[i][j] = (re, im)
+                    fractional.add(i)
+    lcms = 1
+    for i in fractional:
+        den = lcm(*(x.denominator for ab in rows[i].values() for x in ab))
+        rows[i] = {j: (int(a * den), int(b * den)) for j, (a, b) in rows[i].items()}
+        lcms *= den
+    return rows, lcms, prod(_divide_content(row) for row in rows)
 
 
-def _sparse_rows(entries: Sequence, rows: int, cols: int) -> List[Dict[int, object]]:
-    return [{j: v for j, v in enumerate(entries[i * cols:(i + 1) * cols]) if v}
-            for i in range(rows)]
+def _divide_content(row: Dict[int, Tuple[int, int]]) -> int:
+    """Divides a row by the gcd of its integer parts in place; returns the gcd."""
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return 1
+    for j, (a, b) in row.items():
+        row[j] = (a // g, b // g)
+    return g or 1
 
 
-def _eliminate(rows: List[Dict[int, object]], cols: int) -> Tuple[List[int], list, int]:
-    """Reduce sparse rows to reduced row echelon form, in place.
-
-    Each row is a `{column: value}` dict of its nonzero entries, all of one
-    field type.  The pivot is taken in the lowest column that has a nonzero
-    entry at or below the current row, from the topmost such row.  Returns
-    the pivot columns, the pivot values before normalisation and the parity
-    of the row swaps: the determinant of a square input of full rank is
-    the signed product of those values, since adding multiples of the pivot
-    row to other rows leaves it unchanged.
-    """
-    pivots, values = [], []
-    swaps = 0
-    r = 0
-    for c in range(cols):
-        if r == len(rows):
-            break
-        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+def _echelon(m: "ExactMatrix", reduce: bool):
+    """Fraction-free elimination of `_integer_rows(m)` (Bareiss 1968, with
+    content removal; Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2).  The pivot p is in the lowest column left, topmost row
+    first; every other row (every row below, unless `reduce`) with an entry
+    f there becomes p row - f prow (row - f p^-1 prow for a unit p) over its
+    content.  Returns the rows (with `reduce`, the RREF rows times their
+    pivots), the pivot columns, the swap parity and num, den: the products
+    of the row multipliers and of the contents, so that a square m of full
+    rank has det m = (-1)^swaps prod(pivots) den / num without `reduce`."""
+    rows, num, den = _integer_rows(m)
+    num = (num, 0)
+    pivots, swaps, r = [], 0, 0
+    for c in range(m.cols):
+        i = next((i for i in range(r, m.rows) if c in rows[i]), None)
         if i is None:
             continue
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
             swaps ^= 1
-        prow = rows[r]
-        p = prow[c]
-        if p != 1:
-            inv = 1 / p
-            for j in prow:
-                prow[j] = prow[j] * inv
-        tail = [(j, v) for j, v in prow.items() if j != c]
-        for k, row in enumerate(rows):
-            f = row.pop(c, None) if k != r else None
-            if f is None:
+        pa, pb = rows[r][c]
+        unit = pa * pa + pb * pb == 1
+        tail = [(j, v) for j, v in rows[r].items() if j != c]
+        for k in range(0 if reduce else r + 1, m.rows):
+            row = rows[k]
+            fa, fb = row.pop(c, (0, 0)) if k != r else (0, 0)
+            if not (fa or fb):
                 continue
-            for j, v in tail:
-                x = row.get(j)
-                if x is None:
-                    row[j] = -(f * v)
+            if unit:
+                fa, fb = fa * pa + fb * pb, fb * pa - fa * pb   # f conj(p) = f / p
+            else:
+                for j, (a, b) in row.items():
+                    row[j] = (pa * a - pb * b, pa * b + pb * a)
+                num = (num[0] * pa - num[1] * pb, num[0] * pb + num[1] * pa)
+            for j, (a, b) in tail:
+                xa, xb = row.get(j, (0, 0))
+                xa, xb = xa - fa * a + fb * b, xb - fa * b - fb * a
+                if xa or xb:
+                    row[j] = (xa, xb)
                 else:
-                    x = x - f * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+                    row.pop(j, None)
+            den *= _divide_content(row)
         pivots.append(c)
-        values.append(p)
         r += 1
-    return pivots, values, swaps
+    return rows, pivots, swaps, num, den
 
 
 # -- rank modulo a prime ------------------------------------------------------
@@ -317,20 +341,18 @@ class ExactMatrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        if not self.rows:
-            return self, []
-        values = _field_values(self.entries)[0]
-        rows = _sparse_rows(values, self.rows, self.cols)
-        pivots = _eliminate(rows, self.cols)[0]
+        rows, pivots = _echelon(self, True)[:2]
         out = [ZERO] * (self.rows * self.cols)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                out[i * self.cols + j] = v
-        # the constructor wraps Fraction values back into GaussRat
+        for i, c in enumerate(pivots):
+            pa, pb = rows[i].pop(c)
+            n, base = pa * pa + pb * pb, i * self.cols
+            out[base + c] = ONE
+            for j, (a, b) in rows[i].items():
+                out[base + j] = GaussRat(Fraction(a * pa + b * pb, n), Fraction(b * pa - a * pb, n))
         return ExactMatrix(self.rows, self.cols, out), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(self, False)[1])
 
     def rank_mod_p(self) -> Optional[int]:
         """The rank of the matrix reduced mod PRIME, at most `rank`, or None
@@ -388,15 +410,13 @@ class ExactMatrix:
     def det(self) -> GaussRat:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        values, real = _field_values(self.entries)
-        pivots, pivot_values, swaps = _eliminate(_sparse_rows(values, self.rows, self.cols),
-                                                 self.cols)
+        rows, pivots, swaps, num, den = _echelon(self, False)
         if len(pivots) < self.rows:
             return ZERO
-        det = -1 if swaps else 1
-        for p in pivot_values:
-            det = p * det
-        return _wrap(det, real)
+        det = GaussRat(-den if swaps else den) / GaussRat(*num)
+        for row, c in zip(rows, pivots):
+            det = det * GaussRat(*row[c])
+        return det
 
     def char_poly(self) -> List[GaussRat]:
         """Monic characteristic polynomial det(xI - m), descending degree.
@@ -455,7 +475,7 @@ class ExactMatrix:
                     for k, c in enumerate(polys[i]):
                         new[k] = new[k] - f * c
             polys.append(new)
-        return [_wrap(c, real) for c in reversed(polys[n])]
+        return [GaussRat(c) if real else c for c in reversed(polys[n])]
 
     def is_nilpotent(self) -> bool:
         if self.rows != self.cols:
@@ -551,5 +571,5 @@ def independent_subset(vectors: Sequence[Sequence]) -> List[List[GaussRat]]:
     pivot columns of one elimination."""
     if not vectors:
         return []
-    pivots = ExactMatrix.from_columns(vectors).rref()[1]
+    pivots = _echelon(ExactMatrix.from_columns(vectors), False)[1]
     return [[_coerce(x) for x in vectors[j]] for j in pivots]

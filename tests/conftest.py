@@ -1,8 +1,10 @@
-"""Oracles shared by several test modules."""
+"""Oracles and recording fixtures shared by several test modules."""
 
 import pytest
 
+from thetapairs import pairs
 from thetapairs.matrix import ExactMatrix
+from thetapairs.report import build_report
 
 
 def defining_involution(pair):
@@ -29,3 +31,27 @@ def dense_theta():
         return ExactMatrix.from_columns([pair.frame.to_coords(theta(b))
                                          for b in pair.frame.basis])
     return build
+
+
+@pytest.fixture
+def record_kernel_inputs(monkeypatch):
+    """Returns record(spec): builds the report of `spec` from a cold
+    realize cache and returns every matrix that `ExactMatrix.rref` was
+    called on, in call order, so that a kernel test can replay a report's
+    real inputs through an oracle."""
+    def record(spec):
+        inputs = []
+        rref = ExactMatrix.rref
+
+        def recording(self):
+            inputs.append(self)
+            return rref(self)
+
+        monkeypatch.setattr(ExactMatrix, "rref", recording)
+        pairs._realize_cached.cache_clear()
+        try:
+            build_report(spec, with_timing=False)
+        finally:
+            monkeypatch.setattr(ExactMatrix, "rref", rref)
+        return inputs
+    return record

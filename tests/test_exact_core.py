@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thetapairs.gaussian import (
@@ -148,7 +148,7 @@ sparse_entries = st.one_of(
 )
 
 
-# the same with every entry real: the kernel then runs on Fraction parts
+# the same with every entry real: char_poly then runs on Fraction parts
 real_sparse_entries = st.one_of(
     st.just(ZERO), st.just(ZERO), st.just(ZERO),
     st.builds(GaussRat, st.integers(-4, 4)),
@@ -454,7 +454,8 @@ def _is_gauss(values):
 @given(sparse_matrices(square=True))
 @settings(max_examples=60, deadline=None)
 def test_kernel_results_are_gauss_rationals(m):
-    # all-real inputs are eliminated on Fraction parts; every result comes back wrapped
+    # elimination works on Gaussian integers and all-real char_poly on Fraction
+    # parts; every result comes back as GaussRat
     red, _ = m.rref()
     assert _is_gauss(red.entries)
     assert all(_is_gauss(v) for v in m.kernel_basis())
@@ -532,6 +533,154 @@ def test_eigenspaces_match_domain_matrix_ranks(case):
         assert _oracle_rank(ExactMatrix.from_rows(kern)) == len(kern)
         for v in kern:
             assert m.apply(v) == [lam * x for x in v]
+
+
+# -- the fraction-free core against the field elimination it replaced ------
+
+
+def _field_eliminate(rows, cols):
+    """The field elimination that `ExactMatrix.rref` and `det` used before
+    the fraction-free core, kept as an oracle.  Reduces sparse
+    `{column: value}` rows to reduced row echelon form in place, with the
+    same pivot rule (lowest column, then topmost row).  Returns the pivot
+    columns, the pivot values before normalisation and the parity of the
+    row swaps."""
+    pivots, values = [], []
+    swaps = 0
+    r = 0
+    for c in range(cols):
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            swaps ^= 1
+        prow = rows[r]
+        p = prow[c]
+        if p != 1:
+            inv = 1 / p
+            for j in prow:
+                prow[j] = prow[j] * inv
+        tail = [(j, v) for j, v in prow.items() if j != c]
+        for k, row in enumerate(rows):
+            f = row.pop(c, None) if k != r else None
+            if f is None:
+                continue
+            for j, v in tail:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -(f * v)
+                else:
+                    x = x - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivots.append(c)
+        values.append(p)
+        r += 1
+    return pivots, values, swaps
+
+
+def _field_echelon(m: ExactMatrix):
+    """(RREF rows, pivot columns, determinant or None when not square) by
+    `_field_eliminate`."""
+    rows = [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)]
+    pivots, values, swaps = _field_eliminate(rows, m.cols)
+    det = None
+    if m.rows == m.cols:
+        det = ZERO
+        if len(pivots) == m.rows:
+            det = GaussRat(-1 if swaps else 1)
+            for p in values:
+                det = det * p
+    return [[row.get(j, ZERO) for j in range(m.cols)] for row in rows], pivots, det
+
+
+# mostly Gaussian-integer entries, whose pivots are real or non-real units
+# (1, -i), non-unit reals (2, -3) or non-real non-units (1 + i, 2 - 3i),
+# and Gaussian rationals with denominators up to 10^6
+wide_rationals = st.fractions(-1000, 1000, max_denominator=10 ** 6)
+real_core_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO),
+    st.builds(GaussRat, st.integers(-4, 4)),
+    st.builds(GaussRat, wide_rationals),
+)
+core_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO),
+    st.sampled_from([ONE, -ONE, I, -I]),
+    st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(GaussRat, wide_rationals, wide_rationals),
+)
+
+
+@st.composite
+def elimination_inputs(draw, square=False):
+    """Matrices whose rows are real or complex, zero, or a repeat or a
+    Gaussian multiple of an earlier row."""
+    cols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(cols if square else draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["real", "complex", "zero", "repeat", "multiple"]
+                                    if rows else ["real", "complex", "zero"]))
+        if kind in ("real", "complex"):
+            entries = real_core_entries if kind == "real" else core_entries
+            rows.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+        elif kind == "zero":
+            rows.append([ZERO] * cols)
+        else:
+            row = draw(st.sampled_from(rows))
+            c = ONE if kind == "repeat" else draw(core_entries.filter(bool))
+            rows.append([c * x for x in row])
+    return mat(rows)
+
+
+NON_UNIT_PIVOTS = mat([[GaussRat(1, 1), 2, GaussRat(0, 3)],
+                       [3, GaussRat(2, -1), 1],
+                       [GaussRat(Fraction(1, 10 ** 6), 5), 0, GaussRat(Fraction(7, 999983))]])
+
+
+@given(elimination_inputs())
+@settings(max_examples=100, deadline=None)
+@example(NON_UNIT_PIVOTS)
+@example(mat([[I, 2, GaussRat(1, 1), 0], [3, 1, -I, 5]]))
+@example(mat([[2, 4], [2, 4], [0, 0]]))
+def test_fraction_free_core_matches_field_elimination_and_domain_matrix(m):
+    red, pivots = m.rref()
+    want, want_pivots, _ = _field_echelon(m)
+    qq_red, qq_pivots = _oracle(m).rref()
+    assert pivots == want_pivots == list(qq_pivots)
+    assert red.row_lists() == want == _from_oracle(qq_red)
+    assert m.rank() == len(pivots) == _oracle_rank(m)
+    # the greedy subset of the rows is read off the pivots of their columns
+    column_pivots = _field_echelon(m.transpose())[1]
+    rows = m.row_lists()
+    assert independent_subset(rows) == [rows[j] for j in column_pivots]
+
+
+@given(elimination_inputs(square=True))
+@settings(max_examples=100, deadline=None)
+@example(NON_UNIT_PIVOTS)
+@example(mat([[0, GaussRat(1, 1)], [GaussRat(2, -1), 3]]))
+@example(mat([[I, 2], [3, -I]]))
+def test_fraction_free_det_matches_field_elimination_and_domain_matrix(m):
+    assert m.det() == _field_echelon(m)[2] == _from_qq_i(_oracle(m).det())
+
+
+@pytest.mark.parametrize("spec", ["splitA:n=2", "diag:sl2"])
+def test_report_kernel_inputs_replay_through_the_field_elimination(spec,
+                                                                   record_kernel_inputs):
+    inputs = record_kernel_inputs(spec)
+    assert inputs
+    for m in inputs:
+        red, pivots = m.rref()
+        want, want_pivots, det = _field_echelon(m)
+        assert (red.row_lists(), pivots) == (want, want_pivots)
+        assert m.rank() == len(pivots)
+        if det is not None:
+            assert m.det() == det
 
 
 # -- char_poly -------------------------------------------------------------

@@ -31,6 +31,7 @@ from thetapairs.matrix import (
     ExactMatrix,
     coordinates_in_basis,
     intersect_spans,
+    restrict_action,
     span_eq,
     span_rank,
 )
@@ -273,6 +274,33 @@ def test_glgl2_degenerate_centralizer_factor():
 def test_diagonal_isomorphism(spec):
     pair = realize(spec)
     assert diagonal_isomorphism_check(pair, n_samples=10) == (10, 0)
+
+
+def test_invariant_flags_read_the_spectrum_once(monkeypatch):
+    from thetapairs import diagonal
+    from thetapairs.gaussian import I
+    from thetapairs.pairs import CatalogError
+
+    calls = []
+    eigenvalues = diagonal.eigenvalues
+    monkeypatch.setattr(diagonal, "eigenvalues", lambda m: calls.append(m) or eigenvalues(m))
+    # distinct eigenvalues: every order of the eigenlines; a Jordan block
+    # of size 2 and one more eigenvalue: the block's one flag, with the
+    # other eigenline in any of three places
+    assert len(diagonal.invariant_flags(ExactMatrix.diagonal([1, 2, I, -1]))) == 24
+    jordan = ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    flags = diagonal.invariant_flags(jordan)
+    assert len(flags) == 3 and len(calls) == 2
+    for flag in flags:
+        vectors = [list(v) for v in flag]
+        assert span_rank(vectors) == 3
+        assert all(restrict_action(jordan, vectors[:j]) is not None for j in (1, 2))
+    with pytest.raises(CatalogError, match="not regular"):
+        diagonal.invariant_flags(ExactMatrix.identity(2))
+    # a spectrum that is not the matrix's: the guard, not a wrong flag
+    monkeypatch.setattr(diagonal, "eigenvalues", lambda m: [GaussRat(1), GaussRat(3)])
+    with pytest.raises(CatalogError, match="not one of the quotient action"):
+        diagonal.invariant_flags(ExactMatrix.diagonal([1, 2]))
 
 
 def test_diagonal_failed_round_trips_are_counted(monkeypatch, capsys):

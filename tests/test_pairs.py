@@ -1,6 +1,7 @@
 """Catalog realizations: dimensions, decompositions, eager validation."""
 
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -331,3 +332,28 @@ def test_sign_vector_matches_the_defining_involution(spec, dense_theta):
         assert pair.g1_part(u) == [(a - b) / 2 for a, b in zip(u, theta.apply(u))]
     m = pair.ad(pair.a_basis[0])
     assert pair.theta_conjugate(m) == theta @ m @ theta
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_centralizer_in_g_matches_the_explicit_ambient(spec):
+    # inside g the first kernel is read off ad(v) itself; the explicit
+    # ambient g (the unit vectors) must give the same basis: at 0, at a
+    # basis vector of a, at random points of a and of g (dense and sparse),
+    # and for several vectors at once
+    pair = realize(spec)
+    frame = pair.frame
+    rng = random.Random(spec)
+    units = ExactMatrix.identity(frame.dim).row_lists()
+
+    def g_point(density):
+        return [GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))
+                if rng.random() < density else ZERO for _ in range(frame.dim)]
+
+    def a_point():
+        coeffs = [rng.randint(-4, 4) for _ in pair.a_basis]
+        return [sum((c * x for c, x in zip(coeffs, col)), ZERO) for col in zip(*pair.a_basis)]
+
+    cases = [[], [[ZERO] * frame.dim], [pair.a_basis[0]], list(pair.a_basis), [a_point()],
+             [g_point(1)], [g_point(0.3)], [g_point(0.3), a_point()]]
+    for vectors in cases:
+        assert frame.centralizer(vectors) == frame.centralizer(vectors, ambient=units)

@@ -11,13 +11,13 @@ from collections import Counter
 
 from thetapairs.involutions import (canonical_involution, compute_subgroups,
                                     enumerate_split_borels)
-from thetapairs.pairs import MATRIX_CATALOG, realize, root_decomposition
+from thetapairs.pairs import MATRIX_CATALOG, realize
 
 for spec in MATRIX_CATALOG:
     pair = realize(spec)
-    fund = root_decomposition(pair)
+    fund = pair.fund_roots
     kinds = Counter(fund.classify(k) for k in range(fund.nroots))
-    comp = Counter((fund.compactness or {}).values())
+    comp = Counter(fund.compactness.values())
     rep = compute_subgroups(pair)
     borels = enumerate_split_borels(pair)
     theta_can = canonical_involution(pair).matrix
@@ -29,7 +29,7 @@ for spec in MATRIX_CATALOG:
 # the sl(2)/so(2) picture in full: both roots of the compact torus are
 # noncompact imaginary, and both Borel classes are regular
 p = realize("splitA:n=1")
-fund = root_decomposition(p)
+fund = p.fund_roots
 print("\nsl2/so2 root vectors (symmetric nilpotents):")
 for k in range(fund.nroots):
     print("  ", p.from_coords(fund.root_vectors[k]))

@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SplittingFieldTooLarge,) as exc:
+    except SplittingFieldTooLarge as exc:
         print(f"domain error in computation: {exc}", file=sys.stderr)
         return 3
 

@@ -25,6 +25,7 @@ from .involutions import (
     reflection_lift,
     regular_classes,
     root_value,
+    theta_eigen_basis,
     theta_fixed_subgroup,
     torus_action_perm,
     weyl_group_of_g0,
@@ -59,7 +60,7 @@ from .slices import (
 )
 
 
-class CentralizerTorusError(Exception):
+class CentralizerTorusError(SplittingFieldTooLarge):
     """The centralizer of the base point has no fundamental torus over Q(i)."""
 
 
@@ -68,7 +69,6 @@ class CentralizerTorusError(Exception):
 
 @dataclass
 class FiberPoint:
-    a_value: Tuple[GaussRat, ...]       # the slice value (a-point) of the point
     witness_borel: List[Vector]         # basis of Lie(B') in ambient coordinates
     split_characterization: bool        # literal B(theta) = Z_B(X_ss) equality
 
@@ -76,7 +76,6 @@ class FiberPoint:
 @dataclass
 class FiberReport:
     pair_id: str
-    base_coords: Vector
     fiber_points: List[FiberPoint]
     wa_order: int
     stabilizer_order: int
@@ -135,9 +134,8 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
         if nil_on_z is None:
             raise CatalogError("nilpotent part does not preserve its centralizer")
         # z is reductive of rank rank g, so ker(nil on z) has dimension at
-        # least rank g, and a rank of dim z - rank g mod PRIME proves equality
-        if (nil_on_z.rank_mod_p() != len(z) - pair.rank_g
-                and len(nil_on_z.kernel_basis()) != pair.rank_g):
+        # least rank g
+        if not nil_on_z.nullity_is(pair.rank_g):
             raise CatalogError("nilpotent part is not regular in the centralizer")
     slots = _defining_slots(pair)
     # every orbit point has the eigenvalues of ss1, permuted across the slots
@@ -154,8 +152,8 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
         y_t = list(key)
         witness = _flag_witness(pair, slots, filtrations, y_t)
         literal = _verify_fiber_point(pair, z, ss1, nil1, witness)
-        points.append(FiberPoint(tuple(y_t), witness, literal))
-    return FiberReport(pair.pair_id, list(x.coords), points, len(wa), stab_count)
+        points.append(FiberPoint(witness, literal))
+    return FiberReport(pair.pair_id, points, len(wa), stab_count)
 
 
 @dataclass
@@ -497,8 +495,6 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
 class CentralizerClassAudit:
     regular: bool
     class_size: int
-    dim_b_theta_g0: int
-    dim_n_theta_g1: int
     audit_value: int          # dim g0 - dim(b(theta) cap g0) + dim(n(theta) cap g1)
     expected: int             # dim g1 - r1
 
@@ -609,8 +605,6 @@ def _class_audit(pair: SymmetricPairRealization, a_point: Vector, rdata: Concret
         audits.append(CentralizerClassAudit(
             regular=cls.regular,
             class_size=cls.class_size,
-            dim_b_theta_g0=b_g0,
-            dim_n_theta_g1=n_g1,
             audit_value=dim_g0 - b_g0 + n_g1,
             expected=expected,
         ))
@@ -621,20 +615,16 @@ def _class_audit(pair: SymmetricPairRealization, a_point: Vector, rdata: Concret
 def _fundamental_root_data(pair, z_basis, t_fund) -> ConcreteRootData:
     from .liealg import build_concrete_root_data
 
-    frame = pair.frame
     # positivity element: a theta-fixed torus element missing every root
-    t0 = independent_subset([pair.g0_part(t) for t in t_fund])
+    t0 = theta_eigen_basis(pair, t_fund)
     primes = [2, 3, 5, 7, 11, 13]
     last_error = None
     for scale in range(1, 6):
-        h0 = [ZERO] * pair.dim_g
-        for j, t in enumerate(t0):
-            h0 = [a + GaussRat(primes[j % len(primes)] ** scale) * b
-                  for a, b in zip(h0, t)]
+        coeffs = [GaussRat(primes[j % len(primes)] ** scale) for j in range(len(t0))]
+        h0 = _combine(t0, coeffs) if t0 else [ZERO] * pair.dim_g
         try:
-            return build_concrete_root_data(
-                frame, t_fund, pair.theta_apply, h0,
-                compute_compactness=True, ambient=z_basis)
+            return build_concrete_root_data(pair.frame, t_fund, pair.theta_apply, h0,
+                                            ambient=z_basis)
         except ValueError as exc:
             last_error = exc
     raise CentralizerTorusError(f"no regular positivity element found: {last_error}")

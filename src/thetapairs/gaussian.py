@@ -46,9 +46,9 @@ class GaussRat:
 
     # -- arithmetic ------------------------------------------------------
 
-    # A zero product is the shared ZERO, and adding or subtracting it
-    # returns the other operand: the zero entries of computed vectors and
-    # matrices share one object instead of holding three each.
+    # A zero product or negation is the shared ZERO, and adding or
+    # subtracting it returns the other operand: the zero entries of computed
+    # vectors and matrices share one object instead of holding three each.
 
     def __add__(self, other):
         other = GaussRat.of(other)
@@ -61,6 +61,8 @@ class GaussRat:
     __radd__ = __add__
 
     def __neg__(self):
+        if not (self.re or self.im):
+            return _CACHED_ZERO
         return GaussRat(-self.re, -self.im)
 
     def __sub__(self, other):

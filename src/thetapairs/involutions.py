@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO
-from .liealg import ConcreteRootData, Vector, weight_decomposition, weight_value
+from .liealg import ConcreteRootData, Vector, weight_decomposition, weight_perm, weight_value
 from .matrix import ExactMatrix, coordinates_in_basis, independent_subset, restrict_action
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm, invert
@@ -114,11 +114,9 @@ def compute_subgroups(pair: SymmetricPairRealization) -> SubgroupReport:
 # -- W0 through exponential lifts ----------------------------------------------
 
 
-def theta_eigen_basis(pair: SymmetricPairRealization, vectors: Sequence[Vector],
-                      sign: int) -> List[Vector]:
-    """Basis of the (+1 or -1) theta-eigenspace of a theta-stable span."""
-    part = pair.g0_part if sign > 0 else pair.g1_part
-    return independent_subset([part(v) for v in vectors])
+def theta_eigen_basis(pair: SymmetricPairRealization, vectors: Sequence[Vector]) -> List[Vector]:
+    """Basis of the theta-fixed part of a theta-stable span."""
+    return independent_subset([pair.g0_part(v) for v in vectors])
 
 
 def _exp_ad(pair: SymmetricPairRealization, vec: Vector) -> ExactMatrix:
@@ -153,26 +151,10 @@ def torus_action_perm(rdata: ConcreteRootData, ad_action: ExactMatrix) -> bytes:
     m = restrict_action(ad_action, rdata.torus)
     if m is None:
         raise CatalogError("automorphism does not normalize the torus")
-    return _weight_perm(rdata, m)
-
-
-def _weight_perm(rdata: ConcreteRootData, torus_matrix: ExactMatrix) -> bytes:
-    """Permutation induced on rdata's roots by an action m on the torus
-    (given as a matrix on the torus basis): alpha_k o m^{-1} = alpha_perm(k).
-
-    Read without inverting m, as alpha_perm(k) o m = alpha_k: the weight
-    alpha o m has coordinates m^T alpha, and perm(k) is the j whose image
-    is alpha_k.  Raises CatalogError unless alpha -> alpha o m is a
-    bijection of the roots."""
-    on_weights = torus_matrix.transpose()
-    weight_map = {w: k for k, w in enumerate(rdata.weights)}
-    perm: List[Optional[int]] = [None] * rdata.nroots
-    for j, w in enumerate(rdata.weights):
-        k = weight_map.get(tuple(on_weights.apply(w)))
-        if k is None or perm[k] is not None:
-            raise CatalogError("automorphism does not permute the roots")
-        perm[k] = j
-    return bytes(perm)
+    perm = weight_perm(rdata.weights, m)
+    if perm is None:
+        raise CatalogError("automorphism does not permute the roots")
+    return perm
 
 
 def weyl_group_of_g0(pair: SymmetricPairRealization,
@@ -185,9 +167,9 @@ def weyl_group_of_g0(pair: SymmetricPairRealization,
     pair.require_matrix_level()
     if rdata is None:
         rdata = pair.fund_roots
-    t0 = theta_eigen_basis(pair, rdata.torus, +1)
+    t0 = theta_eigen_basis(pair, rdata.torus)
     ambient = (pair.g0_basis_coords() if z_basis is None
-               else theta_eigen_basis(pair, z_basis, +1))
+               else theta_eigen_basis(pair, z_basis))
     root_vectors: Dict[Tuple[GaussRat, ...], Vector] = {}
     for w, space in weight_decomposition(pair.frame, t0, ambient=ambient):
         if all(x.is_zero() for x in w):
@@ -294,7 +276,7 @@ def regular_classes(pair: SymmetricPairRealization, rdata: ConcreteRootData,
     simple_base = rdata.simple_indices_of(list(rdata.positive))
     out = []
     for key, size, simples, compact_simple in _shortcut_classes(
-            w_theta, w0, simple_base, rdata.compactness or {}):
+            w_theta, w0, simple_base, rdata.compactness):
         witness = [ZERO] * pair.dim_g
         seen = set()
         for s in simples:
@@ -310,10 +292,9 @@ def regular_classes(pair: SymmetricPairRealization, rdata: ConcreteRootData,
             if ad_w is None:
                 raise CatalogError(f"{pair.pair_id}: a class witness does not "
                                    "preserve the centralizer")
-            # the view is reductive of rank rank g, so as in `is_regular` a
-            # rank of dim z - rank g mod PRIME proves dim z_z(witness) = rank g
-            regular = (ad_w.rank_mod_p() == len(z_basis) - pair.rank_g
-                       or len(ad_w.kernel_basis()) == pair.rank_g)
+            # the view is reductive of rank rank g, so as in `is_regular`
+            # ad_w has nullity at least rank g
+            regular = ad_w.nullity_is(pair.rank_g)
         shortcut = compact_simple is None
         if regular != shortcut:
             raise CatalogError(
@@ -399,7 +380,7 @@ class SplitWeylLifts:
             if m is None:
                 raise CatalogError("split lift does not normalize the torus")
             s_i = split.datum.simple_reflection_perm(i)
-            if _weight_perm(split, m) != s_i:
+            if weight_perm(split.weights, m) != s_i:
                 raise CatalogError("split lift does not realize its Weyl element")
             gens.append((s_i, m))
         self.table = lift_closure(gens, split.nroots, ExactMatrix.identity(len(split.torus)))

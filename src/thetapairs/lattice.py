@@ -10,40 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .matrix import ExactMatrix
+
 
 def _identity(n: int) -> List[List[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
-def _det_unimodular(m) -> int:
-    """Determinant of an integer matrix via fraction-free elimination."""
-    from fractions import Fraction
-
-    n = len(m)
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    if det.denominator != 1:
-        raise ArithmeticError("determinant of an integer matrix is not an integer")
-    return int(det)
 
 
 def smith_normal_form(m: List[List[int]]) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
@@ -55,6 +26,7 @@ def smith_normal_form(m: List[List[int]]) -> Tuple[List[List[int]], List[List[in
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(map(int, row)) for row in m]
+    m_exact = ExactMatrix.from_rows(a)
     u = _identity(rows)
     v = _identity(cols)
 
@@ -130,9 +102,10 @@ def smith_normal_form(m: List[List[int]]) -> Tuple[List[List[int]], List[List[in
         s += 1
 
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    if _matmul(_matmul(u, m), v) != d:
+    u_exact, v_exact = ExactMatrix.from_rows(u), ExactMatrix.from_rows(v)
+    if u_exact @ m_exact @ v_exact != ExactMatrix.from_rows(d):
         raise ArithmeticError("Smith form: U M V != D")
-    if abs(_det_unimodular(u)) != 1 or abs(_det_unimodular(v)) != 1:
+    if u_exact.det().norm() != 1 or v_exact.det().norm() != 1:
         raise ArithmeticError("Smith form: a transform is not unimodular")
     return d, u, v
 

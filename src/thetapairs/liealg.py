@@ -9,7 +9,7 @@ compactness tags) into an abstract root datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -336,8 +336,7 @@ class ConcreteRootData:
     datum: RootDatum
     theta_perm: bytes
     positive: Tuple[int, ...]
-    compactness: Optional[Dict[int, str]] = None
-    zero_space: List[Vector] = field(default_factory=list)
+    compactness: Dict[int, str]
 
     @property
     def nroots(self) -> int:
@@ -376,7 +375,6 @@ def build_concrete_root_data(
     torus: Sequence[Vector],
     theta: Callable[[Vector], Vector],
     regular_element: Vector,
-    compute_compactness: bool,
     ambient: Optional[Sequence[Vector]] = None,
 ) -> ConcreteRootData:
     """Decompose a (sub)algebra under the torus and package the root system.
@@ -384,24 +382,23 @@ def build_concrete_root_data(
     `regular_element` (coordinates of a torus element) defines positivity
     through the lexicographic order on Q(i); it must not annihilate any
     root.  `theta` applies the involution to coordinates.  Compactness is
-    tagged through the theta eigenvalue on imaginary root spaces when
-    requested.
+    tagged through the theta eigenvalue on imaginary root spaces.
     """
     torus = [gvec(t) for t in torus]
     decomposition = weight_decomposition(frame, torus, ambient=ambient)
-    zero_space: List[Vector] = []
+    zero_dim = 0
     weights: List[Tuple[GaussRat, ...]] = []
     vectors: List[Vector] = []
     for w, space in decomposition:
         if all(x.is_zero() for x in w):
-            zero_space.extend(space)
+            zero_dim += len(space)
             continue
         if len(space) != 1:
             raise ValueError(
                 f"torus is not regular: root space of weight {w} has dimension {len(space)}")
         weights.append(w)
         vectors.append(space[0])
-    if len(zero_space) != len(torus):
+    if zero_dim != len(torus):
         raise ValueError("torus is not its own centralizer; not a maximal torus")
 
     # evaluate roots on the regular element to fix a positive system
@@ -416,36 +413,28 @@ def build_concrete_root_data(
         values.append(v)
     positive = tuple(k for k, v in enumerate(values) if is_positive_value(v))
 
-    # theta action on roots
+    # theta action on roots: theta is an involution, so alpha_perm(k) o theta
+    # = alpha_k says alpha_k o theta = alpha_perm(k)
     theta_t = restrict_action(theta, torus)
     if theta_t is None:
         raise ValueError("torus is not theta-stable")
-    # the weight alpha o theta, in coordinates on the torus
-    on_weights = theta_t.transpose()
-    perm = []
-    weight_map = {w: k for k, w in enumerate(weights)}
-    for w in weights:
-        img = tuple(on_weights.apply(w))
-        if img not in weight_map:
-            raise ValueError("theta does not permute the roots")
-        perm.append(weight_map[img])
-    perm = bytes(perm)
+    perm = weight_perm(weights, theta_t)
+    if perm is None:
+        raise ValueError("theta does not permute the roots")
 
     datum = _abstract_datum(weights, positive)
 
-    compactness = None
-    if compute_compactness:
-        compactness = {}
-        for k, vec in enumerate(vectors):
-            if perm[k] != k:
-                continue
-            img = theta(vec)
-            if img == vec:
-                compactness[k] = "compact"
-            elif img == [-x for x in vec]:
-                compactness[k] = "noncompact"
-            else:
-                raise ValueError("imaginary root space is not a theta eigenvector")
+    compactness = {}
+    for k, vec in enumerate(vectors):
+        if perm[k] != k:
+            continue
+        img = theta(vec)
+        if img == vec:
+            compactness[k] = "compact"
+        elif img == [-x for x in vec]:
+            compactness[k] = "noncompact"
+        else:
+            raise ValueError("imaginary root space is not a theta eigenvector")
 
     return ConcreteRootData(
         frame=frame,
@@ -456,8 +445,28 @@ def build_concrete_root_data(
         theta_perm=perm,
         positive=positive,
         compactness=compactness,
-        zero_space=zero_space,
     )
+
+
+def weight_perm(weights: Sequence[Tuple[GaussRat, ...]],
+                torus_matrix: ExactMatrix) -> Optional[bytes]:
+    """Permutation induced on the roots (given by their weights on a torus
+    basis) by an action m on the torus (a matrix on that basis):
+    alpha_k o m^{-1} = alpha_perm(k), or None unless alpha -> alpha o m is
+    a bijection of the roots.
+
+    Read without inverting m, as alpha_perm(k) o m = alpha_k: the weight
+    alpha o m has coordinates m^T alpha, and perm(k) is the j whose image
+    is alpha_k."""
+    on_weights = torus_matrix.transpose()
+    weight_map = {w: k for k, w in enumerate(weights)}
+    perm: List[Optional[int]] = [None] * len(weights)
+    for j, w in enumerate(weights):
+        k = weight_map.get(tuple(on_weights.apply(w)))
+        if k is None or perm[k] is not None:
+            return None
+        perm[k] = j
+    return bytes(perm)
 
 
 def _simple_indices(weights, positive: Sequence[int]) -> List[int]:

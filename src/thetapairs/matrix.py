@@ -363,6 +363,12 @@ class ExactMatrix:
         return modular_rank([values[i * self.cols:(i + 1) * self.cols]
                              for i in range(self.rows)])
 
+    def nullity_is(self, k: int) -> bool:
+        """Whether the right null space has dimension k, for a matrix whose
+        nullity is known to be at least k: a rank of cols - k mod PRIME
+        proves it, else the exact kernel decides."""
+        return self.rank_mod_p() == self.cols - k or len(self.kernel_basis()) == k
+
     def kernel_basis(self) -> List[List[GaussRat]]:
         """Deterministic basis of the right null space.
 

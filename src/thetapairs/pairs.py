@@ -101,7 +101,6 @@ class CombinatorialData:
     datum: RootDatum
     theta_perm: bytes
     compactness: Optional[Dict[int, str]]
-    w0_input_label: Optional[str] = None
     w0_input_order: Optional[int] = None
 
 
@@ -197,11 +196,7 @@ class SymmetricPairRealization:
                 or len(self.ad(coords).kernel_basis()) == self.rank_g)
 
     def sample_a_element(self, rng: random.Random) -> Vector:
-        coeffs = [rng.randint(-9, 9) for _ in self.a_basis]
-        acc = [ZERO] * self.dim_g
-        for c, v in zip(coeffs, self.a_basis):
-            acc = [a + GaussRat(c) * x for a, x in zip(acc, v)]
-        return acc
+        return _combine(self.a_basis, [GaussRat(rng.randint(-9, 9)) for _ in self.a_basis])
 
 
 T = TypeVar("T")
@@ -356,10 +351,8 @@ def _assemble_matrix_pair(spec, frame, dim_g0, theta,
         t_split_basis=split_torus,
         split_positivity=gvec(h_a),
     )
-    pair.split_roots = build_concrete_root_data(
-        frame, split_torus, pair.theta_apply, h_a, compute_compactness=False)
-    pair.fund_roots = build_concrete_root_data(
-        frame, t_fund, pair.theta_apply, h_fund, compute_compactness=True)
+    pair.split_roots = build_concrete_root_data(frame, split_torus, pair.theta_apply, h_a)
+    pair.fund_roots = build_concrete_root_data(frame, t_fund, pair.theta_apply, h_fund)
     _validate_matrix_pair(pair)
     return pair
 
@@ -382,7 +375,7 @@ def _build_g2split() -> SymmetricPairRealization:
         else:
             raise CatalogError("g2split compactness table does not cover the roots")
     comb = CombinatorialData(datum, theta_perm, compactness,
-                             w0_input_label="A1xA1", w0_input_order=4)
+                             w0_input_order=4)  # W0 of type A1xA1
     return SymmetricPairRealization(
         pair_id="g2split", spec=PairSpec("g2split"),
         rank_r1=2, rank_g=2, matrix_level=False, comb=comb)
@@ -402,7 +395,7 @@ def _build_e6qs() -> SymmetricPairRealization:
     if compose(theta_perm, theta_perm) != identity_perm(72):
         raise CatalogError("e6qs involution is not an involution")
     comb = CombinatorialData(datum, theta_perm, compactness=None,
-                             w0_input_label="C4", w0_input_order=384)
+                             w0_input_order=384)  # W0 of type C4
     return SymmetricPairRealization(
         pair_id="e6qs", spec=PairSpec("e6qs"),
         rank_r1=6, rank_g=6, matrix_level=False, comb=comb)
@@ -514,13 +507,6 @@ def realize(spec) -> SymmetricPairRealization:
     if isinstance(spec, str):
         spec = PairSpec.parse(spec)
     return _realize_cached(spec)
-
-
-def root_decomposition(pair: SymmetricPairRealization) -> ConcreteRootData:
-    """Roots of the pinned fundamental theta-stable torus, with the
-    involution and compactness tags; matrix-level pairs only."""
-    pair.require_matrix_level()
-    return pair.fund_roots
 
 
 MATRIX_CATALOG = ("splitA:n=1", "splitA:n=2", "splitA:n=3",

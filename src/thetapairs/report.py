@@ -209,7 +209,8 @@ def build_report(spec: str, seed: int = 0, with_timing: bool = True) -> Dict:
         try:
             value = compute()
         except SplittingFieldTooLarge as exc:
-            raise SplittingFieldTooLarge(f"{pair_id}: {name}: {exc}") from exc
+            raise SplittingFieldTooLarge(
+                f"{pair_id}: {name}: {type(exc).__name__}: {exc}") from exc
         except Exception as exc:
             raise SectionError(
                 f"{pair_id}: {name}: {type(exc).__name__}: {exc}") from exc

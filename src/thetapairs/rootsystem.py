@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat
@@ -394,14 +394,9 @@ def restricted_reflection_norms(
         if len(kern) != 1:
             raise ArithmeticError("a reflection's (-1)-eigenspace is not a line")
         vec = kern[0]
-        dens = [c.re.denominator for c in vec]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(c.re * lcm) for c in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
+        den = lcm(*(c.re.denominator for c in vec))
+        ints = [int(c.re * den) for c in vec]
+        g = gcd(*ints)
         prim = tuple(x // g for x in ints)
         if prim in seen or tuple(-x for x in prim) in seen:
             continue

@@ -34,7 +34,7 @@ class TripleNotFound(Exception):
     pass
 
 
-class ConjugationOutsideField(Exception):
+class ConjugationOutsideField(SplittingFieldTooLarge):
     """The semisimple part cannot be moved into the pinned Cartan subspace
     by an exact Q(i) conjugation."""
 
@@ -131,8 +131,6 @@ class KWSection:
     h: Vector
     f: Vector
     v_basis: List[Vector]          # ordered by descending ad(h) weight
-    v_weights: List[GaussRat]
-    borel_perm: bytes              # the regular theta-stable Borel class used
 
     def slice_point(self, coeffs: Sequence) -> Vector:
         return [a + b for a, b in zip(self.e, _combine(self.v_basis, gvec(coeffs)))]
@@ -185,7 +183,7 @@ def _kw_section(pair: SymmetricPairRealization) -> KWSection:
 
     # h must come from im(ad e) (Jacobson-Morozov), which kills any central
     # ambiguity in t0
-    t0 = theta_eigen_basis(pair, pair.fund_roots.torus, +1)
+    t0 = theta_eigen_basis(pair, pair.fund_roots.torus)
     ad_e = pair.ad(e)
     image = [ad_e.column(j) for j in range(pair.dim_g)]
     h_space = intersect_spans(t0, image)
@@ -206,9 +204,7 @@ def _kw_section(pair: SymmetricPairRealization) -> KWSection:
         for vec in space:
             graded.append((wt[0], vec))
     graded.sort(key=lambda p: p[0].sort_key(), reverse=True)
-    v_basis = [vec for _, vec in graded]
-    v_weights = [wt for wt, _ in graded]
-    return KWSection(pair, e, h, f, v_basis, v_weights, reg.rep_perm)
+    return KWSection(pair, e, h, f, [vec for _, vec in graded])
 
 
 def kw_solve(section: KWSection, target: Sequence) -> Vector:
@@ -334,10 +330,7 @@ def _orthogonal_diagonalizer(m: ExactMatrix) -> ExactMatrix:
     for lam, vecs in eigenspaces(m):
         ortho: List[List[GaussRat]] = []
         for v in vecs:
-            for prev in ortho:
-                num = _dot(v, prev)
-                den = _dot(prev, prev)
-                v = [a - (num / den) * b for a, b in zip(v, prev)]
+            v = _project_out(v, ortho)
             norm2 = _dot(v, v)
             if norm2.is_zero():
                 # isotropic representative; mix with later vectors
@@ -361,14 +354,20 @@ def _orthogonal_diagonalizer(m: ExactMatrix) -> ExactMatrix:
 def _fix_isotropic(v, vecs, ortho):
     for other in vecs:
         for c in (ONE, GaussRat(0, 1), GaussRat(2), GaussRat(1, 1)):
-            cand = [a + c * b for a, b in zip(v, other)]
-            for prev in ortho:
-                num = _dot(cand, prev)
-                den = _dot(prev, prev)
-                cand = [x - (num / den) * y for x, y in zip(cand, prev)]
+            cand = _project_out([a + c * b for a, b in zip(v, other)], ortho)
             if not _dot(cand, cand).is_zero():
                 return cand
     raise ConjugationOutsideField("isotropic eigenspace over Q(i)")
+
+
+def _project_out(v, ortho):
+    """v minus its projections onto the mutually orthogonal, anisotropic
+    vectors of ortho (one Gram-Schmidt step)."""
+    for prev in ortho:
+        num = _dot(v, prev)
+        den = _dot(prev, prev)
+        v = [a - (num / den) * b for a, b in zip(v, prev)]
+    return v
 
 
 def _dot(a, b) -> GaussRat:

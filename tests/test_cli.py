@@ -13,7 +13,9 @@ import pytest
 
 import thetapairs
 from thetapairs.cli import main
+from thetapairs.fibers import CentralizerTorusError
 from thetapairs.pairs import FULL_CATALOG, CatalogError
+from thetapairs.slices import ConjugationOutsideField
 
 
 def run_cli(capsys, *argv):
@@ -286,3 +288,22 @@ def test_perfbench_trace_targets_resolve():
             assert attr in vars(getattr(module, cls_name)), (module_name, qualname)
         else:
             assert callable(getattr(module, qualname)), (module_name, qualname)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("conjugate_ss_into_a", ConjugationOutsideField),
+    ("fiber_component_dimensions", CentralizerTorusError),
+])
+def test_a_stage_that_leaves_the_exact_domain_exits_3(capsys, monkeypatch, name, error):
+    from thetapairs import report
+
+    def outside(*args):
+        raise error("needs sqrt(2) outside Q(i)")
+
+    monkeypatch.setattr(report, name, outside)
+    code, out, err = run_cli(capsys, "report", "splitA:n=1", "--json", "--no-timing")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "domain error (exact field too small): splitA:n=1: dimension_audit: "
+        f"{error.__name__}: needs sqrt(2) outside Q(i)"]

@@ -25,6 +25,7 @@ from thetapairs.jordan import (
     jordan_decomposition,
     jordan_semisimple_part,
 )
+from thetapairs import lattice
 from thetapairs.lattice import smith_normal_form
 from thetapairs.liealg import LinearAlgebraFrame, flag_stabilizer
 from thetapairs.matrix import (
@@ -62,6 +63,12 @@ def test_zero_results_share_the_zero_object():
     a = GaussRat(Fraction(1, 2))
     assert a * GaussRat(0) is ZERO and GaussRat(0) * a is ZERO
     assert a + ZERO is a and ZERO + a is a and a - ZERO is a
+    assert -ZERO is ZERO and -GaussRat(0) is ZERO
+    # the pivot entries of a kernel vector are negated reduced-row entries,
+    # three of them zero here
+    basis = mat([[1, 0, 2, 0], [0, 1, 0, 0]]).kernel_basis()
+    zeros = [x for v in basis for x in v if x.is_zero()]
+    assert len(zeros) == 5 and all(x is ZERO for x in zeros)
 
 
 def test_gauss_sqrt_exact_cases():
@@ -735,6 +742,22 @@ def test_snf_identity():
 def test_snf_single_entry():
     d, u, v = smith_normal_form([[2]])
     assert (d, u, v) == ([[2]], [[1]], [[1]])
+
+
+def _doubled_identity(n):
+    return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("m, message", [
+    # transforms started at 2I instead of I give U M V = 4 D
+    ([[2, 4], [6, 8]], "U M V != D"),
+    # U M V = D = 0 holds for any transforms, but these have determinant 4
+    ([[0, 0], [0, 0]], "not unimodular"),
+])
+def test_snf_checks_its_transforms(monkeypatch, m, message):
+    monkeypatch.setattr(lattice, "_identity", _doubled_identity)
+    with pytest.raises(ArithmeticError, match=message):
+        smith_normal_form(m)
 
 
 def _rational_rank(m):

@@ -12,6 +12,7 @@ from thetapairs.involutions import (
     enumerate_split_borels,
     root_value,
     split_simple_lift,
+    torus_action_perm,
 )
 from thetapairs.matrix import ExactMatrix, restrict_action
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
@@ -246,3 +247,11 @@ def test_root_value_rejects_h_outside_the_torus():
     assert not root_value(split.torus, split.weights[k], h).is_zero()
     with pytest.raises(CatalogError):
         root_value(split.torus, split.weights[k], split.root_vectors[k])
+
+
+def test_an_automorphism_that_does_not_permute_the_roots_is_caught():
+    # 2 id normalizes every torus, but alpha -> 2 alpha is no map of the roots
+    pair = realize("splitA:n=2")
+    doubling = ExactMatrix.identity(pair.dim_g).scale(2)
+    with pytest.raises(CatalogError, match="does not permute the roots"):
+        torus_action_perm(pair.fund_roots, doubling)

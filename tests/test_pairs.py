@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetapairs.gaussian import ZERO, GaussRat
-from thetapairs.liealg import LinearAlgebraFrame, vec_is_zero
+from thetapairs.liealg import LinearAlgebraFrame, build_concrete_root_data, vec_is_zero
 from thetapairs.matrix import ExactMatrix
 from thetapairs.pairs import (
     MATRIX_CATALOG,
@@ -20,7 +20,6 @@ from thetapairs.pairs import (
     _unit,
     _validate_matrix_pair,
     realize,
-    root_decomposition,
 )
 
 
@@ -64,7 +63,7 @@ def test_diag_sl2_identification():
 
 def test_diag_sl2_roots_all_complex():
     p = realize("diag:sl2")
-    fund = root_decomposition(p)
+    fund = p.fund_roots
     assert fund.nroots == 2 * 2
     assert all(fund.classify(k) == "complex" for k in range(fund.nroots))
 
@@ -72,7 +71,7 @@ def test_diag_sl2_roots_all_complex():
 def test_sl2_so2_roots_imaginary_noncompact():
     # relative to the theta-fixed torus both roots are imaginary noncompact
     p = realize("splitA:n=1")
-    fund = root_decomposition(p)
+    fund = p.fund_roots
     assert fund.nroots == 2
     assert all(fund.classify(k) == "imaginary" for k in range(2))
     assert set(fund.compactness.values()) == {"noncompact"}
@@ -80,7 +79,7 @@ def test_sl2_so2_roots_imaginary_noncompact():
 
 def test_glgl_n1_compactness_pattern():
     p = realize("glgl:n=1")
-    fund = root_decomposition(p)
+    fund = p.fund_roots
     assert fund.nroots == 2
     assert all(fund.classify(k) == "imaginary" for k in range(2))
     # both root spaces are the off-diagonal units, hence in g1
@@ -89,7 +88,7 @@ def test_glgl_n1_compactness_pattern():
 
 def test_glgl_n2_compactness_split_by_blocks():
     p = realize("glgl:n=2")
-    fund = root_decomposition(p)
+    fund = p.fund_roots
     counts = Counter(fund.compactness.values())
     assert counts == {"noncompact": 8, "compact": 4}
 
@@ -357,3 +356,12 @@ def test_centralizer_in_g_matches_the_explicit_ambient(spec):
              [g_point(1)], [g_point(0.3)], [g_point(0.3), a_point()]]
     for vectors in cases:
         assert frame.centralizer(vectors) == frame.centralizer(vectors, ambient=units)
+
+
+def test_a_theta_that_does_not_permute_the_roots_is_caught():
+    # 2 id preserves the split torus, but alpha -> 2 alpha is no map of the roots
+    pair = realize("splitA:n=2")
+    doubling = lambda v: [GaussRat(2) * x for x in v]  # noqa: E731
+    with pytest.raises(ValueError, match="theta does not permute the roots"):
+        build_concrete_root_data(pair.frame, pair.t_split_basis, doubling,
+                                 pair.split_positivity)

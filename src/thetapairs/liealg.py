@@ -58,6 +58,18 @@ def _product_terms(left, right, n: int, sign: GaussRat):
             yield sign * a, {r * n + col: b for col, b in row}
 
 
+def _residue_rows(terms: Sequence[Sequence[Tuple[int, int]]], xs: Sequence[int],
+                  n: int) -> List[List[int]]:
+    """The rows of the n x n matrix sum_k xs[k] T_k mod PRIME, where terms[k]
+    lists the (flat index, residue) of the nonzero entries of T_k."""
+    flat = [0] * (n * n)
+    for x, row in zip(xs, terms):
+        if x:
+            for f, c in row:
+                flat[f] += c * x
+    return [[v % PRIME for v in flat[r * n:(r + 1) * n]] for r in range(n)]
+
+
 class LinearAlgebraFrame:
     """Coordinates, brackets and adjoint matrices for a matrix Lie algebra
     given by an explicit basis inside gl(N)."""
@@ -172,23 +184,38 @@ class LinearAlgebraFrame:
             out[i].append((f, r))
         return out
 
+    @cached_property
+    def _basis_residues(self) -> Optional[List[List[Tuple[int, int]]]]:
+        """The basis matrices reduced mod PRIME, built once: entry k lists
+        (flat index, residue) for the nonzero entries of basis[k], or None
+        when some entry has no residue."""
+        out = [[] for _ in range(self.dim)]
+        for k, r, col, c in self._basis_entries():
+            x = residue(c)
+            if x is None:
+                return None
+            out[k].append((r * self.n_def + col, x))
+        return out
+
     def ad_rank_mod_p(self, coords: Sequence) -> Optional[int]:
         """The rank of ad(coords) reduced mod PRIME, a lower bound on the
         rank of `ad(coords)`, built from the structure residues without the
         exact matrix; None when a coordinate or a structure constant has no
         residue."""
-        terms = self._structure_residues
         xs = [residue(c) for c in gvec(coords)]
-        if terms is None or None in xs:
-            return None
-        dim = self.dim
-        flat = [0] * (dim * dim)
-        for x, row in zip(xs, terms):
-            if x:
-                for f, c in row:
-                    flat[f] += c * x
-        return modular_rank([[v % PRIME for v in flat[r * dim:(r + 1) * dim]]
-                             for r in range(dim)])
+        return None if None in xs else self.ad_rank_from_residues(xs)
+
+    def ad_rank_from_residues(self, xs: Sequence[int]) -> Optional[int]:
+        """The rank over F_PRIME of ad x, for x given by its coordinate
+        residues; None when a structure constant has no residue."""
+        terms = self._structure_residues
+        return None if terms is None else modular_rank(_residue_rows(terms, xs, self.dim))
+
+    def matrix_from_residues(self, xs: Sequence[int]) -> Optional[List[List[int]]]:
+        """The rows of `from_coords` reduced mod PRIME, for coordinates given
+        by their residues; None when a basis entry has no residue."""
+        terms = self._basis_residues
+        return None if terms is None else _residue_rows(terms, xs, self.n_def)
 
     def ad(self, coords: Sequence) -> ExactMatrix:
         coords = gvec(coords)

@@ -18,7 +18,10 @@ An `ExactMatrix` is row-major and immutable after construction; its
   operations;
 - `rank_mod_p` reduces the entries modulo a fixed prime and eliminates on
   plain ints.  Its rank is a lower bound on `rank`, so it can certify that
-  a rank is as large as it can be without any exact elimination.
+  a rank is as large as it can be without any exact elimination;
+- `modular_char_poly` is the characteristic polynomial over F_PRIME, by a
+  division-free method on plain ints.  Its coefficients are the residues
+  of `char_poly`'s, so residues that differ prove that polynomials differ.
 
 Sizes stay at desk scale; entry growth from exact elimination is accepted.
 """
@@ -171,6 +174,29 @@ def modular_rank(rows: List[List[int]]) -> int:
                 rows[k] = [(a - f * b) % PRIME for a, b in zip(rows[k], prow)]
         rank += 1
     return rank
+
+
+def modular_char_poly(rows: List[List[int]]) -> List[int]:
+    """The characteristic polynomial det(xI - m) over F_PRIME of a square
+    matrix of residues, given as a list of rows: monic, descending degree,
+    coefficients in [0, PRIME).
+
+    Berkowitz's division-free method (Inf. Process. Lett. 18, 1984): with
+    m_k the leading k x k block, r its next row and c its next column up to
+    the diagonal entry a, det(xI - m_{k+1}) is the Toeplitz product of
+    (1, -a, -r c, -r m_k c, ..., -r m_k^{k-1} c) with det(xI - m_k).
+    """
+    poly = [1]
+    for k, row in enumerate(rows):
+        r, v = row[:k], [rows[i][k] for i in range(k)]
+        t = [1, -row[k]]
+        for j in range(k):
+            if j:
+                v = [sum(a * b for a, b in zip(rows[i][:k], v)) % PRIME for i in range(k)]
+            t.append(-sum(a * b for a, b in zip(r, v)))
+        poly = [sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) % PRIME
+                for i in range(k + 2)]
+    return poly
 
 
 class ExactMatrix:

@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge
 from .jordan import eigenspaces, jordan_semisimple_part
 from .liealg import Vector, _combine, gvec, vec_is_zero, weight_decomposition
-from .matrix import ExactMatrix, coordinates_in_basis, intersect_spans
+from .matrix import (
+    PRIME,
+    ExactMatrix,
+    coordinates_in_basis,
+    intersect_spans,
+    modular_char_poly,
+    residue,
+)
 from .involutions import detect_regular_borels, theta_eigen_basis
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 
@@ -119,6 +126,40 @@ def _traceless_invariants(m: ExactMatrix) -> Tuple[GaussRat, ...]:
     if not poly[1].is_zero():
         raise CatalogError("chi1: the matrix is not traceless")
     return tuple(poly[2:])
+
+
+def _check_traceless(pair: SymmetricPairRealization, vectors: Sequence[Vector]):
+    """chi1's traceless guard on every point of span(vectors) at once: the
+    trace is linear, so it vanishes on the span when it vanishes on each
+    vector."""
+    family = pair.spec.family
+    if family == "glgl":
+        return
+    for v in vectors:
+        m = pair.from_coords(v)
+        if family == "diag":
+            m = m.block(0, 0, m.rows // 2, m.rows // 2)
+        if not m.trace().is_zero():
+            raise CatalogError("chi1: the matrix is not traceless")
+
+
+def _invariant_residues(pair: SymmetricPairRealization,
+                        rows: List[List[int]]) -> Tuple[int, ...]:
+    """chi1 reduced mod PRIME, from the rows of x's matrix reduced mod PRIME:
+    the same invariants as `chi1`, from `modular_char_poly`."""
+    family = pair.spec.family
+    if family == "splitA":
+        return tuple(modular_char_poly(rows)[2:])
+    if family == "glgl":
+        n = pair.spec.n
+        bottom = [row[:n] for row in rows[n:]]
+        block = [[sum(a * b for a, b in zip(row[n:], col)) % PRIME for col in zip(*bottom)]
+                 for row in rows[:n]]
+        return tuple(modular_char_poly(block)[1:])
+    if family == "diag":
+        k = len(rows) // 2
+        return tuple(modular_char_poly([row[:k] for row in rows[:k]])[2:])
+    raise CatalogError(f"{pair.pair_id}: chi1 needs a matrix realization")
 
 
 # -- Kostant-Weierstrass section ----------------------------------------------
@@ -238,10 +279,25 @@ def kw_solve(section: KWSection, target: Sequence) -> Vector:
 def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
              n_samples: int = 50, n_round_trips: int = 20) -> dict:
     """The slice properties: samples regular, chi1 injective on them, and
-    quotient targets round-tripping through the slice solve."""
+    quotient targets round-tripping through the slice solve.
+
+    The samples are certified modulo PRIME.  Each sample's coordinate
+    residues are e + sum c_i v_i mod PRIME; a rank of dim g - rank g for ad x
+    mod PRIME proves it regular, and chi1 values whose residues differ are
+    different.  Three fallbacks decide exactly: the exact `is_regular` when
+    the rank certificate fails or a residue is missing, the exact `chi1` of
+    both samples when their residues collide, and the residues of the exact
+    `chi1` as the key of a sample with a missing residue.  chi1's traceless guard is
+    checked once, exactly, on e and on each v_i: the trace is linear.
+    """
     section = build_kw_section(pair)
+    _check_traceless(pair, [section.e] + section.v_basis)
+    frame = pair.frame
+    base = [[residue(c) for c in v] for v in [section.e] + section.v_basis]
+    if any(None in v for v in base):
+        base = None
     rng = random.Random(0x5EED + seed)
-    seen = {}
+    seen: Dict[tuple, List[tuple]] = {}
     sampled = set()
     regular_count = 0
     while len(sampled) < n_samples:
@@ -250,14 +306,22 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
         if coeffs in sampled:
             continue
         sampled.add(coeffs)
-        x = section.slice_point(coeffs)
-        if not is_regular(pair, x):
+        cs = [1] + [residue(c) for c in coeffs]
+        xs = (None if base is None or None in cs else
+              [sum(c * x for c, x in zip(cs, column)) % PRIME for column in zip(*base)])
+        if ((xs is None or frame.ad_rank_from_residues(xs) != pair.dim_g - pair.rank_g)
+                and not is_regular(pair, section.slice_point(coeffs))):
             raise CatalogError("slice sample is not regular")
         regular_count += 1
-        key = chi1(pair, x)
-        if key in seen:
-            raise CatalogError("chi1 is not injective on the slice")
-        seen[key] = coeffs
+        rows = None if xs is None else frame.matrix_from_residues(xs)
+        key = (_invariant_residues(pair, rows) if rows is not None else
+               tuple(map(residue, chi1(pair, section.slice_point(coeffs)))))
+        bucket = seen.setdefault(key, [])
+        if bucket:
+            value = chi1(pair, section.slice_point(coeffs))
+            if any(chi1(pair, section.slice_point(other)) == value for other in bucket):
+                raise CatalogError("chi1 is not injective on the slice")
+        bucket.append(coeffs)
     round_trips = 0
     for _ in range(n_round_trips):
         target = tuple(GaussRat(rng.randint(-9, 9), rng.randint(-2, 2))
@@ -272,7 +336,7 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     kappa0 = section.slice_point(zero_coeffs)
     return {
         "samples_regular": regular_count,
-        "chi1_injective_on": len(seen),
+        "chi1_injective_on": sum(map(len, seen.values())),
         "round_trips": round_trips,
         "kappa_at_zero_is_e": (kappa0 == section.e
                                and pair.from_coords(kappa0).is_nilpotent()
@@ -303,6 +367,8 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
             g = _diag_diagonalizer(pair, m)
         else:
             raise CatalogError(f"{pair.pair_id}: no conjugation solver")
+    except ConjugationOutsideField:
+        raise
     except SplittingFieldTooLarge as exc:
         raise ConjugationOutsideField(str(exc)) from exc
     ad_g = _ad_of_group_element(pair, g)

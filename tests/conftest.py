@@ -36,22 +36,27 @@ def dense_theta():
 @pytest.fixture
 def record_kernel_inputs(monkeypatch):
     """Returns record(spec): builds the report of `spec` from a cold
-    realize cache and returns every matrix that `ExactMatrix.rref` was
-    called on, in call order, so that a kernel test can replay a report's
-    real inputs through an oracle."""
+    realize cache and returns {"rref": [...], "char_poly": [...]}, every
+    matrix that `ExactMatrix.rref` and `ExactMatrix.char_poly` was called
+    on, in call order, so that a kernel test can replay a report's real
+    inputs through an oracle."""
     def record(spec):
-        inputs = []
-        rref = ExactMatrix.rref
+        inputs = {name: [] for name in ("rref", "char_poly")}
 
-        def recording(self):
-            inputs.append(self)
-            return rref(self)
+        def recording(name, method):
+            def call(self):
+                inputs[name].append(self)
+                return method(self)
+            return call
 
-        monkeypatch.setattr(ExactMatrix, "rref", recording)
+        methods = {name: getattr(ExactMatrix, name) for name in inputs}
+        for name, method in methods.items():
+            monkeypatch.setattr(ExactMatrix, name, recording(name, method))
         pairs._realize_cached.cache_clear()
         try:
             build_report(spec, with_timing=False)
         finally:
-            monkeypatch.setattr(ExactMatrix, "rref", rref)
+            for name, method in methods.items():
+                monkeypatch.setattr(ExactMatrix, name, method)
         return inputs
     return record

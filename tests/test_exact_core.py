@@ -35,6 +35,7 @@ from thetapairs.matrix import (
     coordinates_in_basis,
     independent_subset,
     intersect_spans,
+    modular_char_poly,
     residue,
     restrict_action,
     span_eq,
@@ -679,7 +680,7 @@ def test_fraction_free_det_matches_field_elimination_and_domain_matrix(m):
 @pytest.mark.parametrize("spec", ["splitA:n=2", "diag:sl2"])
 def test_report_kernel_inputs_replay_through_the_field_elimination(spec,
                                                                    record_kernel_inputs):
-    inputs = record_kernel_inputs(spec)
+    inputs = record_kernel_inputs(spec)["rref"]
     assert inputs
     for m in inputs:
         red, pivots = m.rref()
@@ -711,6 +712,33 @@ def test_char_poly_conjugation_invariant():
     p = mat([[1, 1, 0], [0, 1, 2], [0, 0, 1]])
     conj = p @ m @ p.inverse()
     assert conj.char_poly() == m.char_poly()
+
+
+def _residue_matrix(m: ExactMatrix):
+    rows = [[residue(x) for x in row] for row in m.row_lists()]
+    assert all(None not in row for row in rows)
+    return rows
+
+
+@given(st.one_of(sparse_matrices(square=True), elimination_inputs(square=True),
+                 permuted_nilpotent_matrices()))
+@settings(max_examples=100, deadline=None)
+@example(mat([[0, 2], [3, 0]]))
+@example(ExactMatrix(8, 8, [GaussRat(j - i, 1) if j > i else ZERO
+                            for i in range(8) for j in range(8)]))
+def test_modular_char_poly_is_the_residue_of_char_poly(m):
+    # real, complex, singular (zero, repeated and multiple rows) and
+    # nilpotent Gaussian-rational inputs up to 8 x 8
+    assert modular_char_poly(_residue_matrix(m)) == [residue(c) for c in m.char_poly()]
+
+
+@pytest.mark.parametrize("spec", ["splitA:n=3", "glgl:n=2", "diag:sl3"])
+def test_report_char_poly_inputs_replay_through_modular_char_poly(spec,
+                                                                  record_kernel_inputs):
+    inputs = record_kernel_inputs(spec)["char_poly"]
+    assert inputs
+    for m in inputs:
+        assert modular_char_poly(_residue_matrix(m)) == [residue(c) for c in m.char_poly()]
 
 
 def test_block_diagonal_and_block_round_trip():
@@ -919,6 +947,40 @@ def test_jordan_properties_on_conjugated_blocks():
     assert (ss + nil) == m
     assert is_semisimple(ss)
     assert not is_semisimple(m)
+
+
+@st.composite
+def constructed_jordan_decompositions(draw):
+    """(m, P D P^-1, P N P^-1) with m = P (D + N) P^-1: D a Gaussian-integer
+    diagonal whose equal eigenvalues are adjacent, N strictly upper
+    triangular inside D's blocks of equal eigenvalues (so [D, N] = 0), and
+    P a unimodular integer matrix, at most 5 x 5."""
+    eigenvalues = draw(st.lists(st.builds(GaussRat, st.integers(-3, 3), st.integers(-2, 2)),
+                                min_size=1, max_size=3, unique=True))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(eigenvalues),
+                          max_size=len(eigenvalues)).filter(lambda s: sum(s) <= 5))
+    block = [k for k, s in enumerate(sizes) for _ in range(s)]
+    n = len(block)
+    d = ExactMatrix.diagonal([eigenvalues[k] for k in block])
+    upper = draw(st.lists(st.sampled_from([ZERO, ZERO, ONE, GaussRat(-2), I, GaussRat(1, -1)]),
+                          min_size=n * n, max_size=n * n))
+    nil = ExactMatrix(n, n, [upper[i * n + j] if j > i and block[i] == block[j] else ZERO
+                             for i in range(n) for j in range(n)])
+    low = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    high = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    p = (ExactMatrix(n, n, [1 if i == j else low[i * n + j] if j < i else 0
+                            for i in range(n) for j in range(n)])
+         @ ExactMatrix(n, n, [1 if i == j else high[i * n + j] if j > i else 0
+                              for i in range(n) for j in range(n)]))
+    p_inv = p.inverse()
+    return p @ (d + nil) @ p_inv, p @ d @ p_inv, p @ nil @ p_inv
+
+
+@given(constructed_jordan_decompositions())
+@settings(max_examples=30, deadline=None)
+def test_jordan_decomposition_recovers_a_constructed_answer(case):
+    m, ss, nil = case
+    assert jordan_decomposition(m) == (ss, nil)
 
 
 def test_jordan_refuses_non_gaussian_spectrum():

@@ -8,8 +8,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from thetapairs.gaussian import GaussRat, I, ONE, ZERO
-from thetapairs.matrix import PRIME, ExactMatrix
-from thetapairs.pairs import MATRIX_CATALOG, realize
+from thetapairs import slices
+from thetapairs.matrix import PRIME, ExactMatrix, residue
+from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.slices import (
     ConjugationOutsideField,
     ElementOfG1,
@@ -206,6 +207,87 @@ def test_kw_audit_all_pairs(spec):
     assert audit["kappa_at_zero_is_e"]
 
 
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_invariant_residues_are_the_residues_of_chi1(spec):
+    p = realize(spec)
+    section = build_kw_section(p)
+    rng = random.Random(3)
+    for _ in range(10):
+        x = section.slice_point([GaussRat(rng.randint(-40, 40), rng.randint(-3, 3))
+                                 for _ in range(p.rank_r1)])
+        rows = p.frame.matrix_from_residues([residue(c) for c in x])
+        assert rows == [[residue(c) for c in row] for row in p.from_coords(x).row_lists()]
+        assert slices._invariant_residues(p, rows) == tuple(map(residue, chi1(p, x)))
+
+
+def _counting(monkeypatch, name):
+    """Replaces slices.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(slices, name)
+    monkeypatch.setattr(slices, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+AUDIT = dict(n_samples=12, n_round_trips=2)
+
+
+def test_kw_audit_certifies_its_samples_without_exact_checks(monkeypatch):
+    p = realize("splitA:n=2")
+    regular_calls = _counting(monkeypatch, "is_regular")
+    chi1_calls = _counting(monkeypatch, "chi1")
+    audit = kw_audit(p, **AUDIT)
+    assert audit["samples_regular"] == audit["chi1_injective_on"] == 12
+    # kappa(0) only; chi1 in the solves only, 2r + 1 = 5 calls per solve
+    assert len(regular_calls) == 1 and len(chi1_calls) == 3 * 5
+
+
+def test_kw_audit_decides_a_residue_collision_exactly(monkeypatch):
+    p = realize("splitA:n=2")
+    want = kw_audit(p, **AUDIT)
+    monkeypatch.setattr(slices, "_invariant_residues", lambda pair, rows: (0, 0))
+    chi1_calls = _counting(monkeypatch, "chi1")
+    assert kw_audit(p, **AUDIT) == want
+    assert want["chi1_injective_on"] == 12
+    # samples 2..12 each take their own exact chi1 and that of every earlier
+    # sample: 11 + (1 + 2 + ... + 11)
+    assert len(chi1_calls) - 3 * 5 == 11 + 11 * 12 // 2
+
+
+def test_kw_audit_falls_back_to_the_exact_is_regular(monkeypatch):
+    p = realize("glgl:n=1")
+    want = kw_audit(p, **AUDIT)
+    monkeypatch.setattr(p.frame, "ad_rank_from_residues", lambda xs: 0)
+    regular_calls = _counting(monkeypatch, "is_regular")
+    assert kw_audit(p, **AUDIT) == want
+    assert len(regular_calls) == 12 + 1
+
+
+def test_kw_audit_takes_the_exact_path_without_residues(monkeypatch):
+    p = realize("diag:sl2")
+    want = kw_audit(p, **AUDIT)
+    monkeypatch.setattr(slices, "residue", lambda x: None)
+    regular_calls = _counting(monkeypatch, "is_regular")
+    invariant_calls = _counting(monkeypatch, "_invariant_residues")
+    assert kw_audit(p, **AUDIT) == want
+    assert len(regular_calls) == 12 + 1 and not invariant_calls
+
+
+def test_kw_audit_guard_on_an_irregular_sample(monkeypatch):
+    p = realize("splitA:n=1")
+    monkeypatch.setattr(p.frame, "ad_rank_from_residues", lambda xs: 0)
+    monkeypatch.setattr(slices, "is_regular", lambda pair, x: False)
+    with pytest.raises(CatalogError, match="slice sample is not regular"):
+        kw_audit(p, **AUDIT)
+
+
+def test_kw_audit_guard_on_equal_invariants(monkeypatch):
+    p = realize("splitA:n=1")
+    monkeypatch.setattr(slices, "_invariant_residues", lambda pair, rows: (0,))
+    monkeypatch.setattr(slices, "chi1", lambda pair, x: (ZERO,))
+    with pytest.raises(CatalogError, match="chi1 is not injective on the slice"):
+        kw_audit(p, **AUDIT)
+
+
 def test_chi1_invariant_under_g0_conjugation():
     # conjugating by exponentials of g0 nilpotents and by little-Weyl lifts
     from thetapairs.fibers import g0_weyl_lifts
@@ -250,10 +332,13 @@ def test_conjugation_failures_are_typed():
     bad_spectrum = ExactMatrix.from_rows([[1, 1], [1, -1]])
     with pytest.raises(ConjugationOutsideField):
         conjugate_ss_into_a(p, p.to_coords(bad_spectrum))
-    # eigenvalues +-1 but eigenvector norms 2: normalization outside Q(i)
+    # eigenvalues +-1 but eigenvector norms 2: normalization outside Q(i),
+    # raised once, not re-raised as a chained copy of itself
     bad_norm = ExactMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(ConjugationOutsideField):
+    with pytest.raises(ConjugationOutsideField,
+                       match=r"eigenvector normalization needs sqrt\(2\)") as info:
         conjugate_ss_into_a(p, p.to_coords(bad_norm))
+    assert not isinstance(info.value.__cause__, ConjugationOutsideField)
 
 
 def test_kappa_zero_is_nonzero_regular_nilpotent():

@@ -116,11 +116,14 @@ class LinearAlgebraFrame:
         the nonzero c with [b_i, b_j] = sum_k c b_k, so table[i][j] holds
         the nonzero entries of column j of ad(b_i).
 
-        Every bracket is computed on its own (table[j][i] is not read off
-        table[i][j]): the commutator is multiplied out over the nonzero
-        basis-matrix entries, its coordinates are read through the nonzero
-        entries of the pseudo-inverse, and they must rebuild the commutator
-        exactly."""
+        Each bracket with i < j is computed once: the commutator is
+        multiplied out over the nonzero basis-matrix entries, its
+        coordinates are read through the nonzero entries of the
+        pseudo-inverse, and they must rebuild the commutator exactly.  The
+        basis is independent (its Gram matrix is inverted), so these are the
+        only coordinates: table[j][i] is their negation, table[i][i] is
+        empty, and the table is the commutator of gl(N) on a subspace closed
+        under it, so it is antisymmetric and satisfies Jacobi."""
         if self._table is None:
             n, dim = self.n_def, self.dim
             entries = [[] for _ in range(dim)]   # entries[k] = [(r, column, c)] of B_k
@@ -136,17 +139,16 @@ class LinearAlgebraFrame:
                 if not s.is_zero():
                     k, f = divmod(index, n * n)
                     solver_cols[f][k] = s
-            table = []
+            table = [[{} for _ in range(dim)] for _ in range(dim)]
             for i in range(dim):
-                row = []
-                for j in range(dim):
+                for j in range(i + 1, dim):
                     commutator = sparse_sum(chain(_product_terms(entries[i], rows[j], n, ONE),
                                                   _product_terms(entries[j], rows[i], n, -ONE)))
                     coords = sparse_sum((v, solver_cols[f]) for f, v in commutator.items())
                     if sparse_sum((c, flat[k]) for k, c in coords.items()) != commutator:
                         raise ValueError("matrix is not in the algebra's span")
-                    row.append(coords)
-                table.append(row)
+                    table[i][j] = coords
+                    table[j][i] = {k: -c for k, c in coords.items()}
             self._table = table
         return self._table
 
@@ -427,6 +429,8 @@ def build_concrete_root_data(
         vectors.append(space[0])
     if zero_dim != len(torus):
         raise ValueError("torus is not its own centralizer; not a maximal torus")
+    if zero_dim + len(weights) != (frame.dim if ambient is None else len(ambient)):
+        raise ValueError("torus does not act semisimply: its weight spaces do not span")
 
     # evaluate roots on the regular element to fix a positive system
     reg_coeffs = coordinates_in_basis(torus, regular_element)

@@ -265,6 +265,27 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
+def test_package_has_no_unused_imports():
+    # a module-level import that no name in its module reads is dead code
+    package = Path(thetapairs.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name not in read]
+    assert found == []
+
+
 def test_package_has_no_dense_theta():
     # theta is the pair's sign vector (+1 on g0, -1 on g1 coordinates); a
     # dense dim g x dim g form of it is an oracle of the tests only

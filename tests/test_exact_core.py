@@ -831,6 +831,44 @@ def test_snf_properties(entries):
     assert all(x >= 0 for x in diag)
 
 
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 4 x 4, square or not, some with a zero row
+    and some with a row that is a multiple of another (singular)."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = [draw(st.lists(st.integers(-12, 12), min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    shape = draw(st.sampled_from(["generic", "zero row", "dependent row"]))
+    if shape == "zero row":
+        m[draw(st.integers(0, rows - 1))] = [0] * cols
+    elif shape == "dependent row" and rows > 1:
+        m[-1] = [draw(st.integers(-3, 3)) * x for x in m[0]]
+    return m
+
+
+@given(integer_matrices())
+@example([[0, 0], [0, 0], [0, 0]])
+@example([[2, 4], [6, 8], [0, 0]])
+@example([[6, 4, 0], [3, 2, 0]])
+@settings(max_examples=120, deadline=None)
+def test_snf_against_sympy(m):
+    from sympy import Matrix
+    from sympy.polys.domains import ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d, u, v = smith_normal_form(m)
+    assert Matrix(u) * Matrix(m) * Matrix(v) == Matrix(d)
+    assert Matrix(u).det() in (1, -1) and Matrix(v).det() in (1, -1)
+    diag = diagonal_of(d)
+    assert d == [[diag[i] if i == j else 0 for j in range(len(m[0]))]
+                 for i in range(len(m))]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    expected = sympy_snf(Matrix(m), domain=ZZ)
+    assert diag == [abs(expected[i, i]) for i in range(len(diag))]
+
+
 def test_cokernel_structure_of_doubling():
     # Z / 2Z: one torsion factor 2, no free part
     d, _, _ = smith_normal_form([[2]])

@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetapairs.gaussian import ZERO, GaussRat
-from thetapairs.liealg import LinearAlgebraFrame, build_concrete_root_data, vec_is_zero
-from thetapairs.matrix import ExactMatrix
+from thetapairs.liealg import (
+    LinearAlgebraFrame,
+    _combine,
+    build_concrete_root_data,
+    vec_is_zero,
+)
+from thetapairs.matrix import ExactMatrix, coordinates_in_basis
 from thetapairs.pairs import (
     MATRIX_CATALOG,
     CatalogError,
     PairSpec,
     _check_adapted_basis,
+    _sl_basis,
     _unit,
     _validate_matrix_pair,
     realize,
@@ -104,15 +110,18 @@ def test_torus_decomposition_bookkeeping():
         assert split.nroots + p.rank_g == p.dim_g
 
 
-def test_quasi_split_witness_regular_element():
-    import random
+def sample_a_element(pair, rng):
+    """A random point of a, with integer coordinates in [-9, 9] on a_basis."""
+    return _combine(pair.a_basis, [GaussRat(rng.randint(-9, 9)) for _ in pair.a_basis])
 
+
+def test_quasi_split_witness_regular_element():
     for spec in ("splitA:n=2", "glgl:n=2", "diag:sl3"):
         p = realize(spec)
         rng = random.Random(7)
         found = False
         for _ in range(8):
-            x = p.sample_a_element(rng)
+            x = sample_a_element(p, rng)
             if vec_is_zero(x):
                 continue
             if p.is_regular(x):
@@ -122,10 +131,18 @@ def test_quasi_split_witness_regular_element():
         assert found
 
 
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_pinned_split_positivity_is_a_regular_element_of_a(spec):
+    # realize checks only that h_a lies in a; its regularity rests on the
+    # split root data, so the exact kernel of ad(h_a) confirms it here
+    p = realize(spec)
+    h_a = p.split_positivity
+    assert coordinates_in_basis(p.a_basis, h_a) is not None
+    assert len(p.ad(h_a).kernel_basis()) == p.rank_g
+
+
 def test_bracket_theta_automorphism_spot():
     p = realize("splitA:n=2")
-    import random
-
     rng = random.Random(3)
     for _ in range(10):
         x = [GaussRat(rng.randint(-4, 4)) for _ in range(p.dim_g)]
@@ -211,11 +228,13 @@ def test_a_fresh_pair_gets_fresh_derived_state():
 
 # -- the structure table and the realize checks read from it ------------------
 #
-# `realize` checks antisymmetry, Jacobi and theta on the sparse structure table
-# (`LinearAlgebraFrame.structure_table`).  The dense forms below are the
-# independent oracle: brackets as matrix commutators read back with
-# `to_coords`, Jacobi as ad_i @ ad_j - ad_j @ ad_i == ad([b_i, b_j]) and theta
-# as theta C_i theta == ad(theta b_i).
+# `LinearAlgebraFrame.structure_table` builds each bracket [b_i, b_j], i < j,
+# from the matrix commutator, checks that its coordinates rebuild it, and
+# negates it for table[j][i]; `realize` then checks theta on the table.  The
+# dense forms below are the independent oracle: brackets as matrix
+# commutators read back with `to_coords`, antisymmetry and Jacobi as
+# ad_i @ ad_j - ad_j @ ad_i == ad([b_i, b_j]) on every entry, and theta as
+# theta C_i theta == ad(theta b_i).
 
 ORACLE_PAIRS = MATRIX_CATALOG + ("splitA:n=4", "glgl:n=3")
 
@@ -249,18 +268,6 @@ def test_dense_bracket_checks_hold_where_realize_passes(spec, dense_theta):
         assert theta @ ad_i @ theta == frame.ad(theta.column(i))
 
 
-def fresh_frame_pair(spec):
-    """The realized pair on a new frame over the same basis, whose structure
-    table a test may corrupt without touching the cached pair."""
-    pair = realize(spec)
-    return replace(pair, frame=LinearAlgebraFrame(pair.frame.basis), derived={})
-
-
-def first_bracket(table):
-    return next((i, j) for i, row in enumerate(table)
-                for j, col in enumerate(row) if i < j and col)
-
-
 def test_basis_not_closed_under_bracket_raises():
     # [E_01, E_10] = E_00 - E_11 is not in span(E_01, E_10)
     frame = LinearAlgebraFrame([_unit(2, 0, 1), _unit(2, 1, 0)])
@@ -268,29 +275,39 @@ def test_basis_not_closed_under_bracket_raises():
         frame.structure_table()
 
 
-def test_corrupted_antisymmetry_is_caught():
-    pair = fresh_frame_pair("splitA:n=2")
-    table = pair.frame.structure_table()
-    i, j = first_bracket(table)
-    table[i][j] = {k: c * 2 for k, c in table[i][j].items()}
-    structure = structure_matrices(pair.frame)
-    assert structure[i].column(j) != [-x for x in structure[j].column(i)]
-    with pytest.raises(CatalogError, match="bracket not antisymmetric"):
-        _validate_matrix_pair(pair)
+def test_corrupted_coordinates_fail_the_rebuild_check():
+    # a closed basis, so only the corrupted pseudo-inverse entry can make a
+    # bracket's coordinates miss its commutator: one unit added where
+    # coordinate 0 reads the first nonzero entry of [b_0, b_1]
+    basis = realize("splitA:n=2").frame.basis
+    frame = LinearAlgebraFrame(basis)
+    f = next(f for f, c in enumerate(basis[0].commutator(basis[1]).entries) if c)
+    entries = list(frame._solver.entries)
+    entries[f] = entries[f] + 1
+    frame._solver = ExactMatrix(frame._solver.rows, frame._solver.cols, entries)
+    with pytest.raises(ValueError, match="not in the algebra's span"):
+        frame.structure_table()
 
 
-def test_corrupted_jacobi_is_caught():
-    # one bracket doubled on both sides: still antisymmetric, no longer Lie
-    pair = fresh_frame_pair("splitA:n=2")
-    table = pair.frame.structure_table()
-    i, j = first_bracket(table)
-    table[i][j] = {k: c * 2 for k, c in table[i][j].items()}
-    table[j][i] = {k: c * 2 for k, c in table[j][i].items()}
-    structure = structure_matrices(pair.frame)
-    ad_i, ad_j = structure[i], structure[j]
-    assert pair.frame.ad(ad_i.column(j)) != ad_i @ ad_j - ad_j @ ad_i
-    with pytest.raises(CatalogError, match=rf"Jacobi fails on basis pair \({i},{j}\)"):
-        _validate_matrix_pair(pair)
+def test_split_positivity_off_a_is_caught():
+    # glgl:n=1: h_a plus the t0 basis vector, a multiple of the identity, is
+    # still regular in gl(2) but no longer in a
+    pair = realize("glgl:n=1")
+    t0 = next(v for v in pair.t_split_basis if pair.in_g0(v))
+    moved = [x + y for x, y in zip(pair.split_positivity, t0)]
+    bad = replace(pair, split_positivity=moved, derived={})
+    assert bad.is_regular(moved)
+    with pytest.raises(CatalogError, match="split positivity element is not in a"):
+        _validate_matrix_pair(bad)
+
+
+def test_torus_that_does_not_act_semisimply_is_caught():
+    # in sl(2), ad(E_01) is nilpotent: its kernel span(E_01) has the torus's
+    # dimension, but no weight space besides it
+    frame = LinearAlgebraFrame(_sl_basis(2))
+    e = frame.to_coords(_unit(2, 0, 1))
+    with pytest.raises(ValueError, match="torus does not act semisimply"):
+        build_concrete_root_data(frame, [e], lambda v: v, e)
 
 
 def test_theta_that_is_not_an_automorphism_is_caught():

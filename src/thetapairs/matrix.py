@@ -21,7 +21,10 @@ An `ExactMatrix` is row-major and immutable after construction; its
   a rank is as large as it can be without any exact elimination;
 - `modular_char_poly` is the characteristic polynomial over F_PRIME, by a
   division-free method on plain ints.  Its coefficients are the residues
-  of `char_poly`'s, so residues that differ prove that polynomials differ.
+  of `char_poly`'s, so residues that differ prove that polynomials differ;
+- `from_residue` reads a residue back as the one Gaussian rational
+  alpha/beta with N(alpha), N(beta) below sqrt(PRIME)/2 that has it, by
+  rational reconstruction in Z[i]; a caller proves the value exactly.
 
 Sizes stay at desk scale; entry growth from exact elimination is accepted.
 """
@@ -154,6 +157,39 @@ def residue(x: GaussRat) -> Optional[int]:
     except ValueError:
         return None
     return (re + im * SQRT_MINUS_ONE) % PRIME
+
+
+# `residue` is reduction modulo the Gaussian prime PRIME_IDEAL =
+# gcd(PRIME, SQRT_MINUS_ONE - i), of norm PRIME: it divides SQRT_MINUS_ONE - i,
+# so i = SQRT_MINUS_ONE there.  If alpha/beta and alpha'/beta' have the same
+# residue and all four norms are below sqrt(PRIME)/2, then PRIME_IDEAL
+# divides alpha beta' - alpha' beta, whose norm is below PRIME, so it is 0:
+# a Gaussian rational that small is the only one with its residue.
+
+PRIME_IDEAL = (1458625360, 422202639)
+
+
+def from_residue(r: int) -> Optional[GaussRat]:
+    """The Gaussian rational alpha/beta with residue r and N(alpha), N(beta)
+    below sqrt(PRIME)/2, or None.
+
+    Rational reconstruction (Wang, Guy and Davenport, "p-adic reconstruction
+    of rational numbers", SIGSAM Bull. 16, 1982) in Z[i]: the extended
+    Euclidean algorithm, quotients rounded to the nearest Gaussian integer,
+    runs on PRIME_IDEAL and r until the remainder alpha falls below the
+    bound; every remainder is its cofactor beta times r modulo PRIME_IDEAL.
+    """
+    (a0, b0), (a1, b1) = PRIME_IDEAL, (r, 0)
+    (s0, u0), (s1, u1) = (0, 0), (1, 0)
+    while 4 * (a1 * a1 + b1 * b1) ** 2 >= PRIME:
+        n = a1 * a1 + b1 * b1
+        qa = (2 * (a0 * a1 + b0 * b1) + n) // (2 * n)
+        qb = (2 * (b0 * a1 - a0 * b1) + n) // (2 * n)
+        a0, b0, a1, b1 = a1, b1, a0 - qa * a1 + qb * b1, b0 - qa * b1 - qb * a1
+        s0, u0, s1, u1 = s1, u1, s0 - qa * s1 + qb * u1, u0 - qa * u1 - qb * s1
+    if 4 * (s1 * s1 + u1 * u1) ** 2 >= PRIME:
+        return None
+    return GaussRat(a1, b1) / GaussRat(s1, u1)
 
 
 def modular_rank(rows: List[List[int]]) -> int:

@@ -5,7 +5,8 @@ family (characteristic-polynomial coefficients; coefficients of the block
 product for glgl), the slice by a normal sl2-triple through the canonical
 regular nilpotent of the first regular Borel class, and the slice inverse
 by a sequential one-variable solve down the weight grading, verified
-exactly at the end.
+exactly at the end.  `kw_audit` runs that solve modulo a prime, reads the
+coefficients back in Q(i) and verifies them by one exact chi1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .matrix import (
     PRIME,
     ExactMatrix,
     coordinates_in_basis,
+    from_residue,
     intersect_spans,
     modular_char_poly,
     residue,
@@ -276,6 +278,62 @@ def kw_solve(section: KWSection, target: Sequence) -> Vector:
     return coeffs
 
 
+def _section_residues(section: KWSection) -> Optional[List[List[int]]]:
+    """The coordinate residues of e and of each v_i, or None when one is
+    missing."""
+    base = [[residue(c) for c in v] for v in [section.e] + section.v_basis]
+    return None if any(None in v for v in base) else base
+
+
+def _point_residues(base: List[List[int]], cs: Sequence[int]) -> List[int]:
+    """The coordinate residues of e + sum c_i v_i, from the section's residues
+    and cs = (1, c_1, ..., c_r) mod PRIME."""
+    return [sum(c * x for c, x in zip(cs, column)) % PRIME for column in zip(*base)]
+
+
+def _solve_mod_p(section: KWSection, base: Optional[List[List[int]]],
+                 target: Sequence[GaussRat]) -> Optional[Vector]:
+    """kw_solve's triangular solve on residues, read back by `from_residue`:
+    per coordinate, the chi1 residues at c_j = 0 and c_j = 1 give the slope,
+    then c_j = (t_j - v0) / slope mod PRIME.  None when a residue is missing,
+    a slope residue is 0 or a coefficient has no small preimage."""
+    pair = section.pair
+    ts = [residue(t) for t in target]
+    if base is None or None in ts:
+        return None
+    cs = [1] + [0] * len(ts)
+    for j, t in enumerate(ts):
+        values = []
+        for c in (0, 1):
+            cs[j + 1] = c
+            rows = pair.frame.matrix_from_residues(_point_residues(base, cs))
+            if rows is None:
+                return None
+            values.append(_invariant_residues(pair, rows)[j])
+        slope = (values[1] - values[0]) % PRIME
+        if not slope:
+            return None
+        cs[j + 1] = (t - values[0]) * pow(slope, -1, PRIME) % PRIME
+    coeffs = [from_residue(c) for c in cs[1:]]
+    return None if None in coeffs else coeffs
+
+
+def _certified_solve(section: KWSection, base: Optional[List[List[int]]],
+                     target: Sequence[GaussRat]) -> Vector:
+    """`kw_solve(section, target)`, certified by one exact chi1.
+
+    Reduction mod PRIME is a ring map, so when every slope residue is
+    nonzero `_solve_mod_p` computes the residues of kw_solve's coefficients,
+    and `from_residue` reads small ones back exactly.  They are accepted
+    only when chi1 of their slice point is the target exactly; otherwise,
+    and when `_solve_mod_p` gives nothing, `kw_solve` decides.
+    """
+    coeffs = _solve_mod_p(section, base, target)
+    if coeffs is None or chi1(section.pair, section.slice_point(coeffs)) != tuple(target):
+        return kw_solve(section, target)
+    return coeffs
+
+
 def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
              n_samples: int = 50, n_round_trips: int = 20) -> dict:
     """The slice properties: samples regular, chi1 injective on them, and
@@ -289,13 +347,16 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     both samples when their residues collide, and the residues of the exact
     `chi1` as the key of a sample with a missing residue.  chi1's traceless guard is
     checked once, exactly, on e and on each v_i: the trace is linear.
+
+    The round trips and kappa(0) are solved modulo PRIME, read back in Q(i)
+    and proved by one exact chi1 each (`_certified_solve`); `kw_solve`
+    decides a solve with a missing residue, a zero slope residue, a
+    coefficient too large to read back or a failed exact check.
     """
     section = build_kw_section(pair)
     _check_traceless(pair, [section.e] + section.v_basis)
     frame = pair.frame
-    base = [[residue(c) for c in v] for v in [section.e] + section.v_basis]
-    if any(None in v for v in base):
-        base = None
+    base = _section_residues(section)
     rng = random.Random(0x5EED + seed)
     seen: Dict[tuple, List[tuple]] = {}
     sampled = set()
@@ -307,8 +368,7 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
             continue
         sampled.add(coeffs)
         cs = [1] + [residue(c) for c in coeffs]
-        xs = (None if base is None or None in cs else
-              [sum(c * x for c, x in zip(cs, column)) % PRIME for column in zip(*base)])
+        xs = None if base is None or None in cs else _point_residues(base, cs)
         if ((xs is None or frame.ad_rank_from_residues(xs) != pair.dim_g - pair.rank_g)
                 and not is_regular(pair, section.slice_point(coeffs))):
             raise CatalogError("slice sample is not regular")
@@ -327,12 +387,12 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
         target = tuple(GaussRat(rng.randint(-9, 9), rng.randint(-2, 2))
                        for _ in range(pair.rank_r1))
         try:
-            kw_solve(section, target)  # verifies chi1 of its answer exactly
+            _certified_solve(section, base, target)  # chi1 of its answer checked exactly
         except TripleNotFound:
             continue
         round_trips += 1
     # the section at 0: kappa(0) = e, a nonzero regular nilpotent
-    zero_coeffs = kw_solve(section, [ZERO] * pair.rank_r1)
+    zero_coeffs = _certified_solve(section, base, [ZERO] * pair.rank_r1)
     kappa0 = section.slice_point(zero_coeffs)
     return {
         "samples_regular": regular_count,

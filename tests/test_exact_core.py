@@ -30,9 +30,11 @@ from thetapairs.lattice import smith_normal_form
 from thetapairs.liealg import LinearAlgebraFrame, flag_stabilizer
 from thetapairs.matrix import (
     PRIME,
+    PRIME_IDEAL,
     SQRT_MINUS_ONE,
     ExactMatrix,
     coordinates_in_basis,
+    from_residue,
     independent_subset,
     intersect_spans,
     modular_char_poly,
@@ -191,6 +193,34 @@ def test_residue_is_a_ring_map(a, b):
     assert residue(a + b) == (residue(a) + residue(b)) % PRIME
     if not a.is_zero():
         assert residue(a) * residue(1 / a) % PRIME == 1
+
+
+def test_the_prime_ideal_has_norm_prime_and_divides_iota_minus_i():
+    a, b = PRIME_IDEAL
+    assert a * a + b * b == PRIME
+    # (SQRT_MINUS_ONE - i)(a - b i) / PRIME is a Gaussian integer
+    assert (SQRT_MINUS_ONE * a - b) % PRIME == 0
+    assert (-SQRT_MINUS_ONE * b - a) % PRIME == 0
+
+
+@given(st.integers(-3000, 3000), st.integers(-3000, 3000), st.integers(-3000, 3000))
+@example(0, 0, 1)
+@example(-3000, 3000, 2999)
+@settings(max_examples=300, deadline=None)
+def test_from_residue_reads_back_small_gaussian_rationals(a, b, d):
+    assume(d)
+    x = GaussRat(Fraction(a, d), Fraction(b, d))
+    assert from_residue(residue(x)) == x
+
+
+@given(st.integers(0, PRIME - 1))
+@example(0)
+@example(SQRT_MINUS_ONE)
+@example(PRIME - 1)
+@settings(max_examples=300, deadline=None)
+def test_from_residue_is_none_or_has_the_residue(r):
+    x = from_residue(r)
+    assert x is None or residue(x) == r
 
 
 def test_residue_exists_unless_a_denominator_is_divisible_by_the_prime():

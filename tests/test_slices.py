@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import event, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from thetapairs.gaussian import GaussRat, I, ONE, ZERO
 from thetapairs import slices
-from thetapairs.matrix import PRIME, ExactMatrix, residue
+from thetapairs.matrix import PRIME, ExactMatrix, from_residue, residue
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.slices import (
     ConjugationOutsideField,
@@ -235,10 +236,11 @@ def test_kw_audit_certifies_its_samples_without_exact_checks(monkeypatch):
     p = realize("splitA:n=2")
     regular_calls = _counting(monkeypatch, "is_regular")
     chi1_calls = _counting(monkeypatch, "chi1")
+    solve_calls = _counting(monkeypatch, "kw_solve")
     audit = kw_audit(p, **AUDIT)
     assert audit["samples_regular"] == audit["chi1_injective_on"] == 12
-    # kappa(0) only; chi1 in the solves only, 2r + 1 = 5 calls per solve
-    assert len(regular_calls) == 1 and len(chi1_calls) == 3 * 5
+    # kappa(0) only; chi1 in the solves only, one exact check per solve
+    assert len(regular_calls) == 1 and len(chi1_calls) == 3 and not solve_calls
 
 
 def test_kw_audit_decides_a_residue_collision_exactly(monkeypatch):
@@ -246,11 +248,83 @@ def test_kw_audit_decides_a_residue_collision_exactly(monkeypatch):
     want = kw_audit(p, **AUDIT)
     monkeypatch.setattr(slices, "_invariant_residues", lambda pair, rows: (0, 0))
     chi1_calls = _counting(monkeypatch, "chi1")
+    solve_calls = _counting(monkeypatch, "kw_solve")
     assert kw_audit(p, **AUDIT) == want
     assert want["chi1_injective_on"] == 12
-    # samples 2..12 each take their own exact chi1 and that of every earlier
-    # sample: 11 + (1 + 2 + ... + 11)
+    # equal residues also make every slope residue 0, so each of the 3 solves
+    # is kw_solve's, with 2r + 1 = 5 exact chi1 calls; samples 2..12 each take
+    # their own exact chi1 and that of every earlier sample: 11 + (1 + ... + 11)
+    assert len(solve_calls) == 3
     assert len(chi1_calls) - 3 * 5 == 11 + 11 * 12 // 2
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_kw_audit_certifies_every_round_trip(monkeypatch, spec):
+    solve_calls = _counting(monkeypatch, "kw_solve")
+    audit = kw_audit(realize(spec), n_samples=1)
+    assert audit["round_trips"] == 20 and audit["kappa_at_zero_is_e"]
+    assert not solve_calls
+
+
+def _zero_slopes_after_the_samples(monkeypatch):
+    """The samples' keys stay the true residues; every chi1 residue after
+    them, that is every one the solves take, is 0, and so is every slope."""
+    calls = []
+    inner = slices._invariant_residues
+
+    def residues(pair, rows):
+        calls.append(1)
+        return inner(pair, rows) if len(calls) <= AUDIT["n_samples"] else (0,) * pair.rank_r1
+
+    monkeypatch.setattr(slices, "_invariant_residues", residues)
+
+
+@pytest.mark.parametrize("force, exact_checks", [
+    (lambda mp: mp.setattr(slices, "from_residue", lambda r: None), 0),
+    (lambda mp: mp.setattr(slices, "from_residue", lambda r: ONE + from_residue(r)), 3),
+    (_zero_slopes_after_the_samples, 0),
+], ids=["no_preimage", "wrong_preimage", "zero_slope"])
+def test_kw_audit_solves_fall_back_to_kw_solve(monkeypatch, force, exact_checks):
+    p = realize("splitA:n=2")
+    want = kw_audit(p, **AUDIT)
+    force(monkeypatch)
+    solve_calls = _counting(monkeypatch, "kw_solve")
+    chi1_calls = _counting(monkeypatch, "chi1")
+    assert kw_audit(p, **AUDIT) == want
+    # one kw_solve per solve, with 2r + 1 = 5 chi1 calls, after the exact
+    # check that rejects a wrong preimage
+    assert len(solve_calls) == 3
+    assert len(chi1_calls) == exact_checks + 3 * 5
+
+
+def _is_small(c: GaussRat) -> bool:
+    """c = (a + b i)/d with N(a + b i) and d^2 below sqrt(PRIME)/2."""
+    d = lcm(c.re.denominator, c.im.denominator)
+    a, b = c.re * d, c.im * d
+    return 4 * (a * a + b * b) ** 2 < PRIME and 4 * d ** 4 < PRIME
+
+
+gauss_ints = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(st.sampled_from(("splitA:n=3", "glgl:n=2", "diag:sl3")),
+       st.lists(gauss_ints, min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_certified_solve_round_trips_at_a_points(spec, coords):
+    p = realize(spec)
+    section = build_kw_section(p)
+    y = [ZERO] * p.dim_g
+    for c, v in zip(coords, p.a_basis):
+        y = [a + c * b for a, b in zip(y, v)]
+    t = chi1(p, y)
+    want = kw_solve(section, t)
+    base = slices._section_residues(section)
+    coeffs = slices._certified_solve(section, base, t)
+    assert coeffs == want and chi1(p, section.slice_point(coeffs)) == t
+    # wherever kw_solve's coefficients are small, the residues read them back
+    if all(map(_is_small, want)):
+        assert slices._solve_mod_p(section, base, t) == want
+        event("read back")
 
 
 def test_kw_audit_falls_back_to_the_exact_is_regular(monkeypatch):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .gaussian import GaussRat, ZERO, SplittingFieldTooLarge
+from .gaussian import GaussRat, ZERO, SplittingFieldTooLarge, gauss_sqrt
 from .involutions import (
     RegularClassReport,
     SplitWeylLifts,
@@ -276,23 +276,24 @@ def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
 
 
 def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
-    """Ad matrices of G0 representatives for every little-Weyl element.
+    """Full Ad matrices of G0 representatives for every little-Weyl element.
 
     Generators come from theta-adapted sl2 triples: for a real split root,
     n = exp(e) exp(theta e) exp(e) with f = -theta(e) (fixed by theta via
     the braid identity); for a complex pair, the product of the root braid
-    with its theta image.  Returns {} entries only for elements reached by
-    the generated group; the catalog pairs are fully covered.
+    with its theta image.  The table holds the elements the generators
+    reach, which for the catalog pairs is all of W_a.
     """
     split = pair.split_roots
     neg = split.negation()
+    units = ExactMatrix.identity(pair.dim_g).row_lists()
     gens: List[Tuple[bytes, ExactMatrix]] = []
     seen_orbits = set()
     for k in split.positive:
         if k in seen_orbits:
             continue
         img = split.theta_perm[k]
-        e = split.root_vectors[k]
+        e, f = split.root_vectors[k], split.root_vectors[neg[k]]
         if img == neg[k]:
             # real root: f = -theta(e); the triple normalization needs
             # alpha(-[e, theta e]) = 2, reachable by scaling e when 2/s is
@@ -302,19 +303,19 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
             if scaled is None:
                 continue
             e, f = scaled
-            m = reflection_lift(pair, e, f, split.torus, split.weights[k])
         elif img != k:
-            # complex pair: the braid commutes with its theta image exactly
-            # when the two sl2's are orthogonal; then the product is fixed
             seen_orbits.update({k, neg[k], img, neg[img]})
-            m1 = reflection_lift(pair, e, split.root_vectors[neg[k]],
-                                 split.torus, split.weights[k])
-            m_theta = pair.theta_conjugate(m1)
-            if m1 @ m_theta != m_theta @ m1:
-                continue
-            m = m1 @ m_theta
         else:
             continue
+        lift = reflection_lift(pair, e, f, split.torus, split.weights[k])
+        m = ExactMatrix.from_columns([lift(u) for u in units])
+        if img != neg[k]:
+            # complex pair: the braid commutes with its theta image exactly
+            # when the two sl2's are orthogonal; then the product is fixed
+            m_theta = pair.theta_conjugate(m)
+            if m @ m_theta != m_theta @ m:
+                continue
+            m = m @ m_theta
         if pair.theta_conjugate(m) != m:
             continue
         try:
@@ -327,8 +328,6 @@ def g0_weyl_lifts(pair: SymmetricPairRealization) -> Dict[bytes, ExactMatrix]:
 
 
 def _scale_real_root_vector(pair, split, k: int):
-    from .gaussian import gauss_sqrt
-
     e = split.root_vectors[k]
     theta_e = pair.theta_apply(e)
     h = pair.bracket(e, [-c for c in theta_e])

@@ -4,7 +4,9 @@ The subgroup chain W0 <= W^theta <= W, the little Weyl group, the torsor
 of theta-split Borels over the maximally split torus, detection of
 regular theta-stable Borels (semantic matrix test cross-validated against
 the compact-simple-root shortcut), and the canonical involution on the
-universal Cartan recomputed from every theta-split Borel choice.
+universal Cartan recomputed from every theta-split Borel choice.  Weyl
+lifts are group elements n = exp(E) exp(-F) exp(E) of GL(N), acting by
+`LinearAlgebraFrame.adjoint` on the torus vectors each caller reads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ZERO
-from .liealg import ConcreteRootData, Vector, weight_decomposition, weight_perm, weight_value
+from .liealg import Adjoint, ConcreteRootData, Vector, weight_decomposition, weight_perm, weight_value
 from .matrix import ExactMatrix, coordinates_in_basis, independent_subset, restrict_action
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import WeylGroup, _closure, compose, enumerate_weyl, identity_perm, invert
@@ -119,10 +121,6 @@ def theta_eigen_basis(pair: SymmetricPairRealization, vectors: Sequence[Vector])
     return independent_subset([pair.g0_part(v) for v in vectors])
 
 
-def _exp_ad(pair: SymmetricPairRealization, vec: Vector) -> ExactMatrix:
-    return pair.ad(vec).exp_nilpotent()
-
-
 def root_value(torus: Sequence[Vector], weight: Sequence[GaussRat], h: Vector) -> GaussRat:
     """alpha(h) for the root of the given weight (coordinates on the torus
     basis); raises CatalogError when h is not in the torus."""
@@ -133,21 +131,23 @@ def root_value(torus: Sequence[Vector], weight: Sequence[GaussRat], h: Vector) -
 
 
 def reflection_lift(pair: SymmetricPairRealization, e: Vector, f_raw: Vector,
-                    torus: Sequence[Vector], weight: Sequence[GaussRat]) -> ExactMatrix:
-    """Ad(n) for n = exp(e) exp(-f) exp(e), with f scaled so that
-    (e, h, f) is an sl2 triple; e is a root vector of the given weight on
-    the torus."""
+                    torus: Sequence[Vector], weight: Sequence[GaussRat]) -> Adjoint:
+    """Ad(n) on coordinates for n = exp(E) exp(-F) exp(E) in GL(N), E and F
+    the defining matrices of e and of f scaled so that (e, h, f) is an sl2
+    triple; e is a root vector of the given weight on the torus."""
     h = pair.bracket(e, f_raw)
     val = root_value(torus, weight, h)
     if val.is_zero():
         raise CatalogError("degenerate root pair in reflection lift")
-    f = [(GaussRat(2) / val) * x for x in f_raw]
-    return _exp_ad(pair, e) @ _exp_ad(pair, [-x for x in f]) @ _exp_ad(pair, e)
+    e_mat = pair.from_coords(e)
+    f_mat = pair.from_coords([(GaussRat(2) / val) * x for x in f_raw])
+    exp_e, exp_f, inv_e, inv_f = (m.exp_nilpotent() for m in (e_mat, f_mat, -e_mat, -f_mat))
+    return pair.frame.adjoint(exp_e @ inv_f @ exp_e, inv_e @ exp_f @ inv_e)
 
 
-def torus_action_perm(rdata: ConcreteRootData, ad_action: ExactMatrix) -> bytes:
+def torus_action_perm(rdata: ConcreteRootData, ad_action) -> bytes:
     """Permutation induced on rdata's roots by an algebra automorphism that
-    normalizes the torus (given as a matrix on coordinates)."""
+    normalizes the torus (a matrix or a function on coordinates)."""
     m = restrict_action(ad_action, rdata.torus)
     if m is None:
         raise CatalogError("automorphism does not normalize the torus")
@@ -333,8 +333,8 @@ def detect_regular_borels(pair: SymmetricPairRealization) -> List[RegularClassRe
 # -- canonical involution ---------------------------------------------------------
 
 
-def split_simple_lift(pair: SymmetricPairRealization, i: int) -> ExactMatrix:
-    """Ad(n) for the i-th simple reflection of the split-side datum."""
+def split_simple_lift(pair: SymmetricPairRealization, i: int) -> Adjoint:
+    """Ad(n) on coordinates for the i-th simple reflection of the split datum."""
     split = pair.split_roots
     s_idx = split.simple_indices_of(list(split.positive))[i]
     neg_idx = split.weight_index(tuple(-x for x in split.weights[s_idx]))

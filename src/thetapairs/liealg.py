@@ -28,6 +28,7 @@ from .rootsystem import RootDatum
 
 Vector = List[GaussRat]
 SparseVector = Dict[int, GaussRat]   # index -> nonzero entry
+Adjoint = Callable[[Sequence], Vector]   # Ad(g) on coordinates
 
 
 def gvec(values) -> Vector:
@@ -108,6 +109,11 @@ class LinearAlgebraFrame:
             if not c.is_zero():
                 acc = acc + b.scale(c)
         return acc
+
+    def adjoint(self, g: ExactMatrix, g_inv: ExactMatrix) -> Adjoint:
+        """Ad(g) on coordinates, v -> g v g^{-1}, for g in GL(N) normalizing
+        the algebra, given with its inverse g_inv: the one adjoint action."""
+        return lambda v: self.to_coords(g @ self.from_coords(v) @ g_inv)
 
     # -- brackets ----------------------------------------------------------
 

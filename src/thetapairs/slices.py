@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge
+from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge, gauss_sqrt
 from .jordan import eigenspaces, jordan_semisimple_part
 from .liealg import Vector, _combine, gvec, vec_is_zero, weight_decomposition
 from .matrix import (
@@ -74,7 +74,7 @@ class ElementOfG1:
         return self.pair.from_coords(self.coords)
 
     def jordan_parts(self) -> Tuple[Vector, Vector]:
-        """Coordinates of (ss, nil); both are asserted to lie in g1."""
+        """Coordinates of (ss, nil); raises CatalogError unless both lie in g1."""
         if self._ss is None:
             m = self.matrix
             ss_m = jordan_semisimple_part(m)
@@ -431,7 +431,8 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
         raise
     except SplittingFieldTooLarge as exc:
         raise ConjugationOutsideField(str(exc)) from exc
-    ad_g = _ad_of_group_element(pair, g)
+    ad = pair.frame.adjoint(g, g.inverse())
+    ad_g = ExactMatrix.from_columns([ad(u) for u in ExactMatrix.identity(pair.dim_g).row_lists()])
     image = ad_g.apply(ss)
     if coordinates_in_basis(pair.a_basis, image) is None:
         raise ConjugationOutsideField("conjugation missed the Cartan subspace")
@@ -441,16 +442,8 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
     return ad_g
 
 
-def _ad_of_group_element(pair, g: ExactMatrix) -> ExactMatrix:
-    g_inv = g.inverse()
-    cols = [pair.to_coords(g @ b @ g_inv) for b in pair.frame.basis]
-    return ExactMatrix.from_columns(cols)
-
-
 def _orthogonal_diagonalizer(m: ExactMatrix) -> ExactMatrix:
     """Q in SO(N, Q(i)) with Q m Q^{-1} diagonal, for symmetric m."""
-    from .gaussian import gauss_sqrt
-
     n = m.rows
     columns: List[List[GaussRat]] = []
     for lam, vecs in eigenspaces(m):
@@ -501,8 +494,6 @@ def _dot(a, b) -> GaussRat:
 
 
 def _glgl_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
-    from .gaussian import gauss_sqrt
-
     n = pair.spec.n
     top = m.block(0, n, n, n)
     prod = top @ m.block(n, 0, n, n)  # Y X

@@ -3,6 +3,8 @@
 import pytest
 
 from thetapairs import pairs
+from thetapairs.gaussian import GaussRat
+from thetapairs.involutions import root_value
 from thetapairs.matrix import ExactMatrix
 from thetapairs.report import build_report
 
@@ -31,6 +33,34 @@ def dense_theta():
         return ExactMatrix.from_columns([pair.frame.to_coords(theta(b))
                                          for b in pair.frame.basis])
     return build
+
+
+def dense_exp_ad(pair, x):
+    """Ad(exp(X)) = exp(ad x) as the dense dim g x dim g exponential of the
+    adjoint matrix of x, for x with X nilpotent."""
+    return pair.ad(x).exp_nilpotent()
+
+
+def dense_reflection_lift(pair, e, f_raw, torus, weight):
+    """`involutions.reflection_lift` through the adjoint representation:
+    exp(ad e) exp(-ad f) exp(ad e) as a dense dim g x dim g product, with f
+    scaled so that (e, h, f) is an sl2 triple."""
+    val = root_value(torus, weight, pair.bracket(e, f_raw))
+    exp_e = dense_exp_ad(pair, e)
+    return exp_e @ dense_exp_ad(pair, [-(GaussRat(2) / val) * x for x in f_raw]) @ exp_e
+
+
+@pytest.fixture(scope="session")
+def dense_exp():
+    """`dense_exp_ad`, the oracle of the adjoint action on one exponential."""
+    return dense_exp_ad
+
+
+@pytest.fixture(scope="session")
+def dense_lift():
+    """`dense_reflection_lift`, the oracle of the reflection lifts; it takes
+    `reflection_lift`'s arguments and returns the full matrix."""
+    return dense_reflection_lift
 
 
 @pytest.fixture

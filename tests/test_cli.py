@@ -296,19 +296,34 @@ def test_package_has_no_dense_theta():
     assert found == []
 
 
+def test_package_has_no_dense_lifts():
+    # Ad(g) is conjugation of N x N matrices (`LinearAlgebraFrame.adjoint`);
+    # a dim g x dim g exponential exp(ad x) is an oracle of the tests only
+    package = Path(thetapairs.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "exp_nilpotent"
+             and isinstance(node.value, ast.Call)
+             and isinstance(node.value.func, ast.Attribute) and node.value.func.attr == "ad"]
+    assert found == []
+
+
 def test_perfbench_trace_targets_resolve():
-    # perfbench/run.py --trace 1 wraps these names from outside the package
+    # perfbench/run.py --trace 1 wraps these names from outside the package:
+    # each resolves to a callable, and a method is defined on its class
+    # itself, not inherited, since the tracer replaces it there
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
     for module_name, qualname in tracer.TARGETS:
-        module = importlib.import_module(f"thetapairs.{module_name}")
-        if "." in qualname:
-            cls_name, attr = qualname.split(".")
-            assert attr in vars(getattr(module, cls_name)), (module_name, qualname)
-        else:
-            assert callable(getattr(module, qualname)), (module_name, qualname)
+        owner = importlib.import_module(f"thetapairs.{module_name}")
+        *owners, name = qualname.split(".")
+        for part in owners:
+            owner = getattr(owner, part)
+        assert name in vars(owner), (module_name, qualname)
+        assert callable(getattr(owner, name)), (module_name, qualname)
 
 
 @pytest.mark.parametrize("name, error", [

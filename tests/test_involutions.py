@@ -2,7 +2,8 @@
 
 import pytest
 
-from thetapairs import involutions
+from thetapairs import fibers, involutions
+from thetapairs.fibers import g0_weyl_lifts
 from thetapairs.involutions import (
     MissingCompactness,
     SplitWeylLifts,
@@ -10,9 +11,11 @@ from thetapairs.involutions import (
     compute_subgroups,
     detect_regular_borels,
     enumerate_split_borels,
+    reflection_lift,
     root_value,
     split_simple_lift,
     torus_action_perm,
+    weyl_group_of_g0,
 )
 from thetapairs.matrix import ExactMatrix, restrict_action
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
@@ -195,12 +198,42 @@ def reduced_word(datum, w):
     return word
 
 
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_reflection_lifts_match_the_dense_oracle(spec, monkeypatch, dense_lift):
+    # every lift, as N x N conjugation, against exp(ad e) exp(-ad f) exp(ad e)
+    pair = realize(spec)
+    calls = []
+
+    def recording(*args):
+        lift = reflection_lift(*args)
+        calls.append((args, lift))
+        return lift
+
+    monkeypatch.setattr(involutions, "reflection_lift", recording)
+    weyl_group_of_g0(pair)
+    w0_calls = len(calls)
+    rank = pair.split_roots.datum.rank
+    for i in range(rank):
+        split_simple_lift(pair, i)
+    assert len(calls) == w0_calls + rank
+    # the W0 generators on the fundamental torus, the simple lifts on the split torus
+    for k, (args, lift) in enumerate(calls):
+        torus = (pair.fund_roots if k < w0_calls else pair.split_roots).torus
+        assert restrict_action(lift, torus) == restrict_action(dense_lift(*args), torus)
+    # the full matrices of the G0 lifts, rebuilt from dense generators
+    table = g0_weyl_lifts(pair)
+    monkeypatch.setattr(fibers, "reflection_lift", lambda *args: dense_lift(*args).apply)
+    assert g0_weyl_lifts(pair) == table
+
+
 # glgl has a center that the roots do not see; diag:sl3 has none
 @pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])
-def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec):
+def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec, monkeypatch, dense_lift):
     pair = realize(spec)
     split = pair.split_roots
     lifts = SplitWeylLifts.of(pair)
+    # the reference lifts: full matrices from the dense oracle
+    monkeypatch.setattr(involutions, "reflection_lift", dense_lift)
     simple = [split_simple_lift(pair, i) for i in range(split.datum.rank)]
     for w in enumerate_weyl(split.datum).elements:
         # the reference: Ad(n_w) on all of g, restricted to the torus

@@ -177,6 +177,37 @@ def test_ad_and_bracket_match_dense_structure_sum(spec, data):
     assert frame.bracket(x, y) == ad.apply(y)
 
 
+gauss_ints = st.builds(GaussRat, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(spec=st.sampled_from(("splitA:n=3", "glgl:n=2", "diag:sl3")), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_adjoint_of_root_exponentials_is_an_automorphism(spec, data, dense_exp):
+    pair = realize(spec)
+    frame, roots = pair.frame, pair.split_roots.root_vectors
+    factors = data.draw(st.lists(st.tuples(st.sampled_from(roots), gauss_ints),
+                                 min_size=1, max_size=3))
+    # g = exp(c_1 E_1) ... exp(c_k E_k) in GL(N), with its inverse
+    g = g_inv = ExactMatrix.identity(frame.n_def)
+    exps = []
+    for root, c in factors:
+        x = frame.from_coords([c * v for v in root])
+        exps.append((x.exp_nilpotent(), (-x).exp_nilpotent()))
+        g, g_inv = g @ exps[-1][0], exps[-1][1] @ g_inv
+    ad, ad_inv = frame.adjoint(g, g_inv), frame.adjoint(g_inv, g)
+    vec = st.lists(st.builds(GaussRat, st.integers(-3, 3), st.integers(-1, 1)),
+                   min_size=frame.dim, max_size=frame.dim)
+    x, y = data.draw(vec), data.draw(vec)
+    assert ad(frame.bracket(x, y)) == frame.bracket(ad(x), ad(y))
+    assert ad(ad_inv(x)) == x and ad_inv(ad(y)) == y
+    # one factor: Ad(exp(c E)) is the dense exp(ad(c e))
+    root, c = factors[0]
+    single = frame.adjoint(*exps[0])
+    units = ExactMatrix.identity(frame.dim).row_lists()
+    assert (ExactMatrix.from_columns([single(u) for u in units])
+            == dense_exp(pair, [c * v for v in root]))
+
+
 def test_combinatorial_entries():
     g2 = realize("g2split")
     assert not g2.matrix_level

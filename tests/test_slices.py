@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from thetapairs.gaussian import GaussRat, I, ONE, ZERO
 from thetapairs import slices
-from thetapairs.matrix import PRIME, ExactMatrix, from_residue, residue
+from thetapairs.involutions import SplitWeylLifts, compute_subgroups
+from thetapairs.matrix import PRIME, ExactMatrix, coordinates_in_basis, from_residue, residue
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.slices import (
     ConjugationOutsideField,
@@ -325,6 +326,32 @@ def test_certified_solve_round_trips_at_a_points(spec, coords):
     if all(map(_is_small, want)):
         assert slices._solve_mod_p(section, base, t) == want
         event("read back")
+
+
+@given(st.sampled_from(("splitA:n=3", "glgl:n=2", "diag:sl3")),
+       st.lists(gauss_ints, min_size=3, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_chi1_is_little_weyl_invariant_at_a_points(spec, coords):
+    # w.y for w in W_a through the SplitWeylLifts torus matrices; the
+    # orbit and the stabilizer of y multiply to |W_a|
+    p = realize(spec)
+    torus = p.split_roots.torus
+    y = [ZERO] * p.dim_g
+    for c, v in zip(coords, p.a_basis):
+        y = [a + c * b for a, b in zip(y, v)]
+    t = chi1(p, y)
+    y_torus = coordinates_in_basis(torus, y)
+    lifts = SplitWeylLifts.of(p)
+    wa = compute_subgroups(p).Wa_perms
+    orbit, stabilizer = set(), 0
+    for w in wa:
+        image = lifts.torus_matrix(w).apply(y_torus)
+        w_y = [sum((c * v[k] for c, v in zip(image, torus)), ZERO) for k in range(p.dim_g)]
+        assert chi1(p, w_y) == t
+        orbit.add(tuple(image))
+        stabilizer += image == y_torus
+    assert len(orbit) * stabilizer == len(wa)
+    event(f"orbit {len(orbit)}")
 
 
 def test_kw_audit_falls_back_to_the_exact_is_regular(monkeypatch):

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import matmul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge, gauss_sqrt
 from .jordan import eigenspaces, jordan_semisimple_part
@@ -99,69 +101,40 @@ def is_regular(pair: SymmetricPairRealization, x) -> bool:
     return pair.is_regular(coords)
 
 
-def chi1(pair: SymmetricPairRealization, x) -> Tuple[GaussRat, ...]:
-    """The categorical quotient g1 -> a/W_a through concrete invariants.
+def _quotient_blocks(pair: SymmetricPairRealization):
+    """chi1's family table: the square blocks (row, column, size) of x's
+    matrix whose product it reads, x itself (splitA), its g0 block (diag) or
+    Y X (glgl), and how many leading char-poly coefficients it drops: the 1,
+    and the trace where it vanishes on every basis matrix's block."""
+    n = pair.frame.n_def
+    if pair.spec.family == "glgl":
+        return ((0, n // 2, n // 2), (n // 2, 0, n // 2)), 1
+    return ((0, 0, n // 2 if pair.spec.family == "diag" else n),), 2
 
-    splitA: non-leading char-poly coefficients of x (the vanishing trace
-    coefficient dropped); glgl: non-leading coefficients of the block
-    product; diag: char-poly coefficients of the g0 component.  Length is
-    always the rank r1.
-    """
+
+def chi1(pair: SymmetricPairRealization, x) -> Tuple[GaussRat, ...]:
+    """The categorical quotient g1 -> a/W_a through concrete invariants:
+    char-poly coefficients of the product of x's `_quotient_blocks`."""
     coords = x.coords if isinstance(x, ElementOfG1) else gvec(x)
     m = pair.from_coords(coords)
-    family = pair.spec.family
-    if family == "splitA":
-        return _traceless_invariants(m)
-    if family == "glgl":
-        n = pair.spec.n
-        return tuple((m.block(0, n, n, n) @ m.block(n, 0, n, n)).char_poly()[1:])
-    if family == "diag":
-        k = m.rows // 2
-        return _traceless_invariants(m.block(0, 0, k, k))
-    raise CatalogError(f"{pair.pair_id}: chi1 needs a matrix realization")
-
-
-def _traceless_invariants(m: ExactMatrix) -> Tuple[GaussRat, ...]:
-    """The char-poly coefficients of a traceless matrix past the vanishing
-    trace coefficient."""
-    poly = m.char_poly()
-    if not poly[1].is_zero():
-        raise CatalogError("chi1: the matrix is not traceless")
-    return tuple(poly[2:])
-
-
-def _check_traceless(pair: SymmetricPairRealization, vectors: Sequence[Vector]):
-    """chi1's traceless guard on every point of span(vectors) at once: the
-    trace is linear, so it vanishes on the span when it vanishes on each
-    vector."""
-    family = pair.spec.family
-    if family == "glgl":
-        return
-    for v in vectors:
-        m = pair.from_coords(v)
-        if family == "diag":
-            m = m.block(0, 0, m.rows // 2, m.rows // 2)
-        if not m.trace().is_zero():
-            raise CatalogError("chi1: the matrix is not traceless")
+    blocks, skip = _quotient_blocks(pair)
+    product = reduce(matmul, (m if size == m.rows else m.block(r, c, size, size)
+                              for r, c, size in blocks))
+    return tuple(product.char_poly()[skip:])
 
 
 def _invariant_residues(pair: SymmetricPairRealization,
                         rows: List[List[int]]) -> Tuple[int, ...]:
     """chi1 reduced mod PRIME, from the rows of x's matrix reduced mod PRIME:
-    the same invariants as `chi1`, from `modular_char_poly`."""
-    family = pair.spec.family
-    if family == "splitA":
-        return tuple(modular_char_poly(rows)[2:])
-    if family == "glgl":
-        n = pair.spec.n
-        bottom = [row[:n] for row in rows[n:]]
-        block = [[sum(a * b for a, b in zip(row[n:], col)) % PRIME for col in zip(*bottom)]
-                 for row in rows[:n]]
-        return tuple(modular_char_poly(block)[1:])
-    if family == "diag":
-        k = len(rows) // 2
-        return tuple(modular_char_poly([row[:k] for row in rows[:k]])[2:])
-    raise CatalogError(f"{pair.pair_id}: chi1 needs a matrix realization")
+    the same `_quotient_blocks`, through `modular_char_poly`."""
+    blocks, skip = _quotient_blocks(pair)
+    product = None
+    for r, c, size in blocks:
+        block = [row[c:c + size] for row in rows[r:r + size]]
+        product = block if product is None else [
+            [sum(a * b for a, b in zip(row, col)) % PRIME for col in zip(*block)]
+            for row in product]
+    return tuple(modular_char_poly(product)[skip:])
 
 
 # -- Kostant-Weierstrass section ----------------------------------------------
@@ -250,29 +223,34 @@ def _kw_section(pair: SymmetricPairRealization) -> KWSection:
     return KWSection(pair, e, h, f, [vec for _, vec in graded])
 
 
-def kw_solve(section: KWSection, target: Sequence) -> Vector:
-    """The unique slice coefficients with chi1(e + sum c_i v_i) = target.
+def _triangular_solve(invariant: Callable, target: Sequence, divide: Callable):
+    """The slice solve down the weight grading, over Q(i) or F_PRIME: the
+    invariants are triangular in the slice coordinates, so with c_1..c_{j-1}
+    fixed, invariant j takes v0 and v1 at c_j = 0 and 1 and c_j =
+    divide(t_j - v0, v1 - v0).  None when `divide` gives None (zero slope)."""
+    zero, one = (ZERO, ONE) if isinstance(target[0], GaussRat) else (0, 1)
+    coeffs = [zero] * len(target)
+    for j, t in enumerate(target):
+        v0 = invariant(coeffs)[j]
+        coeffs[j] = one
+        v1 = invariant(coeffs)[j]
+        coeffs[j] = divide(t - v0, v1 - v0)
+        if coeffs[j] is None:
+            return None
+    return coeffs
 
-    Solves one coordinate at a time down the weight grading; each step is
-    linear in the next unknown because the invariants are triangular with
-    respect to the slice grading.  The solution is verified exactly.
-    """
+
+def kw_solve(section: KWSection, target: Sequence) -> Vector:
+    """The unique slice coefficients with chi1(e + sum c_i v_i) = target:
+    `_triangular_solve` over Q(i), verified exactly."""
     pair = section.pair
     target = gvec(target)
-    r = pair.rank_r1
-    if len(target) != r:
-        raise ValueError(f"quotient points have length {r}")
-    coeffs: List[GaussRat] = [ZERO] * r
-    for j in range(r):
-        base = list(coeffs)
-        base[j] = ZERO
-        v0 = chi1(pair, section.slice_point(base))[j]
-        base[j] = ONE
-        v1 = chi1(pair, section.slice_point(base))[j]
-        slope = v1 - v0
-        if slope.is_zero():
-            raise TripleNotFound("slice solve: invariant not linear in its coordinate")
-        coeffs[j] = (target[j] - v0) / slope
+    if len(target) != pair.rank_r1:
+        raise ValueError(f"quotient points have length {pair.rank_r1}")
+    coeffs = _triangular_solve(lambda cs: chi1(pair, section.slice_point(cs)), target,
+                               lambda num, slope: None if slope.is_zero() else num / slope)
+    if coeffs is None:
+        raise TripleNotFound("slice solve: invariant not linear in its coordinate")
     if chi1(pair, section.slice_point(coeffs)) != tuple(target):
         raise TripleNotFound("slice solve verification failed")
     return coeffs
@@ -293,29 +271,22 @@ def _point_residues(base: List[List[int]], cs: Sequence[int]) -> List[int]:
 
 def _solve_mod_p(section: KWSection, base: Optional[List[List[int]]],
                  target: Sequence[GaussRat]) -> Optional[Vector]:
-    """kw_solve's triangular solve on residues, read back by `from_residue`:
-    per coordinate, the chi1 residues at c_j = 0 and c_j = 1 give the slope,
-    then c_j = (t_j - v0) / slope mod PRIME.  None when a residue is missing,
-    a slope residue is 0 or a coefficient has no small preimage."""
+    """kw_solve's `_triangular_solve` on residues, read back by
+    `from_residue`.  None when a residue is missing, a slope residue is 0 or
+    a coefficient has no small preimage."""
     pair = section.pair
     ts = [residue(t) for t in target]
-    if base is None or None in ts:
+    if base is None or None in ts or pair.frame.matrix_from_residues(base[0]) is None:
         return None
-    cs = [1] + [0] * len(ts)
-    for j, t in enumerate(ts):
-        values = []
-        for c in (0, 1):
-            cs[j + 1] = c
-            rows = pair.frame.matrix_from_residues(_point_residues(base, cs))
-            if rows is None:
-                return None
-            values.append(_invariant_residues(pair, rows)[j])
-        slope = (values[1] - values[0]) % PRIME
-        if not slope:
-            return None
-        cs[j + 1] = (t - values[0]) * pow(slope, -1, PRIME) % PRIME
-    coeffs = [from_residue(c) for c in cs[1:]]
-    return None if None in coeffs else coeffs
+
+    def invariant(cs):
+        return _invariant_residues(
+            pair, pair.frame.matrix_from_residues(_point_residues(base, [1] + cs)))
+
+    cs = _triangular_solve(invariant, ts, lambda num, slope: (
+        num * pow(slope, -1, PRIME) % PRIME if slope % PRIME else None))
+    coeffs = None if cs is None else [from_residue(c) for c in cs]
+    return None if coeffs is None or None in coeffs else coeffs
 
 
 def _certified_solve(section: KWSection, base: Optional[List[List[int]]],
@@ -345,8 +316,7 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     different.  Three fallbacks decide exactly: the exact `is_regular` when
     the rank certificate fails or a residue is missing, the exact `chi1` of
     both samples when their residues collide, and the residues of the exact
-    `chi1` as the key of a sample with a missing residue.  chi1's traceless guard is
-    checked once, exactly, on e and on each v_i: the trace is linear.
+    `chi1` as the key of a sample with a missing residue.
 
     The round trips and kappa(0) are solved modulo PRIME, read back in Q(i)
     and proved by one exact chi1 each (`_certified_solve`); `kw_solve`
@@ -354,7 +324,6 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     coefficient too large to read back or a failed exact check.
     """
     section = build_kw_section(pair)
-    _check_traceless(pair, [section.e] + section.v_basis)
     frame = pair.frame
     base = _section_residues(section)
     rng = random.Random(0x5EED + seed)
@@ -517,7 +486,7 @@ def _glgl_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
     dmat = ExactMatrix.diagonal(d_vals)
     try:
         g2 = dmat.inverse() @ g1 @ top
-        g2_inv = g2.inverse()
+        g2.inverse()
     except ZeroDivisionError as exc:
         raise ConjugationOutsideField("degenerate block; no exact conjugator") from exc
     return ExactMatrix.block_diagonal(g1, g2)

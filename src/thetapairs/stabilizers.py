@@ -152,12 +152,10 @@ def stabilizer_fiber(pair: SymmetricPairRealization,
 def _character_values(pair, g: ExactMatrix) -> List[GaussRat]:
     """Value of each split root character on a group element commuting
     with the split torus: the scalar by which Ad(g) acts on the root space."""
-    split = pair.split_roots
-    g_inv = g.inverse()
+    ad = pair.frame.adjoint(g, g.inverse())
     out = []
-    for vec in split.root_vectors:
-        image = pair.to_coords(g @ pair.from_coords(vec) @ g_inv)
-        coeff = coordinates_in_basis([vec], image)
+    for vec in pair.split_roots.root_vectors:
+        coeff = coordinates_in_basis([vec], ad(vec))
         if coeff is None:
             raise CatalogError("element does not normalize the root space")
         out.append(coeff[0])

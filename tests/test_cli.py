@@ -286,6 +286,25 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_package_has_no_unused_locals():
+    # a name bound inside a function by a single-name assignment and never
+    # read there is dead code; a call kept for its raise needs no binding
+    package = Path(thetapairs.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            found |= {f"{path.name}:{node.lineno}: {node.targets[0].id}"
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Assign) and len(node.targets) == 1
+                      and isinstance(node.targets[0], ast.Name)
+                      and node.targets[0].id not in read}
+    assert sorted(found) == []
+
+
 def test_package_has_no_dense_theta():
     # theta is the pair's sign vector (+1 on g0, -1 on g1 coordinates); a
     # dense dim g x dim g form of it is an oracle of the tests only

@@ -17,6 +17,7 @@ from thetapairs.slices import (
     ConjugationOutsideField,
     ElementOfG1,
     NotInG1,
+    TripleNotFound,
     build_kw_section,
     chi1,
     conjugate_ss_into_a,
@@ -199,6 +200,40 @@ def test_kw_triangular_solve_sl3():
     target = (GaussRat(3), GaussRat(-7))
     coeffs = kw_solve(section, target)
     assert chi1(p, section.slice_point(coeffs)) == target
+
+
+def test_kw_solve_rejects_a_constant_invariant(monkeypatch):
+    section = build_kw_section(realize("splitA:n=2"))
+    monkeypatch.setattr(slices, "chi1", lambda pair, x: (ZERO, ZERO))
+    with pytest.raises(TripleNotFound, match="invariant not linear in its coordinate"):
+        kw_solve(section, (GaussRat(3), GaussRat(-7)))
+
+
+def test_kw_solve_rejects_a_failed_verification(monkeypatch):
+    # chi1 is right on the 2r = 4 solve calls and wrong on the fifth, the check
+    section = build_kw_section(realize("splitA:n=2"))
+    calls = []
+    monkeypatch.setattr(slices, "chi1", lambda pair, x: (
+        calls.append(1) or (chi1(pair, x) if len(calls) <= 4 else (ONE, ONE))))
+    with pytest.raises(TripleNotFound, match="slice solve verification failed"):
+        kw_solve(section, (GaussRat(3), GaussRat(-7)))
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG + ("splitA:n=4",))
+def test_quotient_blocks_drop_the_trace_only_where_the_frame_is_traceless(spec):
+    # chi1 drops the trace coefficient unchecked: the block it reads is
+    # traceless on every frame basis matrix, and from_coords is linear
+    p = realize(spec)
+    blocks, skip = slices._quotient_blocks(p)
+    if p.spec.family == "glgl":
+        # tr(Y X) does not vanish on g1: its coefficient is -1 at a_basis[0]
+        assert skip == 1 and chi1(p, p.a_basis[0])[0] == -ONE
+    else:
+        (r, c, size), = blocks
+        assert skip == 2
+        assert all(b.block(r, c, size, size).trace().is_zero() for b in p.frame.basis)
+    assert len(chi1(p, p.split_positivity)) == p.rank_r1
 
 
 @pytest.mark.parametrize("spec", MATRIX_CATALOG)

@@ -48,7 +48,6 @@ from .matrix import (
     independent_subset,
     intersect_spans,
     restrict_action,
-    span_eq,
 )
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
 from .rootsystem import compose, enumerate_weyl, invert
@@ -115,12 +114,12 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     if ss_t is None:
         raise CatalogError(f"{pair.pair_id}: conjugated semisimple part is not in the split torus")
 
-    lifts = SplitWeylLifts.of(pair)
+    images = SplitWeylLifts.of(pair).orbit(ss_t)
     wa = compute_subgroups(pair).Wa_perms
     orbit: Dict[Tuple, bytes] = {}
     stab_count = 0
     for w in wa:
-        image = lifts.torus_matrix(w).apply(ss_t)
+        image = images[w]
         key = tuple(image)
         if image == ss_t:
             stab_count += 1
@@ -345,30 +344,6 @@ def _scale_real_root_vector(pair, split, k: int):
     return None
 
 
-def exhibit_fiber_conjugators(pair: SymmetricPairRealization,
-                              report: FiberReport) -> Optional[List[ExactMatrix]]:
-    """Explicit G0 conjugators moving the first fiber Borel onto each of
-    the others, when the G0 Weyl lifts suffice (always, for the regular
-    semisimple and nilpotent witnesses of the catalog pairs).  Returns None
-    when some point is not reached."""
-    if len(report.fiber_points) <= 1:
-        return []
-    lifts = g0_weyl_lifts(pair)
-    base = report.fiber_points[0].witness_borel
-    out = []
-    for point in report.fiber_points[1:]:
-        found = None
-        for m in lifts.values():
-            image = [m.apply(v) for v in base]
-            if span_eq(image, point.witness_borel):
-                found = m
-                break
-        if found is None:
-            return None
-        out.append(found)
-    return out
-
-
 # -- catalog sample elements -------------------------------------------------------
 
 
@@ -460,21 +435,18 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     x1 = ad_g.apply(gvec(x.coords))
 
     split = pair.split_roots
-    x_t = coordinates_in_basis(split.torus, x1)
-    # the table lists W in enumerate_weyl's order, which the labels index
-    table = SplitWeylLifts.of(pair).table
-    a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
-
-    points = [m.apply(x_t) for m in table.values()]
-    if len({tuple(pt) for pt in points}) != len(table):
+    points = _weyl_root_values(split, coordinates_in_basis(split.torus, x1))
+    # Ad(n_w) fixes the centre, so the root values of w.x determine it
+    if len(set(points.values())) != len(points):
         raise NotRegular("Weyl orbit is not free; element is not regular enough")
 
-    # w.x is labelled by {v : v^{-1} w.x in a} = {w o u : u in inside},
-    # since the table is a representation of W
-    inside = [invert(u) for u, pt in zip(table, points)
-              if coordinates_in_basis(a_cols, pt) is not None]
+    # w.x is labelled by {v : v^{-1} w.x in a} = {w o u : u in inside}; as x
+    # lies in a = t cap g1, w.x does exactly when theta negates its values
+    theta = split.theta_perm
+    inside = [invert(u) for u, pt in points.items()
+              if all(pt[theta[k]] == -v for k, v in enumerate(pt))]
     labels: Dict[frozenset, List[int]] = {}
-    for idx, w in enumerate(table):
+    for idx, w in enumerate(points):
         label = frozenset(compose(w, u) for u in inside)
         labels.setdefault(label, []).append(idx)
     groups = sorted(labels.values(), key=lambda g: g[0])
@@ -482,9 +454,16 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     for g in groups:
         if len(g) != len(wa):
             raise CatalogError("component group of unexpected size")
-    if len(groups) != len(table) // len(wa):
+    if len(groups) != len(points) // len(wa):
         raise CatalogError("unexpected number of components")
-    return ComponentCensus(pair.pair_id, len(table), groups, len(wa))
+    return ComponentCensus(pair.pair_id, len(points), groups, len(wa))
+
+
+def _weyl_root_values(split: ConcreteRootData, y: Vector) -> Dict[bytes, Tuple[GaussRat, ...]]:
+    """The root values of w.y for every w, in the element order of
+    `enumerate_weyl`: alpha_k(M_w y) = alpha_{w^{-1}(k)}(y) (`SplitWeylLifts`)."""
+    values = [weight_value(wt, y) for wt in split.weights]
+    return {w: tuple(values[j] for j in invert(w)) for w in enumerate_weyl(split.datum).elements}
 
 
 # -- centralizer pairs and the dimension audit -------------------------------------

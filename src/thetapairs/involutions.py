@@ -4,7 +4,7 @@ The subgroup chain W0 <= W^theta <= W, the little Weyl group, the torsor
 of theta-split Borels over the maximally split torus, detection of
 regular theta-stable Borels (semantic matrix test cross-validated against
 the compact-simple-root shortcut), and the canonical involution on the
-universal Cartan recomputed from every theta-split Borel choice.  Weyl
+universal Cartan checked against every theta-split Borel choice.  Weyl
 lifts are group elements n = exp(E) exp(-F) exp(E) of GL(N), acting by
 `LinearAlgebraFrame.adjoint` on the torus vectors each caller reads.
 """
@@ -343,13 +343,13 @@ def split_simple_lift(pair: SymmetricPairRealization, i: int) -> Adjoint:
 
 
 def lift_closure(gens: Sequence[Tuple[bytes, ExactMatrix]], nroots: int,
-                 identity: ExactMatrix) -> Dict[bytes, ExactMatrix]:
+                 start: ExactMatrix) -> Dict[bytes, ExactMatrix]:
     """The group generated by the permutations of gens, each element mapped
     to the product of the generator matrices along the path that first
-    reached it.  Breadth-first in the element order of
+    reached it, applied to start.  Breadth-first in the element order of
     `rootsystem._closure`: a generator that repeats an earlier permutation
     never reaches a new element."""
-    table = {identity_perm(nroots): identity}
+    table = {identity_perm(nroots): start}
     frontier = list(table)
     while frontier:
         nxt = []
@@ -364,17 +364,17 @@ def lift_closure(gens: Sequence[Tuple[bytes, ExactMatrix]], nroots: int,
 
 
 class SplitWeylLifts:
-    """The split-side Weyl group acting on the split torus: `table` maps
-    every element w, in the element order of `enumerate_weyl`, to the torus
-    matrix of Ad(n_w), built once by `lift_closure` from the r restricted
-    simple lifts.  Only the simple lifts are checked to realize their
-    reflections: the table is a product of them, and a product of lifts
-    realizing s_i realizes the product of the s_i.
-    `SplitWeylLifts.of(pair)` is the pair's one instance."""
+    """The split-side Weyl group acting on the split torus through `gens`,
+    its r restricted simple lifts (s_i, M_i), each checked to realize its
+    reflection.  A product of lifts realizing the s_i realizes the product
+    of the s_i, so M_w, the product along any word for w, satisfies
+    alpha_k(M_w y) = alpha_{w^{-1}(k)}(y): its root values are the values
+    of y, permuted.  `SplitWeylLifts.of(pair)` is the pair's one instance."""
 
     def __init__(self, pair: SymmetricPairRealization):
         split = pair.split_roots
-        gens = []
+        self.nroots = split.nroots
+        self.gens = []
         for i in range(split.datum.rank):
             m = restrict_action(split_simple_lift(pair, i), split.torus)
             if m is None:
@@ -382,16 +382,18 @@ class SplitWeylLifts:
             s_i = split.datum.simple_reflection_perm(i)
             if weight_perm(split.weights, m) != s_i:
                 raise CatalogError("split lift does not realize its Weyl element")
-            gens.append((s_i, m))
-        self.table = lift_closure(gens, split.nroots, ExactMatrix.identity(len(split.torus)))
+            self.gens.append((s_i, m))
 
     @staticmethod
     @per_pair
     def of(pair: SymmetricPairRealization) -> "SplitWeylLifts":
         return SplitWeylLifts(pair)
 
-    def torus_matrix(self, perm: bytes) -> ExactMatrix:
-        return self.table[perm]
+    def orbit(self, y: Vector) -> Dict[bytes, Vector]:
+        """M_w y for every w, in the element order of `enumerate_weyl`:
+        torus coordinates y walked as one column by `lift_closure`."""
+        walk = lift_closure(self.gens, self.nroots, ExactMatrix.from_columns([y]))
+        return {w: m.column(0) for w, m in walk.items()}
 
 
 @dataclass(frozen=True)
@@ -404,25 +406,23 @@ class CanonicalInvolution:
 
 
 def canonical_involution(pair: SymmetricPairRealization) -> CanonicalInvolution:
-    """The involution on the universal Cartan t = b/[b,b], computed from
-    every theta-split Borel containing the pinned torus: M_w^{-1} theta M_w
-    for the Borel's Weyl element w, with both factors read from the
-    `SplitWeylLifts` table (M_w^{-1} is the matrix of w^{-1}, since the
-    table is a representation).  Raises CatalogError unless every Borel
-    gives the bitwise same matrix; whether it squares to 1 and its fixed
-    dimension are reported, not asserted."""
+    """The involution on the universal Cartan t = b/[b,b]: M_w^{-1} theta M_w
+    for every theta-split Borel w B0 containing the pinned torus.  B0 is
+    theta-split (its positivity element lies in a), so the matrix is theta
+    on t: a w that commutes with theta's root permutation has an M_w that
+    commutes with theta on t, since both fix the centre and move every
+    root value alike.  Raises CatalogError unless every split Borel gives
+    w^{-1} theta w = theta as permutations; whether the matrix squares to 1
+    and its fixed dimension are reported, not asserted."""
     pair.require_matrix_level()
     theta_t = restrict_action(pair.theta_apply, pair.split_roots.torus)
     if theta_t is None:
         raise CatalogError(f"{pair.pair_id}: the split torus is not theta-stable")
-    lifts = SplitWeylLifts.of(pair)
-    matrices = [lifts.torus_matrix(invert(b.perm)) @ theta_t @ lifts.torus_matrix(b.perm)
-                for b in enumerate_split_borels(pair)]
-    first = matrices[0]
-    for m in matrices[1:]:
-        if m != first:
-            raise CatalogError(
-                f"{pair.pair_id}: canonical involution depends on the Borel choice")
-    ident = ExactMatrix.identity(first.rows)
-    return CanonicalInvolution(first, first @ first == ident,
-                               len((first - ident).kernel_basis()))
+    theta = pair.split_roots.theta_perm
+    if {compose(invert(b.perm), compose(theta, b.perm))
+            for b in enumerate_split_borels(pair)} != {theta}:
+        raise CatalogError(
+            f"{pair.pair_id}: canonical involution depends on the Borel choice")
+    ident = ExactMatrix.identity(theta_t.rows)
+    return CanonicalInvolution(theta_t, theta_t @ theta_t == ident,
+                               len((theta_t - ident).kernel_basis()))

@@ -170,9 +170,6 @@ class RootDatum:
     def positive_indices(self) -> List[int]:
         return [k for k, r in enumerate(self.all_roots) if sum(r) > 0]
 
-    def negation_perm(self) -> bytes:
-        return bytes(self.index(tuple(-x for x in r)) for r in self.all_roots)
-
     # -- pairings --------------------------------------------------------
 
     def pairing(self, v: Coords, i: int) -> int:

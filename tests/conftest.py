@@ -3,10 +3,48 @@
 import pytest
 
 from thetapairs import pairs
+from thetapairs.fibers import g0_weyl_lifts
 from thetapairs.gaussian import GaussRat
-from thetapairs.involutions import root_value
-from thetapairs.matrix import ExactMatrix
+from thetapairs.involutions import SplitWeylLifts, lift_closure, root_value
+from thetapairs.matrix import ExactMatrix, span_eq
 from thetapairs.report import build_report
+
+
+def negation_perm(datum):
+    """The permutation k -> index of -alpha_k on a `RootDatum`'s roots."""
+    return bytes(datum.index(tuple(-x for x in r)) for r in datum.all_roots)
+
+
+def split_weyl_table(pair):
+    """The torus matrix M_w of every element w of the split Weyl group, in
+    the element order of `enumerate_weyl`: the product of the restricted
+    simple lifts of `SplitWeylLifts` along the path that first reached w."""
+    lifts = SplitWeylLifts.of(pair)
+    return lift_closure(lifts.gens, lifts.nroots,
+                        ExactMatrix.identity(len(pair.split_roots.torus)))
+
+
+def exhibit_fiber_conjugators(pair, report):
+    """Explicit G0 conjugators moving the first fiber Borel onto each of
+    the others, when the G0 Weyl lifts suffice (always, for the regular
+    semisimple and nilpotent witnesses of the catalog pairs).  Returns None
+    when some point is not reached."""
+    if len(report.fiber_points) <= 1:
+        return []
+    lifts = g0_weyl_lifts(pair)
+    base = report.fiber_points[0].witness_borel
+    out = []
+    for point in report.fiber_points[1:]:
+        found = None
+        for m in lifts.values():
+            image = [m.apply(v) for v in base]
+            if span_eq(image, point.witness_borel):
+                found = m
+                break
+        if found is None:
+            return None
+        out.append(found)
+    return out
 
 
 def defining_involution(pair):

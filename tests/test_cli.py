@@ -327,14 +327,48 @@ def test_package_has_no_dense_lifts():
     assert found == []
 
 
-def test_perfbench_trace_targets_resolve():
-    # perfbench/run.py --trace 1 wraps these names from outside the package:
-    # each resolves to a callable, and a method is defined on its class
-    # itself, not inherited, since the tracer replaces it there
+def _perfbench_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_package_has_no_test_only_definitions():
+    # every module-level function and class, and every method that is not a
+    # dunder, is read by the package or the demos (or wrapped by perfbench's
+    # tracer); a definition that only tests read belongs in the tests
+    root = Path(__file__).resolve().parents[1]
+    package = Path(thetapairs.__file__).resolve().parent
+    read = {part for _, qualname in _perfbench_tracer().TARGETS for part in qualname.split(".")}
+    defined = []
+    for path in sorted(package.glob("*.py")) + sorted((root / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+        if path.parent != package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, method.lineno, method.name) for method in node.body
+                            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (method.name.startswith("__") and method.name.endswith("__"))]
+    assert [f"{name}:{lineno}: {defn}" for name, lineno, defn in defined if defn not in read] == []
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench/run.py --trace 1 wraps these names from outside the package:
+    # each resolves to a callable, and a method is defined on its class
+    # itself, not inherited, since the tracer replaces it there
+    tracer = _perfbench_tracer()
     assert tracer.TARGETS
     for module_name, qualname in tracer.TARGETS:
         owner = importlib.import_module(f"thetapairs.{module_name}")

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import exhibit_fiber_conjugators, split_weyl_table
 
 from thetapairs.gaussian import GaussRat, ZERO
 from thetapairs.pairs import MATRIX_CATALOG, realize
@@ -17,7 +18,6 @@ from thetapairs.fibers import (
     _centralizer_classes,
     _class_audit,
     component_census,
-    exhibit_fiber_conjugators,
     fiber_component_dimensions,
     fiber_over_regular,
     g0_weyl_lifts,
@@ -25,7 +25,7 @@ from thetapairs.fibers import (
     regular_ss_element,
 )
 from thetapairs.diagonal import diagonal_isomorphism_check
-from thetapairs.involutions import SplitWeylLifts, compute_subgroups
+from thetapairs.involutions import compute_subgroups
 from thetapairs.liealg import LinearAlgebraFrame, gvec
 from thetapairs.matrix import (
     ExactMatrix,
@@ -176,8 +176,8 @@ def test_census_groups_match_the_pairwise_solve_labels(spec):
     ss, _ = x.jordan_parts()
     x_t = coordinates_in_basis(split.torus, conjugate_ss_into_a(pair, ss).apply(gvec(x.coords)))
     a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
-    mats = [SplitWeylLifts.of(pair).torus_matrix(w)
-            for w in enumerate_weyl(split.datum).elements]
+    table = split_weyl_table(pair)
+    mats = [table[w] for w in enumerate_weyl(split.datum).elements]
     inverses = [m.inverse() for m in mats]
     labels = {}
     for idx, m in enumerate(mats):

@@ -1,10 +1,12 @@
 """Subgroup chains, split-Borel torsors, regular classes, canonical involution."""
 
 import pytest
+from conftest import negation_perm, split_weyl_table
 
 from thetapairs import fibers, involutions
-from thetapairs.fibers import g0_weyl_lifts
+from thetapairs.fibers import g0_weyl_lifts, regular_ss_element
 from thetapairs.involutions import (
+    BorelChoice,
     MissingCompactness,
     SplitWeylLifts,
     canonical_involution,
@@ -17,9 +19,11 @@ from thetapairs.involutions import (
     torus_action_perm,
     weyl_group_of_g0,
 )
-from thetapairs.matrix import ExactMatrix, restrict_action
+from thetapairs.liealg import gvec, weight_value
+from thetapairs.matrix import ExactMatrix, coordinates_in_basis, restrict_action
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.rootsystem import compose, enumerate_weyl, identity_perm
+from thetapairs.slices import conjugate_ss_into_a
 
 
 def classify_roots(rdi):
@@ -27,7 +31,7 @@ def classify_roots(rdi):
     noncompact / complex, for a ConcreteRootData or CombinatorialData whose
     imaginary roots carry compactness tags."""
     compactness = getattr(rdi, "compactness", None)
-    neg = rdi.datum.negation_perm()
+    neg = negation_perm(rdi.datum)
     out = {"real": [], "imaginary_compact": [], "imaginary_noncompact": [], "complex": []}
     for k in range(len(rdi.datum.all_roots)):
         img = rdi.theta_perm[k]
@@ -180,7 +184,7 @@ def test_canonical_involution_glgl_eigenspaces():
 def test_canonical_involution_well_defined_everywhere():
     for spec in MATRIX_CATALOG:
         pair = realize(spec)
-        theta_can = canonical_involution(pair)  # asserts bitwise equality inside
+        theta_can = canonical_involution(pair)  # raises unless every split Borel agrees
         assert theta_can.is_involution
         assert theta_can.fixed_dim + pair.rank_r1 == pair.rank_g
 
@@ -231,7 +235,7 @@ def test_reflection_lifts_match_the_dense_oracle(spec, monkeypatch, dense_lift):
 def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec, monkeypatch, dense_lift):
     pair = realize(spec)
     split = pair.split_roots
-    lifts = SplitWeylLifts.of(pair)
+    table = split_weyl_table(pair)
     # the reference lifts: full matrices from the dense oracle
     monkeypatch.setattr(involutions, "reflection_lift", dense_lift)
     simple = [split_simple_lift(pair, i) for i in range(split.datum.rank)]
@@ -240,7 +244,7 @@ def test_torus_matrix_is_the_restricted_product_of_simple_lifts(spec, monkeypatc
         n_ad = ExactMatrix.identity(pair.dim_g)
         for i in reduced_word(split.datum, w):
             n_ad = simple[i] @ n_ad
-        assert lifts.torus_matrix(w) == restrict_action(n_ad, split.torus)
+        assert table[w] == restrict_action(n_ad, split.torus)
 
 
 def test_a_simple_lift_of_the_wrong_reflection_is_caught(monkeypatch):
@@ -258,18 +262,61 @@ def test_a_simple_lift_of_the_wrong_reflection_is_caught(monkeypatch):
 def test_lift_table_lists_the_weyl_group_in_enumeration_order(spec):
     # component_census labels index enumerate_weyl's element list
     pair = realize(spec)
-    table = SplitWeylLifts.of(pair).table
+    table = split_weyl_table(pair)
     assert list(table) == enumerate_weyl(pair.split_roots.datum).elements
 
 
 @pytest.mark.parametrize("spec", ["glgl:n=2", "diag:sl3"])
 def test_torus_matrix_is_a_representation(spec):
     pair = realize(spec)
-    lifts = SplitWeylLifts.of(pair)
+    table = split_weyl_table(pair)
     elements = enumerate_weyl(pair.split_roots.datum).elements
     for v in elements:
         for w in elements:
-            assert lifts.torus_matrix(compose(v, w)) == lifts.torus_matrix(v) @ lifts.torus_matrix(w)
+            assert table[compose(v, w)] == table[v] @ table[w]
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG + ("splitA:n=4", "glgl:n=3"))
+def test_the_permutation_readings_match_the_weyl_table(spec, dense_theta):
+    # the canonical involution, the census points with their a-membership
+    # and `SplitWeylLifts.orbit`, each against the torus matrices M_w
+    pair = realize(spec)
+    split = pair.split_roots
+    table = split_weyl_table(pair)
+    theta_t = restrict_action(dense_theta(pair), split.torus)
+    theta_can = canonical_involution(pair).matrix
+    for b in enumerate_split_borels(pair):
+        assert theta_can == table[b.perm].inverse() @ theta_t @ table[b.perm]
+    x = regular_ss_element(pair)
+    ss, _ = x.jordan_parts()
+    x_t = coordinates_in_basis(split.torus, conjugate_ss_into_a(pair, ss).apply(gvec(x.coords)))
+    a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
+    points = fibers._weyl_root_values(split, x_t)
+    assert list(points) == list(table)
+    theta = split.theta_perm
+    for w, pt in points.items():
+        image = table[w].apply(x_t)
+        assert pt == tuple(weight_value(wt, image) for wt in split.weights)
+        in_a = all(pt[theta[k]] == -v for k, v in enumerate(pt))
+        assert in_a == (coordinates_in_basis(a_cols, image) is not None)
+    orbit = SplitWeylLifts.of(pair).orbit(x_t)
+    assert list(orbit) == list(table)
+    assert orbit == {w: m.apply(x_t) for w, m in table.items()}
+
+
+def test_a_borel_choice_that_moves_theta_is_caught(monkeypatch):
+    # at glgl:n=2 W_a != W: translating every split Borel by a simple
+    # reflection that does not commute with theta changes w^{-1} theta w
+    pair = realize("glgl:n=2")
+    split = pair.split_roots
+    theta = split.theta_perm
+    s = next(p for p in map(split.datum.simple_reflection_perm, range(split.datum.rank))
+             if compose(p, theta) != compose(theta, p))
+    borels = enumerate_split_borels(pair)
+    monkeypatch.setattr(involutions, "enumerate_split_borels",
+                        lambda p: [BorelChoice(compose(s, b.perm)) for b in borels])
+    with pytest.raises(CatalogError, match="depends on the Borel choice"):
+        canonical_involution(pair)
 
 
 def test_root_value_rejects_h_outside_the_torus():

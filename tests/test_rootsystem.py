@@ -1,6 +1,7 @@
 """Root data, Weyl enumeration, and type recognition."""
 
 import pytest
+from conftest import negation_perm
 
 from thetapairs.rootsystem import (
     EnumerationBoundExceeded,
@@ -64,7 +65,7 @@ def test_enumeration_bound():
 def test_weyl_elements_preserve_structure(label):
     datum = build_root_datum(label)
     group = enumerate_weyl(datum)
-    neg = datum.negation_perm()
+    neg = negation_perm(datum)
     simples = datum.simple_indices
     for p in group.elements:
         assert compose(p, neg) == compose(neg, p)

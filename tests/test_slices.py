@@ -7,10 +7,11 @@ from math import lcm
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from conftest import split_weyl_table
 
 from thetapairs.gaussian import GaussRat, I, ONE, ZERO
 from thetapairs import slices
-from thetapairs.involutions import SplitWeylLifts, compute_subgroups
+from thetapairs.involutions import compute_subgroups
 from thetapairs.matrix import PRIME, ExactMatrix, coordinates_in_basis, from_residue, residue
 from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.slices import (
@@ -367,7 +368,7 @@ def test_certified_solve_round_trips_at_a_points(spec, coords):
        st.lists(gauss_ints, min_size=3, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_chi1_is_little_weyl_invariant_at_a_points(spec, coords):
-    # w.y for w in W_a through the SplitWeylLifts torus matrices; the
+    # w.y for w in W_a through the split Weyl group's torus matrices; the
     # orbit and the stabilizer of y multiply to |W_a|
     p = realize(spec)
     torus = p.split_roots.torus
@@ -376,11 +377,11 @@ def test_chi1_is_little_weyl_invariant_at_a_points(spec, coords):
         y = [a + c * b for a, b in zip(y, v)]
     t = chi1(p, y)
     y_torus = coordinates_in_basis(torus, y)
-    lifts = SplitWeylLifts.of(p)
+    table = split_weyl_table(p)
     wa = compute_subgroups(p).Wa_perms
     orbit, stabilizer = set(), 0
     for w in wa:
-        image = lifts.torus_matrix(w).apply(y_torus)
+        image = table[w].apply(y_torus)
         w_y = [sum((c * v[k] for c, v in zip(image, torus)), ZERO) for k in range(p.dim_g)]
         assert chi1(p, w_y) == t
         orbit.add(tuple(image))

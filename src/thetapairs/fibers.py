@@ -91,13 +91,17 @@ class FiberReport:
 def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberReport:
     """The fiber of the resolution projection over a regular element.
 
-    The semisimple part is conjugated into the pinned Cartan subspace
+    The semisimple part y is conjugated into the pinned Cartan subspace
     (ConjugationOutsideField if that fails over Q(i)).  Fiber points
-    biject with the little-Weyl orbit of the semisimple part: for each
-    orbit value the witness Borel interleaves the eigenspace filtrations
-    of the nilpotent part according to the value pattern.  Every witness
+    biject with the little-Weyl orbit of y.  When x is semisimple, its
+    centralizer is the split torus t (t lies in it, and x regular gives
+    it dimension rank g), and the point of w.y is `_root_set_point`,
+    ordered by the root values of w.y: those of y, permuted by w^{-1}.
+    Otherwise the orbit is walked by `SplitWeylLifts.orbit` and ordered
+    by torus coordinates; each witness Borel interleaves the eigenspace
+    filtrations of the nilpotent part according to the value pattern and
     is verified exactly (contains the element, its centralizer Borel is a
-    regular theta-stable Borel of the Levi); the literal theta-split
+    regular theta-stable Borel of the Levi), and the literal theta-split
     characterization B(theta) = Z_B(X_ss) is recorded per point (it can
     fail on interleaved points over degenerate semisimple parts).
     """
@@ -114,30 +118,64 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     if ss_t is None:
         raise CatalogError(f"{pair.pair_id}: conjugated semisimple part is not in the split torus")
 
-    images = SplitWeylLifts.of(pair).orbit(ss_t)
     wa = compute_subgroups(pair).Wa_perms
+    semisimple = vec_is_zero(nil1)
+    if semisimple:
+        # alpha_k(w.y) = alpha_{w^{-1}(k)}(y) (`SplitWeylLifts`), and the
+        # centre, which W fixes, is the same at every point
+        values = [weight_value(wt, ss_t) for wt in split.weights]
+        images = {w: tuple(values[j] for j in invert(w)) for w in wa}
+        base = tuple(values)
+    else:
+        walk = SplitWeylLifts.of(pair).orbit(ss_t)
+        images = {w: tuple(walk[w]) for w in wa}
+        base = tuple(ss_t)
     orbit: Dict[Tuple, bytes] = {}
     stab_count = 0
     for w in wa:
-        image = images[w]
-        key = tuple(image)
-        if image == ss_t:
+        if images[w] == base:
             stab_count += 1
-        orbit.setdefault(key, w)
+        orbit.setdefault(images[w], w)
     if len(orbit) * stab_count != len(wa):
         raise CatalogError(f"{pair.pair_id}: W_a orbit size is not |W_a|/|Stab|")
+    keys = sorted(orbit, key=lambda t: tuple(v.sort_key() for v in t))
+    if semisimple:
+        return FiberReport(pair.pair_id, [_root_set_point(split, orbit[k]) for k in keys],
+                           len(wa), stab_count)
 
     z = pair.frame.centralizer([ss1])
-    if not vec_is_zero(nil1):
-        nil_on_z = restrict_action(pair.ad(nil1), z)
-        if nil_on_z is None:
-            raise CatalogError("nilpotent part does not preserve its centralizer")
-        # z is reductive of rank rank g, so ker(nil on z) has dimension at
-        # least rank g
-        if not nil_on_z.nullity_is(pair.rank_g):
-            raise CatalogError("nilpotent part is not regular in the centralizer")
+    nil_on_z = restrict_action(pair.ad(nil1), z)
+    if nil_on_z is None:
+        raise CatalogError("nilpotent part does not preserve its centralizer")
+    # z is reductive of rank rank g, so ker(nil on z) has dimension at
+    # least rank g
+    if not nil_on_z.nullity_is(pair.rank_g):
+        raise CatalogError("nilpotent part is not regular in the centralizer")
     slots = _defining_slots(pair)
-    # every orbit point has the eigenvalues of ss1, permuted across the slots
+    filtrations = _flag_filtrations(pair, slots, ss_t, ss1, nil1)
+    points = []
+    for key in keys:
+        witness = _flag_witness(pair, slots, filtrations, list(key))
+        literal = _verify_fiber_point(pair, z, ss1, nil1, witness)
+        points.append(FiberPoint(witness, literal))
+    return FiberReport(pair.pair_id, points, len(wa), stab_count)
+
+
+def _root_set_point(split: ConcreteRootData, w: bytes) -> FiberPoint:
+    """The fiber point of w.y over a regular semisimple y in a: the Borel
+    t + g_P, P = w^{-1}(positive).  B cap theta B = t + g_(P cap theta P)
+    and Z_B(y) = t, so the literal characterization is that P and theta(P)
+    are disjoint."""
+    inv = invert(w)
+    roots = [inv[k] for k in split.positive]
+    literal = not set(roots) & {split.theta_perm[k] for k in roots}
+    return FiberPoint(split.torus + [split.root_vectors[k] for k in roots], literal)
+
+
+def _flag_filtrations(pair, slots: List[DefiningSlot], ss_t, ss1, nil1):
+    """The kernel filtration of the nilpotent part on each eigenspace of
+    the semisimple part, per (block, eigenvalue); every orbit point has
+    the eigenvalues of ss1, permuted across the slots."""
     ss_m = pair.from_coords(ss1)
     nil_m = pair.from_coords(nil1)
     filtrations: Dict[Tuple[int, GaussRat], List[List[List[GaussRat]]]] = {}
@@ -146,13 +184,7 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
         if key not in filtrations:
             eig = _block_eigenspace(pair, ss_m, key[1], slot.block)
             filtrations[key] = _kernel_filtration(nil_m, eig)
-    points = []
-    for key in sorted(orbit, key=lambda t: tuple(v.sort_key() for v in t)):
-        y_t = list(key)
-        witness = _flag_witness(pair, slots, filtrations, y_t)
-        literal = _verify_fiber_point(pair, z, ss1, nil1, witness)
-        points.append(FiberPoint(witness, literal))
-    return FiberReport(pair.pair_id, points, len(wa), stab_count)
+    return filtrations
 
 
 @dataclass
@@ -356,10 +388,12 @@ def regular_ss_element(pair: SymmetricPairRealization) -> ElementOfG1:
     return x
 
 
+@per_pair
 def mixed_degenerate_element(pair: SymmetricPairRealization) -> ElementOfG1:
     """A regular element whose semisimple part has a nontrivial little-Weyl
     stabilizer (for rank one, the regular nilpotent: the stabilizer of 0 is
-    everything)."""
+    everything).  One element per pair, so its Jordan parts are computed
+    once for all its readers."""
     from .slices import build_kw_section
 
     n_def = pair.frame.n_def

@@ -1,6 +1,7 @@
 """Fibers, census, dimension audits, and the diagonal comparison."""
 
 import random
+from collections import Counter
 
 import pytest
 from conftest import exhibit_fiber_conjugators, split_weyl_table
@@ -17,6 +18,10 @@ from thetapairs.slices import (
 from thetapairs.fibers import (
     _centralizer_classes,
     _class_audit,
+    _defining_slots,
+    _flag_filtrations,
+    _flag_witness,
+    _verify_fiber_point,
     component_census,
     fiber_component_dimensions,
     fiber_over_regular,
@@ -25,8 +30,8 @@ from thetapairs.fibers import (
     regular_ss_element,
 )
 from thetapairs.diagonal import diagonal_isomorphism_check
-from thetapairs.involutions import compute_subgroups
-from thetapairs.liealg import LinearAlgebraFrame, gvec
+from thetapairs.involutions import SplitWeylLifts, compute_subgroups
+from thetapairs.liealg import LinearAlgebraFrame, gvec, weight_value
 from thetapairs.matrix import (
     ExactMatrix,
     coordinates_in_basis,
@@ -82,6 +87,19 @@ def test_fibers_without_the_modular_certificate(spec, monkeypatch):
     assert [fiber_over_regular(pair, x) for x in elements] == certified
 
 
+def random_regular_a_points(pair, count):
+    """count regular elements of a with small random integer coordinates,
+    drawn from a generator seeded by the pair's spec."""
+    rng = random.Random(pair.pair_id)
+    points = []
+    while len(points) < count:
+        coeffs = [rng.randint(-5, 5) for _ in pair.a_basis]
+        x = ElementOfG1.from_coords(pair, a_combo(pair, coeffs))
+        if is_regular(pair, x):
+            points.append(x)
+    return points
+
+
 @pytest.mark.parametrize("spec", MATRIX_CATALOG)
 def test_block_rank_forms_match_the_dense_theta_span_forms(spec, dense_theta):
     # at the fiber points over random regular elements of a and over the
@@ -89,14 +107,7 @@ def test_block_rank_forms_match_the_dense_theta_span_forms(spec, dense_theta):
     # and `_class_audit` read agree with the span forms of a dense theta
     pair = realize(spec)
     theta = dense_theta(pair)
-    rng = random.Random(spec)
-    elements = [mixed_degenerate_element(pair)]
-    while len(elements) < 3:
-        coeffs = [rng.randint(-5, 5) for _ in pair.a_basis]
-        x = ElementOfG1.from_coords(pair, a_combo(pair, coeffs))
-        if is_regular(pair, x):
-            elements.append(x)
-    for x in elements:
+    for x in [mixed_degenerate_element(pair)] + random_regular_a_points(pair, 2):
         ss, _ = x.jordan_parts()
         z = pair.frame.centralizer([conjugate_ss_into_a(pair, ss).apply(ss)])
         for point in fiber_over_regular(pair, x).fiber_points:
@@ -112,6 +123,83 @@ def test_block_rank_forms_match_the_dense_theta_span_forms(spec, dense_theta):
             assert span_eq(z_b, [theta.apply(v) for v in z_b])
             assert pair.g0_rank(z_b) + pair.g1_rank(z_b) == len(z_b)
             assert point.split_characterization == span_eq(b_theta, z_b)
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG + ("splitA:n=4", "glgl:n=3"))
+def test_root_set_points_match_the_walked_flag_witnesses(spec):
+    # over a regular semisimple y, the point of each root-value key spans the
+    # flag witness of the walked image M_w y with those root values, and
+    # its literal flag is the one `_verify_fiber_point` reads off that witness
+    pair = realize(spec)
+    elements = [regular_ss_element(pair)]
+    if spec in MATRIX_CATALOG:
+        elements += random_regular_a_points(pair, 2)
+    split = pair.split_roots
+    slots = _defining_slots(pair)
+    zero = [ZERO] * pair.dim_g
+    for x in elements:
+        ss, nil = x.jordan_parts()
+        assert nil == zero
+        ss1 = conjugate_ss_into_a(pair, ss).apply(ss)
+        y = coordinates_in_basis(split.torus, ss1)
+        walk = SplitWeylLifts.of(pair).orbit(y)
+        z = pair.frame.centralizer([ss1])
+        filtrations = _flag_filtrations(pair, slots, y, ss1, zero)
+        expected = {}
+        for w in compute_subgroups(pair).Wa_perms:
+            key = tuple(weight_value(wt, walk[w]) for wt in split.weights)
+            witness = _flag_witness(pair, slots, filtrations, walk[w])
+            expected[key] = (witness, _verify_fiber_point(pair, z, ss1, zero, witness))
+        points = fiber_over_regular(pair, x).fiber_points
+        keys = sorted(expected, key=lambda t: tuple(v.sort_key() for v in t))
+        assert len(points) == len(keys)
+        for key, point in zip(keys, points):
+            witness, literal = expected[key]
+            assert span_eq(point.witness_borel, witness), key
+            assert point.split_characterization == literal
+
+
+@pytest.mark.parametrize("spec", ["splitA:n=2", "glgl:n=2", "diag:sl3"])
+def test_regular_semisimple_fiber_walks_and_eliminates_nothing(spec, monkeypatch):
+    # the regular semisimple fiber is read off root permutations alone; the
+    # degenerate sample still takes the flag path through every step
+    from thetapairs import fibers
+
+    pair = realize(spec)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("flag_stabilizer", "intersect_spans", "_flag_witness", "_verify_fiber_point")
+    for name in names:
+        monkeypatch.setattr(fibers, name, counted(name, getattr(fibers, name)))
+    monkeypatch.setattr(SplitWeylLifts, "orbit", counted("orbit", SplitWeylLifts.orbit))
+    rep = fiber_over_regular(pair, regular_ss_element(pair))
+    assert rep.cardinality == rep.wa_order
+    assert calls == Counter()
+    fiber_over_regular(pair, mixed_degenerate_element(pair))
+    assert set(calls) == set(names) | {"orbit"}
+
+
+def test_degenerate_sample_is_decomposed_once_per_report(monkeypatch):
+    # the fiber and dimension-audit sections share one degenerate element,
+    # whose Jordan parts are computed once
+    from thetapairs import slices
+    from thetapairs.report import dimension_audit_section, fiber_section
+
+    pair = realize("glgl:n=2")
+    monkeypatch.delitem(pair.derived, "mixed_degenerate_element", raising=False)
+    calls = []
+    jordan = slices.jordan_semisimple_part
+    monkeypatch.setattr(slices, "jordan_semisimple_part", lambda m: calls.append(m) or jordan(m))
+    fiber_section(pair)
+    dimension_audit_section(pair)
+    deg = mixed_degenerate_element(pair).matrix
+    assert sum(1 for m in calls if m == deg) == 1
 
 
 def test_glgl2_degenerate_fiber_is_four():

@@ -4,26 +4,28 @@ For (g0 + g0, diagonal) the restricted family is isomorphic to the
 classical resolution of g0: phi((X,-X),(B1,B2)) = (X,B1), with inverse
 psi(X,B) completing B by the unique Borel B2 containing X with
 B cap B2 = Z_B(X_ss) = Z_{B2}(X_ss).  psi is realized by searching the
-(finite) set of X-invariant flags for the unique completion; in the
-value-sorted chart it is cross-checked against the explicit
-Z_B(X_ss) U_P^op construction.
+(finite) set of X-invariant flags, read by `fibers.flag_of_word`, for the
+unique completion; in the value-sorted chart it is cross-checked against
+the explicit Z_B(X_ss) U_P^op construction.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import permutations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from .fibers import flag_of_word, kernel_filtration
 from .gaussian import GaussRat, ONE, ZERO
-from .jordan import eigenvalues
-from .liealg import LinearAlgebraFrame, _combine, flag_stabilizer
+from .jordan import eigenspaces
+from .liealg import LinearAlgebraFrame, flag_stabilizer
 from .matrix import (
     ExactMatrix,
     coordinates_in_basis,
-    independent_subset,
     intersect_spans,
-    restrict_action,
     span_eq,
+    span_rank,
 )
 from .pairs import CatalogError, SymmetricPairRealization, _sl_basis
 
@@ -31,48 +33,26 @@ from .pairs import CatalogError, SymmetricPairRealization, _sl_basis
 Flag = Tuple[Tuple[GaussRat, ...], ...]   # chain of vectors, one new per step
 
 
-def invariant_flags(m: ExactMatrix) -> List[Flag]:
-    """All complete flags invariant under a regular matrix with Q(i)
-    spectrum.
+def invariant_flags(x: ExactMatrix, ss: ExactMatrix) -> List[Flag]:
+    """All complete flags invariant under a regular matrix x with Q(i)
+    spectrum and semisimple part ss, in the lexicographic GaussRat.sort_key
+    order of their eigenvalue words.
 
-    At every step the invariant lines of the induced quotient action are
-    the eigenlines, one per eigenvalue (regularity keeps the quotients
-    regular, so the eigenspaces stay one-dimensional).  The quotient's
-    spectrum is m's without the eigenvalues of the lines already chosen.
+    An x-invariant subspace is the sum over the eigenvalues lam of
+    ker((x - lam)^c), which is ker(nil^c) on the lam-eigenspace of ss
+    (nil = x - ss); regularity makes those kernels a chain with
+    one-dimensional steps.  So the complete invariant flags are the
+    orderings of the spectrum, with multiplicity, each read along the
+    kernel filtrations by `flag_of_word`.
     """
-    def rec(space: List[List[GaussRat]], done: List[List[GaussRat]],
-            spectrum: List[GaussRat]):
-        # space: lifts spanning a complement of the flag built so far
-        if not space:
-            return [[]]
-        d, q = len(done), len(space)
-        # done + space is a basis; the quotient action is the lower-right block
-        restr = restrict_action(m, done + space)
-        if restr is None:
-            raise CatalogError("the lifts do not span the whole space")
-        quotient = restr.block(d, d, q, q)
-        flags = []
-        for lam in sorted(set(spectrum), key=GaussRat.sort_key):
-            kern = (quotient - ExactMatrix.identity(q).scale(lam)).kernel_basis()
-            if not kern:
-                raise CatalogError("an eigenvalue of m is not one of the quotient action")
-            if len(kern) != 1:
-                raise CatalogError("matrix is not regular; flag count infinite")
-            line = _combine(space, kern[0])
-            # done + [line] is independent, so the greedy subset keeps it
-            rest = independent_subset(done + [line] + space)[d + 1:]
-            left = list(spectrum)
-            left.remove(lam)
-            for tail in rec(rest, done + [line], left):
-                flags.append([line] + tail)
-        return flags
-
-    out = []
-    for chain in rec(ExactMatrix.identity(m.rows).row_lists(), [], eigenvalues(m)):
-        if len(chain) != m.rows:
-            raise CatalogError("an invariant flag is not complete")
-        out.append(tuple(tuple(v) for v in chain))
-    return out
+    spaces = eigenspaces(ss)
+    if span_rank([v for _, space in spaces for v in space]) != x.rows:
+        raise CatalogError("the eigenspaces of the semisimple part do not span the whole space")
+    nil = x - ss
+    filtrations = {lam: kernel_filtration(nil, space) for lam, space in spaces}
+    letters = [j for j, (_, space) in enumerate(spaces) for _ in space]
+    return [tuple(tuple(v) for v in flag_of_word(filtrations, [spaces[j][0] for j in word]))
+            for word in sorted(set(permutations(letters)))]
 
 
 class Completion(NamedTuple):
@@ -97,7 +77,7 @@ def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
     z = frame.centralizer([frame.to_coords(ss)])
     z_b1 = intersect_spans(b1, z)
     matches = []
-    for flag in invariant_flags(x):
+    for flag in invariant_flags(x, ss):
         b2 = flag_stabilizer(frame, [flag])
         inter = intersect_spans(b1, b2)
         if not span_eq(inter, z_b1):
@@ -196,8 +176,6 @@ def _sample_chart_point(frame, k, rng):
                              for i in range(k) for j in range(k)])
     x = ss + nil
     # regular exactly when every repeated eigenvalue group is chained
-    from collections import Counter
-
     counts = Counter(vals)
     chained = Counter()
     for a, b in zip(sigma, sigma[1:]):

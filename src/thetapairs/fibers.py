@@ -6,12 +6,14 @@ fiber product over a regular semisimple element, the per-component
 dimension audit of the restricted family at arbitrary base points (at 0,
 whose centralizer is g, on the pair's own fundamental torus and regular
 Borel classes; elsewhere via Cayley transforms to a fundamental torus of
-the centralizer), and the diagonal-pair comparison with the classical
-simultaneous resolution.
+the centralizer).  The complete flags fixed by a regular element are read
+here, once: `kernel_filtration` and `flag_of_word` build them for the flag
+witnesses and for `diagonal.invariant_flags`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -36,6 +38,7 @@ from .liealg import (
     Vector,
     _combine,
     _joint_eigenspaces,
+    build_concrete_root_data,
     flag_stabilizer,
     gvec,
     vec_is_zero,
@@ -50,10 +53,11 @@ from .matrix import (
     restrict_action,
 )
 from .pairs import CatalogError, SymmetricPairRealization, per_pair
-from .rootsystem import compose, enumerate_weyl, invert
+from .rootsystem import compose, enumerate_weyl, identity_perm, invert
 from .slices import (
     ElementOfG1,
     NotRegular,
+    build_kw_section,
     conjugate_ss_into_a,
     is_regular,
 )
@@ -121,15 +125,12 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     wa = compute_subgroups(pair).Wa_perms
     semisimple = vec_is_zero(nil1)
     if semisimple:
-        # alpha_k(w.y) = alpha_{w^{-1}(k)}(y) (`SplitWeylLifts`), and the
-        # centre, which W fixes, is the same at every point
-        values = [weight_value(wt, ss_t) for wt in split.weights]
-        images = {w: tuple(values[j] for j in invert(w)) for w in wa}
-        base = tuple(values)
+        # the centre, which W fixes, is the same at every point
+        images = _weyl_root_values(split, ss_t, wa)
     else:
         walk = SplitWeylLifts.of(pair).orbit(ss_t)
         images = {w: tuple(walk[w]) for w in wa}
-        base = tuple(ss_t)
+    base = images[identity_perm(split.nroots)]
     orbit: Dict[Tuple, bytes] = {}
     stab_count = 0
     for w in wa:
@@ -183,7 +184,7 @@ def _flag_filtrations(pair, slots: List[DefiningSlot], ss_t, ss1, nil1):
         key = (slot.block, weight_value(slot.weight, ss_t))
         if key not in filtrations:
             eig = _block_eigenspace(pair, ss_m, key[1], slot.block)
-            filtrations[key] = _kernel_filtration(nil_m, eig)
+            filtrations[key] = kernel_filtration(nil_m, eig)
     return filtrations
 
 
@@ -217,23 +218,17 @@ def _defining_slots(pair: SymmetricPairRealization) -> List[DefiningSlot]:
 def _flag_witness(pair, slots: List[DefiningSlot], filtrations, y_t) -> List[Vector]:
     """Lie algebra of the Borel whose slice value pattern matches y.
 
-    Slot i of the flag takes the next vector of the kernel filtration of
-    the nilpotent part on the eigenspace of the semisimple part whose
-    eigenvalue equals the y-value of slot i (blockwise for diagonal pairs);
-    `filtrations` holds those filtrations per (block, eigenvalue).
+    Each block's flag is `flag_of_word` of its slots' (block, y-value)
+    letters: slot i takes the next vector of the kernel filtration of the
+    nilpotent part on the eigenspace of the semisimple part whose
+    eigenvalue equals the y-value of slot i; `filtrations` holds those
+    filtrations per (block, eigenvalue).
     """
-    taken: Dict[Tuple[int, GaussRat], int] = {}
-    flags: Dict[int, List[List[GaussRat]]] = {b: [] for b in sorted({s.block for s in slots})}
+    words: Dict[int, List[Tuple[int, GaussRat]]] = {b: [] for b in sorted({s.block for s in slots})}
     for slot in slots:
-        key = (slot.block, weight_value(slot.weight, y_t))
-        filt = filtrations.get(key, [])
-        k = taken.get(key, 0)
-        if k >= len(filt):
-            raise CatalogError("slot pattern exceeds the eigenspace filtration")
-        taken[key] = k + 1
-        flags[slot.block].append(filt[k][-1])
+        words[slot.block].append((slot.block, weight_value(slot.weight, y_t)))
     # stabilizer of the per-block flags inside g
-    return flag_stabilizer(pair.frame, list(flags.values()))
+    return flag_stabilizer(pair.frame, [flag_of_word(filtrations, w) for w in words.values()])
 
 
 def _block_eigenspace(pair, ss_m, lam, block) -> List[List[GaussRat]]:
@@ -248,7 +243,7 @@ def _block_eigenspace(pair, ss_m, lam, block) -> List[List[GaussRat]]:
     return kern
 
 
-def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
+def kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
     """Increasing chain ker(nil^1) subset ker(nil^2) subset ... on the
     eigenspace; entry k-1 is a basis of ker(nil^k) with the new vector last."""
     if not eigenspace:
@@ -272,6 +267,23 @@ def _kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
         chain.append(stage)
         prev = stage
     return chain
+
+
+def flag_of_word(filtrations, word) -> List[List[GaussRat]]:
+    """The flag that reads `word` along `filtrations` (letter -> a
+    `kernel_filtration`): the j-th occurrence of a letter takes the new
+    vector of stage j of its filtration, so every prefix of the flag spans
+    the sum over its letters of ker(nil^count) on their eigenspaces."""
+    taken = Counter()
+    flag = []
+    for letter in word:
+        filt = filtrations.get(letter, [])
+        k = taken[letter]
+        if k >= len(filt):
+            raise CatalogError("slot pattern exceeds the eigenspace filtration")
+        taken[letter] = k + 1
+        flag.append(filt[k][-1])
+    return flag
 
 
 def _verify_fiber_point(pair, z, ss1, nil1, witness) -> bool:
@@ -394,8 +406,6 @@ def mixed_degenerate_element(pair: SymmetricPairRealization) -> ElementOfG1:
     stabilizer (for rank one, the regular nilpotent: the stabilizer of 0 is
     everything).  One element per pair, so its Jordan parts are computed
     once for all its readers."""
-    from .slices import build_kw_section
-
     n_def = pair.frame.n_def
     fam = pair.spec.family
     if pair.rank_r1 == 1:
@@ -469,7 +479,8 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     x1 = ad_g.apply(gvec(x.coords))
 
     split = pair.split_roots
-    points = _weyl_root_values(split, coordinates_in_basis(split.torus, x1))
+    points = _weyl_root_values(split, coordinates_in_basis(split.torus, x1),
+                               enumerate_weyl(split.datum).elements)
     # Ad(n_w) fixes the centre, so the root values of w.x determine it
     if len(set(points.values())) != len(points):
         raise NotRegular("Weyl orbit is not free; element is not regular enough")
@@ -493,11 +504,12 @@ def component_census(pair: SymmetricPairRealization, x: ElementOfG1) -> Componen
     return ComponentCensus(pair.pair_id, len(points), groups, len(wa))
 
 
-def _weyl_root_values(split: ConcreteRootData, y: Vector) -> Dict[bytes, Tuple[GaussRat, ...]]:
-    """The root values of w.y for every w, in the element order of
-    `enumerate_weyl`: alpha_k(M_w y) = alpha_{w^{-1}(k)}(y) (`SplitWeylLifts`)."""
+def _weyl_root_values(split: ConcreteRootData, y: Vector,
+                      elements: List[bytes]) -> Dict[bytes, Tuple[GaussRat, ...]]:
+    """The root values of w.y for every w of `elements`, in their order:
+    alpha_k(M_w y) = alpha_{w^{-1}(k)}(y) (`SplitWeylLifts`)."""
     values = [weight_value(wt, y) for wt in split.weights]
-    return {w: tuple(values[j] for j in invert(w)) for w in enumerate_weyl(split.datum).elements}
+    return {w: tuple(values[j] for j in invert(w)) for w in elements}
 
 
 # -- centralizer pairs and the dimension audit -------------------------------------
@@ -625,8 +637,6 @@ def _class_audit(pair: SymmetricPairRealization, a_point: Vector, rdata: Concret
 
 
 def _fundamental_root_data(pair, z_basis, t_fund) -> ConcreteRootData:
-    from .liealg import build_concrete_root_data
-
     # positivity element: a theta-fixed torus element missing every root
     t0 = theta_eigen_basis(pair, t_fund)
     primes = [2, 3, 5, 7, 11, 13]

@@ -6,7 +6,10 @@ from thetapairs import pairs
 from thetapairs.fibers import g0_weyl_lifts
 from thetapairs.gaussian import GaussRat
 from thetapairs.involutions import SplitWeylLifts, lift_closure, root_value
-from thetapairs.matrix import ExactMatrix, span_eq
+from thetapairs.jordan import eigenvalues
+from thetapairs.liealg import _combine
+from thetapairs.matrix import ExactMatrix, independent_subset, restrict_action, span_eq
+from thetapairs.pairs import CatalogError
 from thetapairs.report import build_report
 
 
@@ -22,6 +25,50 @@ def split_weyl_table(pair):
     lifts = SplitWeylLifts.of(pair)
     return lift_closure(lifts.gens, lifts.nroots,
                         ExactMatrix.identity(len(pair.split_roots.torus)))
+
+
+def recursive_invariant_flags(m):
+    """All complete flags invariant under a regular matrix with Q(i)
+    spectrum, found by recursion through quotient actions: the oracle of
+    `diagonal.invariant_flags`, in the same GaussRat.sort_key order.
+
+    At every step the invariant lines of the induced quotient action are
+    the eigenlines, one per eigenvalue (regularity keeps the quotients
+    regular, so the eigenspaces stay one-dimensional).  The quotient's
+    spectrum is m's without the eigenvalues of the lines already chosen.
+    """
+    def rec(space, done, spectrum):
+        # space: lifts spanning a complement of the flag built so far
+        if not space:
+            return [[]]
+        d, q = len(done), len(space)
+        # done + space is a basis; the quotient action is the lower-right block
+        restr = restrict_action(m, done + space)
+        if restr is None:
+            raise CatalogError("the lifts do not span the whole space")
+        quotient = restr.block(d, d, q, q)
+        flags = []
+        for lam in sorted(set(spectrum), key=GaussRat.sort_key):
+            kern = (quotient - ExactMatrix.identity(q).scale(lam)).kernel_basis()
+            if not kern:
+                raise CatalogError("an eigenvalue of m is not one of the quotient action")
+            if len(kern) != 1:
+                raise CatalogError("matrix is not regular; flag count infinite")
+            line = _combine(space, kern[0])
+            # done + [line] is independent, so the greedy subset keeps it
+            rest = independent_subset(done + [line] + space)[d + 1:]
+            left = list(spectrum)
+            left.remove(lam)
+            for tail in rec(rest, done + [line], left):
+                flags.append([line] + tail)
+        return flags
+
+    out = []
+    for chain in rec(ExactMatrix.identity(m.rows).row_lists(), [], eigenvalues(m)):
+        if len(chain) != m.rows:
+            raise CatalogError("an invariant flag is not complete")
+        out.append(tuple(tuple(v) for v in chain))
+    return out
 
 
 def exhibit_fiber_conjugators(pair, report):

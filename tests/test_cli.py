@@ -286,6 +286,24 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_package_imports_each_sibling_module_at_one_level():
+    # a function-level `from .X import` is there to break an import cycle
+    # (jordan's import of pairs); from a module the file already imports at
+    # module level, it can sit at the top with the others
+    package = Path(thetapairs.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level}
+        found |= {f"{path.name}:{node.lineno}: .{node.module}"
+                  for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(func)
+                  if isinstance(node, ast.ImportFrom) and node.level and node.module in top}
+    assert sorted(found) == []
+
+
 def test_package_has_no_unused_locals():
     # a name bound inside a function by a single-name assignment and never
     # read there is dead code; a call kept for its raise needs no binding

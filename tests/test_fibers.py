@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import exhibit_fiber_conjugators, split_weyl_table
+from conftest import exhibit_fiber_conjugators, recursive_invariant_flags, split_weyl_table
 
 from thetapairs.gaussian import GaussRat, ZERO
 from thetapairs.pairs import MATRIX_CATALOG, realize
@@ -364,31 +364,78 @@ def test_diagonal_isomorphism(spec):
     assert diagonal_isomorphism_check(pair, n_samples=10) == (10, 0)
 
 
+JORDAN_EXAMPLE = ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+
+
 def test_invariant_flags_read_the_spectrum_once(monkeypatch):
     from thetapairs import diagonal
     from thetapairs.gaussian import I
+    from thetapairs.jordan import eigenvalues
     from thetapairs.pairs import CatalogError
 
     calls = []
-    eigenvalues = diagonal.eigenvalues
-    monkeypatch.setattr(diagonal, "eigenvalues", lambda m: calls.append(m) or eigenvalues(m))
+    monkeypatch.setattr("thetapairs.jordan.eigenvalues",
+                        lambda m: calls.append(m) or eigenvalues(m))
     # distinct eigenvalues: every order of the eigenlines; a Jordan block
     # of size 2 and one more eigenvalue: the block's one flag, with the
     # other eigenline in any of three places
-    assert len(diagonal.invariant_flags(ExactMatrix.diagonal([1, 2, I, -1]))) == 24
-    jordan = ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
-    flags = diagonal.invariant_flags(jordan)
+    four = ExactMatrix.diagonal([1, 2, I, -1])
+    assert len(diagonal.invariant_flags(four, four)) == 24
+    flags = diagonal.invariant_flags(JORDAN_EXAMPLE, ExactMatrix.diagonal([2, 2, 3]))
     assert len(flags) == 3 and len(calls) == 2
     for flag in flags:
         vectors = [list(v) for v in flag]
         assert span_rank(vectors) == 3
-        assert all(restrict_action(jordan, vectors[:j]) is not None for j in (1, 2))
+        assert all(restrict_action(JORDAN_EXAMPLE, vectors[:j]) is not None for j in (1, 2))
     with pytest.raises(CatalogError, match="not regular"):
-        diagonal.invariant_flags(ExactMatrix.identity(2))
+        diagonal.invariant_flags(ExactMatrix.identity(2), ExactMatrix.identity(2))
     # a spectrum that is not the matrix's: the guard, not a wrong flag
-    monkeypatch.setattr(diagonal, "eigenvalues", lambda m: [GaussRat(1), GaussRat(3)])
-    with pytest.raises(CatalogError, match="not one of the quotient action"):
-        diagonal.invariant_flags(ExactMatrix.diagonal([1, 2]))
+    monkeypatch.setattr("thetapairs.jordan.eigenvalues", lambda m: [GaussRat(1), GaussRat(3)])
+    two = ExactMatrix.diagonal([1, 2])
+    with pytest.raises(CatalogError, match="do not span the whole space"):
+        diagonal.invariant_flags(two, two)
+
+
+def test_invariant_flags_match_the_quotient_recursion():
+    # the flags read along the kernel filtrations are the recursion's, in
+    # its order, as spans at every step: on seeded chart points at k = 2, 3
+    # and 4 and on a conjugated Jordan block
+    from thetapairs.diagonal import _sample_chart_point, invariant_flags
+
+    g = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    cases = [(g @ JORDAN_EXAMPLE @ g.inverse(), g @ ExactMatrix.diagonal([2, 2, 3]) @ g.inverse())]
+    for k in (2, 3, 4):
+        rng = random.Random(k)
+        while len(cases) < 1 + 10 * (k - 1):
+            x, ss, _ = _sample_chart_point(None, k, rng)
+            if x is not None:
+                cases.append((x, ss))
+    for x, ss in cases:
+        flags, expected = invariant_flags(x, ss), recursive_invariant_flags(x)
+        assert len(flags) == len(expected)
+        for flag, oracle in zip(flags, expected):
+            assert all(span_eq(flag[:j], oracle[:j]) for j in range(1, x.rows + 1))
+
+
+def test_flag_reading_guards():
+    # a word that takes a letter more often than its filtration is long,
+    # and a nilpotent part that moves an eigenspace of ss off itself
+    from thetapairs.fibers import flag_of_word, kernel_filtration
+    from thetapairs.jordan import eigenspaces
+    from thetapairs.pairs import CatalogError
+
+    two, three = GaussRat(2), GaussRat(3)
+    ss = ExactMatrix.diagonal([2, 2, 3])
+    spaces = dict(eigenspaces(ss))
+    filtrations = {lam: kernel_filtration(JORDAN_EXAMPLE - ss, space)
+                   for lam, space in spaces.items()}
+    assert len(flag_of_word(filtrations, [two, three, two])) == 3
+    with pytest.raises(CatalogError, match="slot pattern exceeds the eigenspace filtration"):
+        flag_of_word(filtrations, [three, three])
+    # e1 -> e3 does not commute with ss
+    off = ExactMatrix(3, 3, [GaussRat(int((i, j) == (2, 0))) for i in range(3) for j in range(3)])
+    with pytest.raises(CatalogError, match="does not preserve the eigenspace"):
+        kernel_filtration(off, spaces[two])
 
 
 def test_diagonal_failed_round_trips_are_counted(monkeypatch, capsys):

@@ -291,7 +291,7 @@ def test_the_permutation_readings_match_the_weyl_table(spec, dense_theta):
     ss, _ = x.jordan_parts()
     x_t = coordinates_in_basis(split.torus, conjugate_ss_into_a(pair, ss).apply(gvec(x.coords)))
     a_cols = [coordinates_in_basis(split.torus, a) for a in pair.a_basis]
-    points = fibers._weyl_root_values(split, x_t)
+    points = fibers._weyl_root_values(split, x_t, enumerate_weyl(split.datum).elements)
     assert list(points) == list(table)
     theta = split.theta_perm
     for w, pt in points.items():

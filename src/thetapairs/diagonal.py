@@ -3,65 +3,38 @@
 For (g0 + g0, diagonal) the restricted family is isomorphic to the
 classical resolution of g0: phi((X,-X),(B1,B2)) = (X,B1), with inverse
 psi(X,B) completing B by the unique Borel B2 containing X with
-B cap B2 = Z_B(X_ss) = Z_{B2}(X_ss).  psi is realized by searching the
-(finite) set of X-invariant flags, read by `fibers.flag_of_word`, for the
-unique completion; in the value-sorted chart it is cross-checked against
-the explicit Z_B(X_ss) U_P^op construction.
+B cap B2 = Z_B(X_ss) = Z_{B2}(X_ss).  psi is a formula: B2 reads B's
+eigenvalue word reversed along the kernel filtrations of `fibers`, so its
+existence and uniqueness on the sampled chart are proved, not searched
+for; the pair-point property is checked on the spans, and in the
+value-sorted chart B2 is cross-checked against the explicit
+Z_B(X_ss) U_P^op construction.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import permutations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .fibers import flag_of_word, kernel_filtration
 from .gaussian import GaussRat, ONE, ZERO
 from .jordan import eigenspaces
 from .liealg import LinearAlgebraFrame, flag_stabilizer
-from .matrix import (
-    ExactMatrix,
-    coordinates_in_basis,
-    intersect_spans,
-    span_eq,
-    span_rank,
-)
+from .matrix import ExactMatrix, coordinates_in_basis, intersect_spans, span_eq
 from .pairs import CatalogError, SymmetricPairRealization, _sl_basis
 
 
 Flag = Tuple[Tuple[GaussRat, ...], ...]   # chain of vectors, one new per step
 
 
-def invariant_flags(x: ExactMatrix, ss: ExactMatrix) -> List[Flag]:
-    """All complete flags invariant under a regular matrix x with Q(i)
-    spectrum and semisimple part ss, in the lexicographic GaussRat.sort_key
-    order of their eigenvalue words.
-
-    An x-invariant subspace is the sum over the eigenvalues lam of
-    ker((x - lam)^c), which is ker(nil^c) on the lam-eigenspace of ss
-    (nil = x - ss); regularity makes those kernels a chain with
-    one-dimensional steps.  So the complete invariant flags are the
-    orderings of the spectrum, with multiplicity, each read along the
-    kernel filtrations by `flag_of_word`.
-    """
-    spaces = eigenspaces(ss)
-    if span_rank([v for _, space in spaces for v in space]) != x.rows:
-        raise CatalogError("the eigenspaces of the semisimple part do not span the whole space")
-    nil = x - ss
-    filtrations = {lam: kernel_filtration(nil, space) for lam, space in spaces}
-    letters = [j for j, (_, space) in enumerate(spaces) for _ in space]
-    return [tuple(tuple(v) for v in flag_of_word(filtrations, [spaces[j][0] for j in word]))
-            for word in sorted(set(permutations(letters)))]
-
-
 class Completion(NamedTuple):
-    """psi's completion of (X, B1) with the spans it was decided on, all in
-    frame coordinates: Lie(B1), z = Z_g(X_ss), Z_B1(X_ss), Lie(B2),
+    """psi's completion of (X, B1) with the spans it is checked on, all in
+    frame coordinates: B1's eigenvalue word, Lie(B1), Z_B1(X_ss), Lie(B2),
     B1 cap B2 and Z_B2(X_ss)."""
     flag: Flag
+    word: List[GaussRat]
     b1: List[List[GaussRat]]
-    z: List[List[GaussRat]]
     z_b1: List[List[GaussRat]]
     b2: List[List[GaussRat]]
     inter: List[List[GaussRat]]
@@ -70,34 +43,40 @@ class Completion(NamedTuple):
 
 def psi_complete(frame: LinearAlgebraFrame, x: ExactMatrix, ss: ExactMatrix,
                  b1_flag: Flag) -> Optional[Completion]:
-    """The unique X-invariant flag B2 with B1 cap B2 = Z_{B1}(X_ss)
-    = Z_{B2}(X_ss), with the spans it was found on, or None when there is
-    no such flag or more than one."""
+    """The X-invariant flag B2 that reads B1's eigenvalue word reversed
+    along the kernel filtrations of x - ss on the eigenspaces of ss, with
+    the spans the pair-point property is decided on; None when a vector of
+    B1's flag is not an eigenvector of ss, so that the word is not read.
+
+    In the basis of filtration vectors every X-invariant flag is the
+    coordinate flag of its word, B_w cap B_w' is spanned by the diagonal
+    and the E_ab with a before b in both orders, and Z(X_ss) by the E_ab
+    with equal eigenvalues, which every word orders by filtration stage.
+    So Z_B1(X_ss) = Z_B2(X_ss) always, and B1 cap B2 = Z_B1(X_ss) exactly
+    when B2 reverses every pair of distinct letters: when B1's word keeps
+    each eigenvalue's letters together, as on the sampled chart, the
+    reversed word is the one completion; when they interleave there is
+    none, and the reversed word fails the pair-point test."""
+    word = [_eigenvalue_on(ss, vec) for vec in b1_flag]
+    if any(lam is None for lam in word):
+        return None
+    nil = x - ss
+    filtrations = {lam: kernel_filtration(nil, space) for lam, space in eigenspaces(ss)}
+    flag = tuple(tuple(v) for v in flag_of_word(filtrations, word[::-1]))
     b1 = flag_stabilizer(frame, [b1_flag])
+    b2 = flag_stabilizer(frame, [flag])
     z = frame.centralizer([frame.to_coords(ss)])
-    z_b1 = intersect_spans(b1, z)
-    matches = []
-    for flag in invariant_flags(x, ss):
-        b2 = flag_stabilizer(frame, [flag])
-        inter = intersect_spans(b1, b2)
-        if not span_eq(inter, z_b1):
-            continue
-        z_b2 = intersect_spans(b2, z)
-        if span_eq(z_b2, z_b1):
-            matches.append(Completion(flag, b1, z, z_b1, b2, inter, z_b2))
-    return matches[0] if len(matches) == 1 else None
+    return Completion(flag, word, b1, intersect_spans(b1, z), b2,
+                      intersect_spans(b1, b2), intersect_spans(b2, z))
 
 
-def _sorted_chart_opposite(ss: ExactMatrix, b1_flag: Flag) -> Optional[Flag]:
+def _sorted_chart_opposite(b1_flag: Flag, word: List[GaussRat]) -> Optional[Flag]:
     """The literal Z_B(X_ss) U_P^op construction, valid when the flag order
     sorts the eigenvalues (so that Z.B is a parabolic); None otherwise."""
     # the eigenvalue blocks of the flag, in flag order
     blocks: Dict[GaussRat, List[Tuple[GaussRat, ...]]] = {}
     order: List[GaussRat] = []
-    for vec in b1_flag:
-        lam = _eigenvalue_on(ss, vec)
-        if lam is None:
-            return None
+    for vec, lam in zip(b1_flag, word):
         if not order or order[-1] != lam:
             if lam in blocks:
                 return None  # eigenvalues interleave; not the sorted chart
@@ -139,7 +118,7 @@ def diagonal_isomorphism_check(pair: SymmetricPairRealization, seed: int = 0,
         trial += 1
         if trial > 40 * n_samples + 100:
             raise CatalogError("could not generate enough samples")
-        x, ss, flag = _sample_chart_point(frame, k, rng)
+        x, ss, flag = _sample_chart_point(k, rng)
         if x is None:
             continue
         round_trips += 1
@@ -149,19 +128,19 @@ def diagonal_isomorphism_check(pair: SymmetricPairRealization, seed: int = 0,
 
 
 def _round_trip_holds(frame, x, ss, flag) -> bool:
-    # phi(psi(X,B)) = (X,B) by construction, and psi(phi(X,B1,B2)) = B2 by
-    # the uniqueness of the completion; the content is existence and
-    # uniqueness of the completion and the pair-point validity
+    # phi(psi(X,B)) = (X,B) by construction, and psi(phi(X,B1,B2)) = B2 as
+    # the completion is unique (proved at `psi_complete`); the content is
+    # the pair-point validity of the one completion psi writes down
     completion = psi_complete(frame, x, ss, flag)
     if completion is None or not _is_pair_point(frame, x, completion):
         return False
     # in the sorted chart, the explicit opposite-parabolic formula agrees
-    sorted_guess = _sorted_chart_opposite(ss, flag)
+    sorted_guess = _sorted_chart_opposite(flag, completion.word)
     return sorted_guess is None or span_eq(completion.b2,
                                            flag_stabilizer(frame, [sorted_guess]))
 
 
-def _sample_chart_point(frame, k, rng):
+def _sample_chart_point(k, rng):
     vals = [rng.randint(-3, 3) for _ in range(k)]
     vals[-1] = -sum(vals[:-1])  # trace zero
     ss = ExactMatrix.diagonal(vals)
@@ -191,8 +170,8 @@ def _sample_chart_point(frame, k, rng):
 
 def _is_pair_point(frame, x, completion: Completion) -> bool:
     """The defining property of the restricted family for diagonal pairs:
-    B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2, checked on the spans
-    the completion was built from."""
+    B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss), with X in B2, decided here, once,
+    on the spans of psi's completion."""
     inter, b2 = completion.inter, completion.b2
     return (span_eq(inter, completion.z_b1) and span_eq(inter, completion.z_b2)
             and coordinates_in_basis(b2, frame.to_coords(x)) is not None)

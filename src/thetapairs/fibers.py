@@ -8,7 +8,7 @@ whose centralizer is g, on the pair's own fundamental torus and regular
 Borel classes; elsewhere via Cayley transforms to a fundamental torus of
 the centralizer).  The complete flags fixed by a regular element are read
 here, once: `kernel_filtration` and `flag_of_word` build them for the flag
-witnesses and for `diagonal.invariant_flags`.
+witnesses and for the completion of `diagonal.psi_complete`.
 """
 
 from __future__ import annotations

@@ -393,7 +393,7 @@ def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
         elif family == "glgl":
             g = _glgl_diagonalizer(pair, m)
         elif family == "diag":
-            g = _diag_diagonalizer(pair, m)
+            g = _diag_diagonalizer(m)
         else:
             raise CatalogError(f"{pair.pair_id}: no conjugation solver")
     except ConjugationOutsideField:
@@ -492,7 +492,7 @@ def _glgl_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.block_diagonal(g1, g2)
 
 
-def _diag_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
+def _diag_diagonalizer(m: ExactMatrix) -> ExactMatrix:
     k = m.rows // 2
     cols = [v for _, vecs in eigenspaces(m.block(0, 0, k, k)) for v in vecs]
     if len(cols) != k:

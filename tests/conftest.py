@@ -1,14 +1,23 @@
 """Oracles and recording fixtures shared by several test modules."""
 
+from itertools import permutations
+
 import pytest
 
 from thetapairs import pairs
-from thetapairs.fibers import g0_weyl_lifts
+from thetapairs.fibers import flag_of_word, g0_weyl_lifts, kernel_filtration
 from thetapairs.gaussian import GaussRat
 from thetapairs.involutions import SplitWeylLifts, lift_closure, root_value
-from thetapairs.jordan import eigenvalues
-from thetapairs.liealg import _combine
-from thetapairs.matrix import ExactMatrix, independent_subset, restrict_action, span_eq
+from thetapairs.jordan import eigenspaces, eigenvalues
+from thetapairs.liealg import _combine, flag_stabilizer
+from thetapairs.matrix import (
+    ExactMatrix,
+    independent_subset,
+    intersect_spans,
+    restrict_action,
+    span_eq,
+    span_rank,
+)
 from thetapairs.pairs import CatalogError
 from thetapairs.report import build_report
 
@@ -27,10 +36,47 @@ def split_weyl_table(pair):
                         ExactMatrix.identity(len(pair.split_roots.torus)))
 
 
+def invariant_flags(x, ss):
+    """All complete flags invariant under a regular matrix x with Q(i)
+    spectrum and semisimple part ss, in the lexicographic GaussRat.sort_key
+    order of their eigenvalue words.
+
+    An x-invariant subspace is the sum over the eigenvalues lam of
+    ker((x - lam)^c), which is ker(nil^c) on the lam-eigenspace of ss
+    (nil = x - ss); regularity makes those kernels a chain with
+    one-dimensional steps.  So the complete invariant flags are the
+    orderings of the spectrum, with multiplicity, each read along the
+    kernel filtrations by `flag_of_word`.
+    """
+    spaces = eigenspaces(ss)
+    if span_rank([v for _, space in spaces for v in space]) != x.rows:
+        raise CatalogError("the eigenspaces of the semisimple part do not span the whole space")
+    nil = x - ss
+    filtrations = {lam: kernel_filtration(nil, space) for lam, space in spaces}
+    letters = [j for j, (_, space) in enumerate(spaces) for _ in space]
+    return [tuple(tuple(v) for v in flag_of_word(filtrations, [spaces[j][0] for j in word]))
+            for word in sorted(set(permutations(letters)))]
+
+
+def searched_completions(frame, x, ss, b1_flag):
+    """Every x-invariant flag B2 with B1 cap B2 = Z_B1(X_ss) = Z_B2(X_ss),
+    found by trying all of `invariant_flags`: the uniqueness oracle of
+    `diagonal.psi_complete`."""
+    b1 = flag_stabilizer(frame, [b1_flag])
+    z = frame.centralizer([frame.to_coords(ss)])
+    z_b1 = intersect_spans(b1, z)
+    found = []
+    for flag in invariant_flags(x, ss):
+        b2 = flag_stabilizer(frame, [flag])
+        if span_eq(intersect_spans(b1, b2), z_b1) and span_eq(intersect_spans(b2, z), z_b1):
+            found.append(flag)
+    return found
+
+
 def recursive_invariant_flags(m):
     """All complete flags invariant under a regular matrix with Q(i)
     spectrum, found by recursion through quotient actions: the oracle of
-    `diagonal.invariant_flags`, in the same GaussRat.sort_key order.
+    `invariant_flags`, in the same GaussRat.sort_key order.
 
     At every step the invariant lines of the induced quotient action are
     the eigenlines, one per eigenvalue (regularity keeps the quotients

@@ -323,6 +323,34 @@ def test_package_has_no_unused_locals():
     assert sorted(found) == []
 
 
+def test_private_functions_read_every_parameter():
+    # a private function's parameter that its body never reads is dead
+    # weight at every call; a function the package passes around as a value
+    # (a `checks` section, a sort key) keeps the signature its callers share
+    package = Path(thetapairs.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    callees = {id(node.func) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)}
+    as_value = {node.id if isinstance(node, ast.Name) else node.attr
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees}
+    found = []
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if (not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or not func.name.startswith("_") or func.name.endswith("__")
+                    or func.name in as_value):
+                continue
+            args = func.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            found += [f"{name}:{func.lineno}: {func.name} {arg.arg}" for arg in params
+                      if arg.arg not in read]
+    assert found == []
+
+
 def test_package_has_no_dense_theta():
     # theta is the pair's sign vector (+1 on g0, -1 on g1 coordinates); a
     # dense dim g x dim g form of it is an oracle of the tests only

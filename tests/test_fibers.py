@@ -4,7 +4,13 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import exhibit_fiber_conjugators, recursive_invariant_flags, split_weyl_table
+from conftest import (
+    exhibit_fiber_conjugators,
+    invariant_flags,
+    recursive_invariant_flags,
+    searched_completions,
+    split_weyl_table,
+)
 
 from thetapairs.gaussian import GaussRat, ZERO
 from thetapairs.pairs import MATRIX_CATALOG, realize
@@ -368,7 +374,6 @@ JORDAN_EXAMPLE = ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
 
 
 def test_invariant_flags_read_the_spectrum_once(monkeypatch):
-    from thetapairs import diagonal
     from thetapairs.gaussian import I
     from thetapairs.jordan import eigenvalues
     from thetapairs.pairs import CatalogError
@@ -380,34 +385,34 @@ def test_invariant_flags_read_the_spectrum_once(monkeypatch):
     # of size 2 and one more eigenvalue: the block's one flag, with the
     # other eigenline in any of three places
     four = ExactMatrix.diagonal([1, 2, I, -1])
-    assert len(diagonal.invariant_flags(four, four)) == 24
-    flags = diagonal.invariant_flags(JORDAN_EXAMPLE, ExactMatrix.diagonal([2, 2, 3]))
+    assert len(invariant_flags(four, four)) == 24
+    flags = invariant_flags(JORDAN_EXAMPLE, ExactMatrix.diagonal([2, 2, 3]))
     assert len(flags) == 3 and len(calls) == 2
     for flag in flags:
         vectors = [list(v) for v in flag]
         assert span_rank(vectors) == 3
         assert all(restrict_action(JORDAN_EXAMPLE, vectors[:j]) is not None for j in (1, 2))
     with pytest.raises(CatalogError, match="not regular"):
-        diagonal.invariant_flags(ExactMatrix.identity(2), ExactMatrix.identity(2))
+        invariant_flags(ExactMatrix.identity(2), ExactMatrix.identity(2))
     # a spectrum that is not the matrix's: the guard, not a wrong flag
     monkeypatch.setattr("thetapairs.jordan.eigenvalues", lambda m: [GaussRat(1), GaussRat(3)])
     two = ExactMatrix.diagonal([1, 2])
     with pytest.raises(CatalogError, match="do not span the whole space"):
-        diagonal.invariant_flags(two, two)
+        invariant_flags(two, two)
 
 
 def test_invariant_flags_match_the_quotient_recursion():
     # the flags read along the kernel filtrations are the recursion's, in
     # its order, as spans at every step: on seeded chart points at k = 2, 3
     # and 4 and on a conjugated Jordan block
-    from thetapairs.diagonal import _sample_chart_point, invariant_flags
+    from thetapairs.diagonal import _sample_chart_point
 
     g = ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     cases = [(g @ JORDAN_EXAMPLE @ g.inverse(), g @ ExactMatrix.diagonal([2, 2, 3]) @ g.inverse())]
     for k in (2, 3, 4):
         rng = random.Random(k)
         while len(cases) < 1 + 10 * (k - 1):
-            x, ss, _ = _sample_chart_point(None, k, rng)
+            x, ss, _ = _sample_chart_point(k, rng)
             if x is not None:
                 cases.append((x, ss))
     for x, ss in cases:
@@ -415,6 +420,80 @@ def test_invariant_flags_match_the_quotient_recursion():
         assert len(flags) == len(expected)
         for flag, oracle in zip(flags, expected):
             assert all(span_eq(flag[:j], oracle[:j]) for j in range(1, x.rows + 1))
+
+
+def _audit_samples(monkeypatch, spec, seed):
+    # the (frame, x, ss, B1 flag) of every round trip of one audit
+    from thetapairs import diagonal
+
+    samples = []
+    holds = diagonal._round_trip_holds
+    with monkeypatch.context() as patch:
+        patch.setattr(diagonal, "_round_trip_holds",
+                      lambda *args: samples.append(args) or holds(*args))
+        diagonal_isomorphism_check(realize(spec), seed=seed)
+    return samples
+
+
+def test_psi_completion_is_the_searched_unique_one(monkeypatch):
+    # the exhaustive search over every invariant flag finds exactly one
+    # completion, and it spans psi's flag at every step: on the audit's
+    # samples and on seeded k = 4 chart points
+    from thetapairs.diagonal import _is_pair_point, _sample_chart_point, psi_complete
+    from thetapairs.pairs import _sl_basis
+
+    cases = [sample for spec in ("diag:sl2", "diag:sl3") for seed in (0, 1, 7)
+             for sample in _audit_samples(monkeypatch, spec, seed)]
+    frame, rng = LinearAlgebraFrame(_sl_basis(4)), random.Random(4)
+    while len(cases) < 6 * 20 + 10:
+        x, ss, flag = _sample_chart_point(4, rng)
+        if x is not None:
+            cases.append((frame, x, ss, flag))
+    for frame, x, ss, flag in cases:
+        found = searched_completions(frame, x, ss, flag)
+        completion = psi_complete(frame, x, ss, flag)
+        assert len(found) == 1 and completion is not None
+        assert all(span_eq(found[0][:j], completion.flag[:j]) for j in range(1, x.rows + 1))
+    # an eigenvalue word that interleaves (1, -2, 1) has no completion, and
+    # psi's reversed word is then no pair point
+    frame, ss = LinearAlgebraFrame(_sl_basis(3)), ExactMatrix.diagonal([1, 1, -2])
+    x = ss + ExactMatrix(3, 3, [GaussRat(int((i, j) == (0, 1))) for i in range(3) for j in range(3)])
+    units = ExactMatrix.identity(3).row_lists()
+    flag = tuple(tuple(units[i]) for i in (0, 2, 1))
+    assert searched_completions(frame, x, ss, flag) == []
+    assert not _is_pair_point(frame, x, psi_complete(frame, x, ss, flag))
+
+
+def test_psi_reads_one_completion_per_sample(monkeypatch):
+    # B1, B2 and the sorted-chart guess: no stabilizer of another flag
+    from thetapairs import diagonal
+
+    calls = []
+    stabilizer = diagonal.flag_stabilizer
+    monkeypatch.setattr(diagonal, "flag_stabilizer",
+                        lambda frame, flags: calls.append(flags) or stabilizer(frame, flags))
+    audit = diagonal_isomorphism_check(realize("diag:sl3"))
+    assert audit == (20, 0)
+    assert len(calls) <= 3 * audit.round_trips
+
+
+def test_pair_point_decides_the_span_equalities():
+    # B2 = B1 contains X but meets B1 in more than Z_B1(X_ss) when X_ss is
+    # not central; a flag vector that is not an eigenvector of ss leaves
+    # the word unread
+    from thetapairs.diagonal import _is_pair_point, psi_complete
+    from thetapairs.pairs import _sl_basis
+
+    x = ExactMatrix.diagonal([1, 2, -3])
+    flag = tuple(tuple(row) for row in ExactMatrix.identity(3).row_lists())
+    frame = LinearAlgebraFrame(_sl_basis(3))
+    completion = psi_complete(frame, x, x, flag)
+    assert _is_pair_point(frame, x, completion)
+    wrong = completion._replace(flag=flag, b2=completion.b1, inter=completion.b1,
+                                z_b2=completion.z_b1)
+    assert not _is_pair_point(frame, x, wrong)
+    skew = (flag[0], tuple(a + b for a, b in zip(flag[0], flag[1])), flag[2])
+    assert psi_complete(frame, x, x, skew) is None
 
 
 def test_flag_reading_guards():

@@ -43,6 +43,7 @@ from .liealg import (
     gvec,
     vec_is_zero,
     weight_decomposition,
+    weight_perm,
     weight_value,
 )
 from .matrix import (
@@ -95,8 +96,9 @@ class FiberReport:
 def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberReport:
     """The fiber of the resolution projection over a regular element.
 
-    The semisimple part y is conjugated into the pinned Cartan subspace
-    (ConjugationOutsideField if that fails over Q(i)).  Fiber points
+    The semisimple part y must lie in the pinned Cartan subspace a, as it
+    does for every element the package builds (ConjugationOutsideField
+    otherwise).  Fiber points
     biject with the little-Weyl orbit of y.  When x is semisimple, its
     centralizer is the split torus t (t lies in it, and x regular gives
     it dimension rank g), and the point of w.y is `_root_set_point`,
@@ -153,7 +155,7 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     if not nil_on_z.nullity_is(pair.rank_g):
         raise CatalogError("nilpotent part is not regular in the centralizer")
     slots = _defining_slots(pair)
-    filtrations = _flag_filtrations(pair, slots, ss_t, ss1, nil1)
+    filtrations = _flag_filtrations(pair, slots, ss_t, nil1)
     points = []
     for key in keys:
         witness = _flag_witness(pair, slots, filtrations, list(key))
@@ -173,19 +175,18 @@ def _root_set_point(split: ConcreteRootData, w: bytes) -> FiberPoint:
     return FiberPoint(split.torus + [split.root_vectors[k] for k in roots], literal)
 
 
-def _flag_filtrations(pair, slots: List[DefiningSlot], ss_t, ss1, nil1):
+def _flag_filtrations(pair, slots: List[DefiningSlot], ss_t, nil1):
     """The kernel filtration of the nilpotent part on each eigenspace of
     the semisimple part, per (block, eigenvalue); every orbit point has
-    the eigenvalues of ss1, permuted across the slots."""
-    ss_m = pair.from_coords(ss1)
+    the eigenvalues of the semisimple part, permuted across the slots.
+    The semisimple part has torus coordinates ss_t, and the slots are the
+    torus's joint eigenvectors, so each eigenspace is spanned by the slots
+    of its block whose weight takes its value at ss_t."""
     nil_m = pair.from_coords(nil1)
-    filtrations: Dict[Tuple[int, GaussRat], List[List[List[GaussRat]]]] = {}
+    spaces: Dict[Tuple[int, GaussRat], List[List[GaussRat]]] = {}
     for slot in slots:
-        key = (slot.block, weight_value(slot.weight, ss_t))
-        if key not in filtrations:
-            eig = _block_eigenspace(pair, ss_m, key[1], slot.block)
-            filtrations[key] = kernel_filtration(nil_m, eig)
-    return filtrations
+        spaces.setdefault((slot.block, weight_value(slot.weight, ss_t)), []).append(slot.vector)
+    return {key: kernel_filtration(nil_m, space) for key, space in spaces.items()}
 
 
 @dataclass
@@ -229,18 +230,6 @@ def _flag_witness(pair, slots: List[DefiningSlot], filtrations, y_t) -> List[Vec
         words[slot.block].append((slot.block, weight_value(slot.weight, y_t)))
     # stabilizer of the per-block flags inside g
     return flag_stabilizer(pair.frame, [flag_of_word(filtrations, w) for w in words.values()])
-
-
-def _block_eigenspace(pair, ss_m, lam, block) -> List[List[GaussRat]]:
-    n = ss_m.rows
-    shifted = ss_m - ExactMatrix.identity(n).scale(lam)
-    kern = shifted.kernel_basis()
-    if pair.spec.family == "diag":
-        k = n // 2
-        rng = range(0, k) if block == 0 else range(k, n)
-        kern = [v for v in kern
-                if all(v[i].is_zero() for i in range(n) if i not in rng)]
-    return kern
 
 
 def kernel_filtration(nil_m, eigenspace) -> List[List[List[GaussRat]]]:
@@ -547,18 +536,18 @@ def _cayley_to_fundamental(pair, z_basis: List[Vector], torus: List[Vector]):
         theta_t = restrict_action(pair.theta_apply, torus)
         if theta_t is None:
             raise CentralizerTorusError("the torus is not theta-stable")
-        # the weight alpha o theta, in coordinates on the torus
-        on_weights = theta_t.transpose()
-        real_root = None
-        for wt, space in decomposition:
-            if all(x.is_zero() for x in wt):
-                continue
-            if tuple(on_weights.apply(wt)) == tuple(-x for x in wt):
-                real_root = (wt, space[0])
-                break
-        if real_root is None:
+        roots = [(wt, space) for wt, space in decomposition if not all(x.is_zero() for x in wt)]
+        weights = [wt for wt, _ in roots]
+        perm = weight_perm(weights, theta_t)
+        if perm is None:
+            raise CatalogError("theta does not permute the centralizer's roots")
+        # root k is real when alpha_k o theta = -alpha_k
+        real = next((k for k, wt in enumerate(weights)
+                     if weights[perm[k]] == tuple(-x for x in wt)), None)
+        if real is None:
             return torus
-        wt, vec = real_root
+        wt, space = roots[real]
+        vec = space[0]
         theta_vec = pair.theta_apply(vec)
         new_dir = [a + b for a, b in zip(vec, theta_vec)]
         if vec_is_zero(new_dir) or not is_semisimple(pair.from_coords(new_dir)):

@@ -495,11 +495,11 @@ def weight_perm(weights: Sequence[Tuple[GaussRat, ...]],
     Read without inverting m, as alpha_perm(k) o m = alpha_k: the weight
     alpha o m has coordinates m^T alpha, and perm(k) is the j whose image
     is alpha_k."""
-    on_weights = torus_matrix.transpose()
+    transposed = torus_matrix.transpose()
     weight_map = {w: k for k, w in enumerate(weights)}
     perm: List[Optional[int]] = [None] * len(weights)
     for j, w in enumerate(weights):
-        k = weight_map.get(tuple(on_weights.apply(w)))
+        k = weight_map.get(tuple(transposed.apply(w)))
         if k is None or perm[k] is not None:
             return None
         perm[k] = j

@@ -17,8 +17,8 @@ from functools import reduce
 from operator import matmul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge, gauss_sqrt
-from .jordan import eigenspaces, jordan_semisimple_part
+from .gaussian import GaussRat, ONE, ZERO, SplittingFieldTooLarge
+from .jordan import jordan_semisimple_part
 from .liealg import Vector, _combine, gvec, vec_is_zero, weight_decomposition
 from .matrix import (
     PRIME,
@@ -46,8 +46,8 @@ class TripleNotFound(Exception):
 
 
 class ConjugationOutsideField(SplittingFieldTooLarge):
-    """The semisimple part cannot be moved into the pinned Cartan subspace
-    by an exact Q(i) conjugation."""
+    """The semisimple part does not lie in the pinned Cartan subspace a,
+    where the fibers are computed."""
 
 
 @dataclass
@@ -374,128 +374,16 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     }
 
 
-# -- moving semisimple parts into the pinned Cartan subspace -------------------
+# -- the pinned Cartan subspace ----------------------------------------------------
 
 
 def conjugate_ss_into_a(pair: SymmetricPairRealization, ss: Vector):
-    """An Ad(g) (as a coordinate matrix, g in G0) with Ad(g) ss in a.
+    """An Ad(g) (as a coordinate matrix, g in G0) with Ad(g) ss in a: the
+    identity, since every element the package builds has its semisimple
+    part in a already.
 
-    Raises ConjugationOutsideField when eigenvalues or the needed square
-    roots or normalizations do not exist in Q(i).
+    Raises ConjugationOutsideField when ss does not lie in a.
     """
-    if coordinates_in_basis(pair.a_basis, ss) is not None:
-        return ExactMatrix.identity(pair.dim_g)
-    family = pair.spec.family
-    m = pair.from_coords(ss)
-    try:
-        if family == "splitA":
-            g = _orthogonal_diagonalizer(m)
-        elif family == "glgl":
-            g = _glgl_diagonalizer(pair, m)
-        elif family == "diag":
-            g = _diag_diagonalizer(m)
-        else:
-            raise CatalogError(f"{pair.pair_id}: no conjugation solver")
-    except ConjugationOutsideField:
-        raise
-    except SplittingFieldTooLarge as exc:
-        raise ConjugationOutsideField(str(exc)) from exc
-    ad = pair.frame.adjoint(g, g.inverse())
-    ad_g = ExactMatrix.from_columns([ad(u) for u in ExactMatrix.identity(pair.dim_g).row_lists()])
-    image = ad_g.apply(ss)
-    if coordinates_in_basis(pair.a_basis, image) is None:
-        raise ConjugationOutsideField("conjugation missed the Cartan subspace")
-    # theta-fixed: Ad(g) has no g0 <-> g1 blocks
-    if pair.theta_conjugate(ad_g) != ad_g:
-        raise CatalogError("conjugator is not theta-fixed")
-    return ad_g
-
-
-def _orthogonal_diagonalizer(m: ExactMatrix) -> ExactMatrix:
-    """Q in SO(N, Q(i)) with Q m Q^{-1} diagonal, for symmetric m."""
-    n = m.rows
-    columns: List[List[GaussRat]] = []
-    for lam, vecs in eigenspaces(m):
-        ortho: List[List[GaussRat]] = []
-        for v in vecs:
-            v = _project_out(v, ortho)
-            norm2 = _dot(v, v)
-            if norm2.is_zero():
-                # isotropic representative; mix with later vectors
-                v = _fix_isotropic(v, vecs, ortho)
-                norm2 = _dot(v, v)
-            root = gauss_sqrt(norm2)
-            if root is None:
-                raise ConjugationOutsideField(
-                    f"eigenvector normalization needs sqrt({norm2}) outside Q(i)")
-            ortho.append([a / root for a in v])
-        columns.extend(ortho)
-    q = ExactMatrix.from_columns(columns)
-    if q.transpose() @ q != ExactMatrix.identity(n):
-        raise ConjugationOutsideField("could not orthonormalize the eigenbasis")
-    if q.det() != ONE:
-        columns[0] = [-a for a in columns[0]]
-        q = ExactMatrix.from_columns(columns)
-    return q.transpose()  # g = Q^T = Q^{-1}: g m g^{-1} diagonal
-
-
-def _fix_isotropic(v, vecs, ortho):
-    for other in vecs:
-        for c in (ONE, GaussRat(0, 1), GaussRat(2), GaussRat(1, 1)):
-            cand = _project_out([a + c * b for a, b in zip(v, other)], ortho)
-            if not _dot(cand, cand).is_zero():
-                return cand
-    raise ConjugationOutsideField("isotropic eigenspace over Q(i)")
-
-
-def _project_out(v, ortho):
-    """v minus its projections onto the mutually orthogonal, anisotropic
-    vectors of ortho (one Gram-Schmidt step)."""
-    for prev in ortho:
-        num = _dot(v, prev)
-        den = _dot(prev, prev)
-        v = [a - (num / den) * b for a, b in zip(v, prev)]
-    return v
-
-
-def _dot(a, b) -> GaussRat:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
-
-
-def _glgl_diagonalizer(pair, m: ExactMatrix) -> ExactMatrix:
-    n = pair.spec.n
-    top = m.block(0, n, n, n)
-    prod = top @ m.block(n, 0, n, n)  # Y X
-    lam_list = []
-    q_cols = []
-    for lam, vecs in eigenspaces(prod):
-        for v in vecs:
-            lam_list.append(lam)
-            q_cols.append(v)
-    if len(q_cols) != n:
-        raise ConjugationOutsideField("block product is not diagonalizable over Q(i)")
-    q = ExactMatrix.from_columns(q_cols)
-    g1 = q.inverse()  # g1 (YX) g1^{-1} diagonal
-    d_vals = []
-    for lam in lam_list:
-        d = gauss_sqrt(lam)
-        if d is None or d.is_zero():
-            raise ConjugationOutsideField(
-                f"needs a nonzero square root of {lam} in Q(i)")
-        d_vals.append(d)
-    dmat = ExactMatrix.diagonal(d_vals)
-    try:
-        g2 = dmat.inverse() @ g1 @ top
-        g2.inverse()
-    except ZeroDivisionError as exc:
-        raise ConjugationOutsideField("degenerate block; no exact conjugator") from exc
-    return ExactMatrix.block_diagonal(g1, g2)
-
-
-def _diag_diagonalizer(m: ExactMatrix) -> ExactMatrix:
-    k = m.rows // 2
-    cols = [v for _, vecs in eigenspaces(m.block(0, 0, k, k)) for v in vecs]
-    if len(cols) != k:
-        raise ConjugationOutsideField("g0 component not diagonalizable over Q(i)")
-    p_inv = ExactMatrix.from_columns(cols).inverse()
-    return ExactMatrix.block_diagonal(p_inv, p_inv)
+    if coordinates_in_basis(pair.a_basis, ss) is None:
+        raise ConjugationOutsideField("semisimple part is not in the pinned Cartan subspace")
+    return ExactMatrix.identity(pair.dim_g)

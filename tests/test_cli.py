@@ -410,6 +410,57 @@ def test_package_has_no_test_only_definitions():
     assert [f"{name}:{lineno}: {defn}" for name, lineno, defn in defined if defn not in read] == []
 
 
+def _qualnames(tree):
+    # the co_qualname of every function defined in a module, from its source
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_catalog_reports_enter_every_fiber_layer_function():
+    # building the seven matrix reports from a cold cache enters every
+    # function of these modules; one that no report reaches is unused API.
+    # kw_solve serves slice queries and is kw_audit's fallback only;
+    # g0_weyl_lifts and its helper are held by perfbench's tracer
+    from thetapairs import pairs
+    from thetapairs.pairs import MATRIX_CATALOG
+    from thetapairs.report import build_report
+
+    exempt = {"kw_solve", "g0_weyl_lifts", "_scale_real_root_vector"}
+    modules = [importlib.import_module(f"thetapairs.{name}")
+               for name in ("slices", "fibers", "diagonal", "involutions")]
+    files = {module.__file__ for module in modules}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+    pairs._realize_cached.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for spec in MATRIX_CATALOG:
+            build_report(spec, with_timing=False)
+    finally:
+        sys.setprofile(previous)
+    missed = [f"{Path(module.__file__).name}: {name}" for module in modules
+              for name in _qualnames(ast.parse(Path(module.__file__).read_text()))
+              if (module.__file__, name) not in entered and name not in exempt]
+    assert missed == []
+
+
 def test_perfbench_trace_targets_resolve():
     # perfbench/run.py --trace 1 wraps these names from outside the package:
     # each resolves to a callable, and a method is defined on its class

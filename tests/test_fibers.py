@@ -13,7 +13,7 @@ from conftest import (
 )
 
 from thetapairs.gaussian import GaussRat, ZERO
-from thetapairs.pairs import MATRIX_CATALOG, realize
+from thetapairs.pairs import MATRIX_CATALOG, CatalogError, realize
 from thetapairs.slices import (
     ElementOfG1,
     NotRegular,
@@ -150,7 +150,7 @@ def test_root_set_points_match_the_walked_flag_witnesses(spec):
         y = coordinates_in_basis(split.torus, ss1)
         walk = SplitWeylLifts.of(pair).orbit(y)
         z = pair.frame.centralizer([ss1])
-        filtrations = _flag_filtrations(pair, slots, y, ss1, zero)
+        filtrations = _flag_filtrations(pair, slots, y, zero)
         expected = {}
         for w in compute_subgroups(pair).Wa_perms:
             key = tuple(weight_value(wt, walk[w]) for wt in split.weights)
@@ -354,6 +354,17 @@ def test_dimension_audit_at_zero_matches_the_cayley_route(spec):
     assert audits(cayley) == audits(audit)
 
 
+def test_cayley_transform_needs_theta_to_permute_the_roots(monkeypatch):
+    # the real roots are read off theta's permutation of the centralizer's
+    # roots; when weight_perm finds no permutation the loop refuses by type
+    from thetapairs import fibers
+
+    pair = realize("splitA:n=2")
+    monkeypatch.setattr(fibers, "weight_perm", lambda weights, m: None)
+    with pytest.raises(CatalogError, match="theta does not permute the centralizer's roots"):
+        fiber_component_dimensions(pair, a_combo(pair, [1, 0]))
+
+
 def test_glgl2_degenerate_centralizer_factor():
     # centralizer at a point with one vanishing coordinate contains a
     # glgl:n=1-type factor; the audit still passes
@@ -376,7 +387,6 @@ JORDAN_EXAMPLE = ExactMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
 def test_invariant_flags_read_the_spectrum_once(monkeypatch):
     from thetapairs.gaussian import I
     from thetapairs.jordan import eigenvalues
-    from thetapairs.pairs import CatalogError
 
     calls = []
     monkeypatch.setattr("thetapairs.jordan.eigenvalues",
@@ -465,7 +475,8 @@ def test_psi_completion_is_the_searched_unique_one(monkeypatch):
 
 
 def test_psi_reads_one_completion_per_sample(monkeypatch):
-    # B1, B2 and the sorted-chart guess: no stabilizer of another flag
+    # B1 and B2 only: the sorted-chart guess is compared with B2's flag
+    # prefix by prefix, and no stabilizer of another flag is built
     from thetapairs import diagonal
 
     calls = []
@@ -474,7 +485,17 @@ def test_psi_reads_one_completion_per_sample(monkeypatch):
                         lambda frame, flags: calls.append(flags) or stabilizer(frame, flags))
     audit = diagonal_isomorphism_check(realize("diag:sl3"))
     assert audit == (20, 0)
-    assert len(calls) <= 3 * audit.round_trips
+    assert len(calls) <= 2 * audit.round_trips
+
+
+def test_sorted_chart_cross_check_compares_the_flag_prefixes(monkeypatch):
+    # B1's own flag as the guess differs from B2 at a prefix on every sample
+    # with two eigenvalues, and the audit counts those samples as failures
+    from thetapairs import diagonal
+
+    monkeypatch.setattr(diagonal, "_sorted_chart_opposite", lambda flag, word: flag)
+    audit = diagonal_isomorphism_check(realize("diag:sl3"))
+    assert audit.round_trips == 20 and audit.failures > 0
 
 
 def test_pair_point_decides_the_span_equalities():

@@ -451,31 +451,25 @@ def test_chi1_invariant_under_g0_conjugation():
             assert chi1(p, g.apply(x)) == base
 
 
-def test_conjugation_into_a_over_the_field():
-    # (7 24; 24 -7) has eigenvalues +-25 and eigenvector norms 900 and 1600,
-    # both squares, so an exact special-orthogonal conjugation exists
+def test_conjugation_gate_is_the_identity_on_a():
+    # every element the package builds has its semisimple part in a: the
+    # regular semisimple sample, the KW nilpotent (semisimple part 0) and the
+    # degenerate sample; the gate returns the identity there and refuses
+    # a semisimple part outside a by type
+    from thetapairs.fibers import mixed_degenerate_element, regular_ss_element
+
+    for spec in MATRIX_CATALOG:
+        p = realize(spec)
+        nilpotent = ElementOfG1.from_coords(p, build_kw_section(p).e)
+        for x in (regular_ss_element(p), nilpotent, mixed_degenerate_element(p)):
+            ss, _ = x.jordan_parts()
+            assert coordinates_in_basis(p.a_basis, ss) is not None
+            assert conjugate_ss_into_a(p, ss) == ExactMatrix.identity(p.dim_g)
+    # (7 24; 24 -7) is symmetric and semisimple, but not diagonal
     p = realize("splitA:n=1")
     m = ExactMatrix.from_rows([[7, 24], [24, -7]])
-    ad_g = conjugate_ss_into_a(p, p.to_coords(m))
-    image = ad_g.apply(p.to_coords(m))
-    from thetapairs.matrix import coordinates_in_basis
-
-    assert coordinates_in_basis([list(v) for v in p.a_basis], image) is not None
-
-
-def test_conjugation_failures_are_typed():
-    p = realize("splitA:n=1")
-    # eigenvalues +-sqrt(2): spectrum outside Q(i)
-    bad_spectrum = ExactMatrix.from_rows([[1, 1], [1, -1]])
-    with pytest.raises(ConjugationOutsideField):
-        conjugate_ss_into_a(p, p.to_coords(bad_spectrum))
-    # eigenvalues +-1 but eigenvector norms 2: normalization outside Q(i),
-    # raised once, not re-raised as a chained copy of itself
-    bad_norm = ExactMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(ConjugationOutsideField,
-                       match=r"eigenvector normalization needs sqrt\(2\)") as info:
-        conjugate_ss_into_a(p, p.to_coords(bad_norm))
-    assert not isinstance(info.value.__cause__, ConjugationOutsideField)
+    with pytest.raises(ConjugationOutsideField, match="pinned Cartan subspace"):
+        conjugate_ss_into_a(p, p.to_coords(m))
 
 
 def test_kappa_zero_is_nonzero_regular_nilpotent():

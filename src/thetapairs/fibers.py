@@ -103,9 +103,10 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     centralizer is the split torus t (t lies in it, and x regular gives
     it dimension rank g), and the point of w.y is `_root_set_point`,
     ordered by the root values of w.y: those of y, permuted by w^{-1}.
-    Otherwise the orbit is walked by `SplitWeylLifts.orbit` and ordered
-    by torus coordinates; each witness Borel interleaves the eigenspace
-    filtrations of the nilpotent part according to the value pattern and
+    Otherwise the orbit is walked by `SplitWeylLifts.orbit` (the one
+    point 0 when y = 0, with no walk) and ordered by torus coordinates;
+    each witness Borel interleaves the eigenspace filtrations of the
+    nilpotent part according to the value pattern and
     is verified exactly (contains the element, its centralizer Borel is a
     regular theta-stable Borel of the Levi), and the literal theta-split
     characterization B(theta) = Z_B(X_ss) is recorded per point (it can
@@ -129,6 +130,9 @@ def fiber_over_regular(pair: SymmetricPairRealization, x: ElementOfG1) -> FiberR
     if semisimple:
         # the centre, which W fixes, is the same at every point
         images = _weyl_root_values(split, ss_t, wa)
+    elif vec_is_zero(ss_t):
+        # the orbit of 0 is the one point 0
+        images = {w: tuple(ss_t) for w in wa}
     else:
         walk = SplitWeylLifts.of(pair).orbit(ss_t)
         images = {w: tuple(walk[w]) for w in wa}

@@ -113,9 +113,6 @@ class GaussRat:
         """The field norm re^2 + im^2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im
 
-    def inverse(self) -> "GaussRat":
-        return GaussRat(1) / self
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

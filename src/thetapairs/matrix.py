@@ -22,6 +22,8 @@ An `ExactMatrix` is row-major and immutable after construction; its
 - `modular_char_poly` is the characteristic polynomial over F_PRIME, by a
   division-free method on plain ints.  Its coefficients are the residues
   of `char_poly`'s, so residues that differ prove that polynomials differ;
+- `gaussian_char_poly` runs the same recurrence on Gaussian integers held
+  as pairs of ints, exactly, since it never divides;
 - `from_residue` reads a residue back as the one Gaussian rational
   alpha/beta with N(alpha), N(beta) below sqrt(PRIME)/2 that has it, by
   rational reconstruction in Z[i]; a caller proves the value exactly.
@@ -232,6 +234,44 @@ def modular_char_poly(rows: List[List[int]]) -> List[int]:
             t.append(-sum(a * b for a, b in zip(r, v)))
         poly = [sum(t[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1)) % PRIME
                 for i in range(k + 2)]
+    return poly
+
+
+def _gauss_dot(xs: Sequence[Tuple[int, int]], ys: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """sum x y over Gaussian integers given as pairs (a, b), a + b i."""
+    re = im = 0
+    for (a, b), (c, d) in zip(xs, ys):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def gaussian_char_poly(rows: List[List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
+    """The characteristic polynomial det(xI - m) of a square matrix of
+    Gaussian integers, given as a list of rows of pairs (a, b) meaning
+    a + b i: monic, descending degree, coefficients as pairs.
+
+    `modular_char_poly`'s recurrence on Z[i].  It never divides, so the
+    coefficients are exact; for a matrix of Gaussian rationals, run it on
+    d m with d the lcm of the denominators, and coefficient k is d^k times
+    that of m.
+    """
+    poly = [(1, 0)]
+    for k, row in enumerate(rows):
+        lead = [rows[i][:k] for i in range(k)]
+        r, v = row[:k], [rows[i][k] for i in range(k)]
+        a, b = row[k]
+        t = [(1, 0), (-a, -b)]
+        for j in range(k):
+            if j:
+                v = [_gauss_dot(x, v) for x in lead]
+            a, b = _gauss_dot(r, v)
+            t.append((-a, -b))
+        new = []
+        for i in range(k + 2):
+            lo, hi = max(0, i - k - 1), min(i, k) + 1
+            new.append(_gauss_dot([t[i - j] for j in range(lo, hi)], poly[lo:hi]))
+        poly = new
     return poly
 
 

@@ -172,10 +172,6 @@ class RootDatum:
 
     # -- pairings --------------------------------------------------------
 
-    def pairing(self, v: Coords, i: int) -> int:
-        """<v, alpha_i-coroot> for v in simple-root coordinates."""
-        return sum(self.cartan[i][j] * v[j] for j in range(self.rank))
-
     def form(self, v: Coords, w: Coords) -> Fraction:
         """The W-invariant bilinear form (v, w)."""
         total = Fraction(0)

@@ -6,14 +6,17 @@ product for glgl), the slice by a normal sl2-triple through the canonical
 regular nilpotent of the first regular Borel class, and the slice inverse
 by a sequential one-variable solve down the weight grading, verified
 exactly at the end.  `kw_audit` runs that solve modulo a prime, reads the
-coefficients back in Q(i) and verifies them by one exact chi1.
+coefficients back in Q(i) and verifies them by one exact chi1, evaluated on
+Gaussian integers from the section's scaled matrices.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import matmul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -23,8 +26,10 @@ from .liealg import Vector, _combine, gvec, vec_is_zero, weight_decomposition
 from .matrix import (
     PRIME,
     ExactMatrix,
+    _gauss_dot,
     coordinates_in_basis,
     from_residue,
+    gaussian_char_poly,
     intersect_spans,
     modular_char_poly,
     residue,
@@ -256,6 +261,10 @@ def kw_solve(section: KWSection, target: Sequence) -> Vector:
     return coeffs
 
 
+# (D, [D M(e), D M(v_1), ...]): each matrix as its nonzero entries (flat index, a, b)
+IntegerTable = Tuple[int, List[List[Tuple[int, int, int]]]]
+
+
 def _section_residues(section: KWSection) -> Optional[List[List[int]]]:
     """The coordinate residues of e and of each v_i, or None when one is
     missing."""
@@ -289,20 +298,73 @@ def _solve_mod_p(section: KWSection, base: Optional[List[List[int]]],
     return None if coeffs is None or None in coeffs else coeffs
 
 
+def _section_integers(section: KWSection) -> IntegerTable:
+    """The section's integer table: D, the lcm of the denominators of the
+    matrices of e and of each v_i, and D times each of those matrices as the
+    list (flat index, a, b) of its nonzero entries a + b i."""
+    mats = [section.pair.from_coords(v) for v in [section.e] + section.v_basis]
+    d = lcm(*(x.denominator for m in mats for z in m.entries for x in (z.re, z.im)))
+    return d, [[(f, int(z.re * d), int(z.im * d)) for f, z in enumerate(m.entries) if z]
+               for m in mats]
+
+
+def _slice_invariants(pair: SymmetricPairRealization,
+                      table: IntegerTable,
+                      coeffs: Sequence[GaussRat]) -> Tuple[GaussRat, ...]:
+    """chi1 of e + sum c_i v_i on Gaussian integers, from the section's
+    integer table (D, D M(e), D M(v_1), ...).
+
+    With L the lcm of the denominators of the c_i and s = D L, the matrix
+    A = s M(e + sum c_i v_i) is integral, and the m `_quotient_blocks` of A
+    multiply to s^m P for P the product chi1 reads.  det(xI - s^m P) has
+    coefficient k equal to s^(m k) times that of det(xI - P), and
+    `gaussian_char_poly` computes it without a division, so dividing it by
+    s^(m k) gives chi1 exactly.
+    """
+    d, mats = table
+    n = pair.frame.n_def
+    den = lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+    re, im = [0] * (n * n), [0] * (n * n)
+    for (p, q), entries in zip([(den, 0)] + [(int(c.re * den), int(c.im * den))
+                                             for c in coeffs], mats):
+        if p or q:
+            for f, a, b in entries:
+                re[f] += p * a - q * b
+                im[f] += p * b + q * a
+    blocks, skip = _quotient_blocks(pair)
+    product = None
+    for r, c, size in blocks:
+        block = [list(zip(re[i * n + c:i * n + c + size], im[i * n + c:i * n + c + size]))
+                 for i in range(r, r + size)]
+        product = block if product is None else [
+            [_gauss_dot(row, col) for col in zip(*block)] for row in product]
+    s = (d * den) ** len(blocks)
+    return tuple(GaussRat(Fraction(a, s ** k), Fraction(b, s ** k))
+                 for k, (a, b) in enumerate(gaussian_char_poly(product)) if k >= skip)
+
+
 def _certified_solve(section: KWSection, base: Optional[List[List[int]]],
-                     target: Sequence[GaussRat]) -> Vector:
+                     table: IntegerTable, target: Sequence[GaussRat]) -> Vector:
     """`kw_solve(section, target)`, certified by one exact chi1.
 
     Reduction mod PRIME is a ring map, so when every slope residue is
     nonzero `_solve_mod_p` computes the residues of kw_solve's coefficients,
     and `from_residue` reads small ones back exactly.  They are accepted
-    only when chi1 of their slice point is the target exactly; otherwise,
-    and when `_solve_mod_p` gives nothing, `kw_solve` decides.
+    only when chi1 of their slice point, evaluated on Gaussian integers from
+    the section's integer `table` (`_slice_invariants`), is the target
+    exactly; otherwise, and when `_solve_mod_p` gives nothing, `kw_solve`
+    decides.
     """
     coeffs = _solve_mod_p(section, base, target)
-    if coeffs is None or chi1(section.pair, section.slice_point(coeffs)) != tuple(target):
+    if coeffs is None or _slice_invariants(section.pair, table, coeffs) != tuple(target):
         return kw_solve(section, target)
     return coeffs
+
+
+def _gaussian_draw(rng: random.Random, count: int, re: int, im: int) -> Tuple[GaussRat, ...]:
+    """count Gaussian integers with real parts in [-re, re] and imaginary
+    parts in [-im, im]."""
+    return tuple(GaussRat(rng.randint(-re, re), rng.randint(-im, im)) for _ in range(count))
 
 
 def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
@@ -314,25 +376,28 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
     residues are e + sum c_i v_i mod PRIME; a rank of dim g - rank g for ad x
     mod PRIME proves it regular, and chi1 values whose residues differ are
     different.  Three fallbacks decide exactly: the exact `is_regular` when
-    the rank certificate fails or a residue is missing, the exact `chi1` of
+    the rank certificate fails or a residue is missing, the exact chi1 of
     both samples when their residues collide, and the residues of the exact
-    `chi1` as the key of a sample with a missing residue.
+    chi1 as the key of a sample with a missing residue.
 
     The round trips and kappa(0) are solved modulo PRIME, read back in Q(i)
     and proved by one exact chi1 each (`_certified_solve`); `kw_solve`
     decides a solve with a missing residue, a zero slope residue, a
-    coefficient too large to read back or a failed exact check.
+    coefficient too large to read back or a failed exact check.  Every exact
+    chi1 here is `_slice_invariants` on the section's integer table, built
+    once per call: one division-free characteristic polynomial on Gaussian
+    integers, where `chi1` builds the point's matrix over Q(i).
     """
     section = build_kw_section(pair)
     frame = pair.frame
     base = _section_residues(section)
+    table = _section_integers(section)
     rng = random.Random(0x5EED + seed)
     seen: Dict[tuple, List[tuple]] = {}
     sampled = set()
     regular_count = 0
     while len(sampled) < n_samples:
-        coeffs = tuple(GaussRat(rng.randint(-40, 40), rng.randint(-3, 3))
-                       for _ in range(pair.rank_r1))
+        coeffs = _gaussian_draw(rng, pair.rank_r1, 40, 3)
         if coeffs in sampled:
             continue
         sampled.add(coeffs)
@@ -344,24 +409,23 @@ def kw_audit(pair: SymmetricPairRealization, seed: int = 0,
         regular_count += 1
         rows = None if xs is None else frame.matrix_from_residues(xs)
         key = (_invariant_residues(pair, rows) if rows is not None else
-               tuple(map(residue, chi1(pair, section.slice_point(coeffs)))))
+               tuple(map(residue, _slice_invariants(pair, table, coeffs))))
         bucket = seen.setdefault(key, [])
         if bucket:
-            value = chi1(pair, section.slice_point(coeffs))
-            if any(chi1(pair, section.slice_point(other)) == value for other in bucket):
+            value = _slice_invariants(pair, table, coeffs)
+            if any(_slice_invariants(pair, table, other) == value for other in bucket):
                 raise CatalogError("chi1 is not injective on the slice")
         bucket.append(coeffs)
     round_trips = 0
     for _ in range(n_round_trips):
-        target = tuple(GaussRat(rng.randint(-9, 9), rng.randint(-2, 2))
-                       for _ in range(pair.rank_r1))
+        target = _gaussian_draw(rng, pair.rank_r1, 9, 2)
         try:
-            _certified_solve(section, base, target)  # chi1 of its answer checked exactly
+            _certified_solve(section, base, table, target)  # chi1 of its answer checked exactly
         except TripleNotFound:
             continue
         round_trips += 1
     # the section at 0: kappa(0) = e, a nonzero regular nilpotent
-    zero_coeffs = _certified_solve(section, base, [ZERO] * pair.rank_r1)
+    zero_coeffs = _certified_solve(section, base, table, [ZERO] * pair.rank_r1)
     kappa0 = section.slice_point(zero_coeffs)
     return {
         "samples_regular": regular_count,

@@ -384,30 +384,35 @@ def _perfbench_tracer():
 def test_package_has_no_test_only_definitions():
     # every module-level function and class, and every method that is not a
     # dunder, is read by the package or the demos (or wrapped by perfbench's
-    # tracer); a definition that only tests read belongs in the tests
+    # tracer); a definition that only tests read belongs in the tests.  A
+    # name is read where it is loaded or imported, a method only where an
+    # attribute of its name is loaded, so that a local variable or an
+    # assignment of the same name does not count
     root = Path(__file__).resolve().parents[1]
     package = Path(thetapairs.__file__).resolve().parent
-    read = {part for _, qualname in _perfbench_tracer().TARGETS for part in qualname.split(".")}
+    traced = {part for _, qualname in _perfbench_tracer().TARGETS for part in qualname.split(".")}
+    names, attributes = set(traced), set(traced)
     defined = []
     for path in sorted(package.glob("*.py")) + sorted((root / "demos").glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                read.add(node.name)
+                names.add(node.name)
         if path.parent != package:
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.name, node.lineno, node.name))
+                defined.append((path.name, node.lineno, node.name, False))
             if isinstance(node, ast.ClassDef):
-                defined += [(path.name, method.lineno, method.name) for method in node.body
+                defined += [(path.name, method.lineno, method.name, True) for method in node.body
                             if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not (method.name.startswith("__") and method.name.endswith("__"))]
-    assert [f"{name}:{lineno}: {defn}" for name, lineno, defn in defined if defn not in read] == []
+    assert [f"{name}:{lineno}: {defn}" for name, lineno, defn, method in defined
+            if defn not in attributes and (method or defn not in names)] == []
 
 
 def _qualnames(tree):
@@ -429,15 +434,18 @@ def _qualnames(tree):
 
 
 def test_catalog_reports_enter_every_fiber_layer_function():
-    # building the seven matrix reports from a cold cache enters every
-    # function of these modules; one that no report reaches is unused API.
-    # kw_solve serves slice queries and is kw_audit's fallback only;
-    # g0_weyl_lifts and its helper are held by perfbench's tracer
+    # building the seven matrix reports from a cold cache, and one slice
+    # query per pair (chi1 of the regular semisimple sample, solved back onto
+    # the section), enters every function of these modules; one that neither
+    # reaches is unused API.  g0_weyl_lifts and its helper are held by
+    # perfbench's tracer
     from thetapairs import pairs
-    from thetapairs.pairs import MATRIX_CATALOG
+    from thetapairs.fibers import regular_ss_element
+    from thetapairs.pairs import MATRIX_CATALOG, realize
     from thetapairs.report import build_report
+    from thetapairs.slices import build_kw_section, chi1, kw_solve
 
-    exempt = {"kw_solve", "g0_weyl_lifts", "_scale_real_root_vector"}
+    exempt = {"g0_weyl_lifts", "_scale_real_root_vector"}
     modules = [importlib.import_module(f"thetapairs.{name}")
                for name in ("slices", "fibers", "diagonal", "involutions")]
     files = {module.__file__ for module in modules}
@@ -453,6 +461,8 @@ def test_catalog_reports_enter_every_fiber_layer_function():
     try:
         for spec in MATRIX_CATALOG:
             build_report(spec, with_timing=False)
+            pair = realize(spec)
+            kw_solve(build_kw_section(pair), chi1(pair, regular_ss_element(pair)))
     finally:
         sys.setprofile(previous)
     missed = [f"{Path(module.__file__).name}: {name}" for module in modules

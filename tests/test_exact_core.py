@@ -1,6 +1,7 @@
 """Exact arithmetic and linear algebra kernel."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,6 +36,7 @@ from thetapairs.matrix import (
     ExactMatrix,
     coordinates_in_basis,
     from_residue,
+    gaussian_char_poly,
     independent_subset,
     intersect_spans,
     modular_char_poly,
@@ -58,7 +60,7 @@ def test_gauss_field_axioms_spot():
     b = GaussRat(2, Fraction(-1, 5))
     assert (a + b) - b == a
     assert (a * b) / b == a
-    assert a * a.inverse() == GaussRat(1)
+    assert a * (GaussRat(1) / a) == GaussRat(1)
     assert I * I == GaussRat(-1)
 
 
@@ -765,10 +767,58 @@ def test_modular_char_poly_is_the_residue_of_char_poly(m):
 @pytest.mark.parametrize("spec", ["splitA:n=3", "glgl:n=2", "diag:sl3"])
 def test_report_char_poly_inputs_replay_through_modular_char_poly(spec,
                                                                   record_kernel_inputs):
+    # and through the Gaussian-integer recurrence on d m, d the lcm of the
+    # denominators, whose coefficient k is d^k times that of m
     inputs = record_kernel_inputs(spec)["char_poly"]
     assert inputs
     for m in inputs:
-        assert modular_char_poly(_residue_matrix(m)) == [residue(c) for c in m.char_poly()]
+        want = m.char_poly()
+        assert modular_char_poly(_residue_matrix(m)) == [residue(c) for c in want]
+        d = lcm(*(x.denominator for z in m.entries for x in (z.re, z.im)))
+        rows = [[(int(z.re * d), int(z.im * d)) for z in row] for row in m.row_lists()]
+        assert [GaussRat(Fraction(a, d ** k), Fraction(b, d ** k))
+                for k, (a, b) in enumerate(gaussian_char_poly(rows))] == want
+
+
+gaussian_integers = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+# mostly zero, like the kernel's inputs
+gaussian_integer_entries = st.one_of(st.just((0, 0)), st.just((0, 0)), gaussian_integers)
+real_integer_entries = st.one_of(st.just((0, 0)), st.just((0, 0)),
+                                 st.tuples(st.integers(-9, 9), st.just(0)))
+
+
+@st.composite
+def gaussian_integer_rows(draw):
+    """Square matrices up to 8 x 8 of Gaussian integers, as rows of pairs
+    (a, b) meaning a + b i: real, complex, singular (a row zero or a
+    Gaussian multiple of another) or nilpotent (P N P^-1 for N strictly
+    upper triangular and P a permutation matrix)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "singular", "nilpotent"]))
+    entries = real_integer_entries if kind == "real" else gaussian_integer_entries
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        p, q = draw(gaussian_integers)
+        rows[i] = [(p * a - q * b, p * b + q * a) if i != j else (0, 0) for a, b in rows[j]]
+    elif kind == "nilpotent":
+        perm = draw(st.permutations(range(n)))
+        rows = [[rows[perm[i]][perm[j]] if perm[j] > perm[i] else (0, 0) for j in range(n)]
+                for i in range(n)]
+    return rows
+
+
+@given(gaussian_integer_rows())
+@settings(max_examples=100, deadline=None)
+@example([[(0, 2), (3, 0)], [(1, -1), (0, 0)]])
+@example([[(j - i, 1) if j > i else (0, 0) for j in range(8)] for i in range(8)])
+def test_gaussian_char_poly_matches_domain_matrix(rows):
+    poly = gaussian_char_poly(rows)
+    m = mat([[GaussRat(a, b) for a, b in row] for row in rows])
+    assert [GaussRat(a, b) for a, b in poly] == [_from_qq_i(c) for c in _oracle(m).charpoly()]
+    # reduction mod PRIME is a ring map, so the residues are modular_char_poly's
+    reduced = [[(a + b * SQRT_MINUS_ONE) % PRIME for a, b in row] for row in rows]
+    assert modular_char_poly(reduced) == [(a + b * SQRT_MINUS_ONE) % PRIME for a, b in poly]
 
 
 def test_block_diagonal_and_block_round_trip():

@@ -191,6 +191,21 @@ def test_regular_semisimple_fiber_walks_and_eliminates_nothing(spec, monkeypatch
     assert set(calls) == set(names) | {"orbit"}
 
 
+@pytest.mark.parametrize("spec", MATRIX_CATALOG)
+def test_nilpotent_fiber_walks_no_orbit(spec, monkeypatch):
+    # the regular nilpotent's semisimple part is 0, whose W_a orbit is the
+    # one point 0; the degenerate sample still walks its orbit wherever its
+    # semisimple part is nonzero, as at every pair of rank 2 or more
+    pair = realize(spec)
+    calls = []
+    orbit = SplitWeylLifts.orbit
+    monkeypatch.setattr(SplitWeylLifts, "orbit", lambda self, y: calls.append(1) or orbit(self, y))
+    rep = fiber_over_regular(pair, ElementOfG1.from_coords(pair, build_kw_section(pair).e))
+    assert rep.cardinality == 1 and rep.stabilizer_order == rep.wa_order and not calls
+    fiber_over_regular(pair, mixed_degenerate_element(pair))
+    assert len(calls) == (pair.rank_r1 >= 2)
+
+
 def test_degenerate_sample_is_decomposed_once_per_report(monkeypatch):
     # the fiber and dimension-audit sections share one degenerate element,
     # whose Jordan parts are computed once

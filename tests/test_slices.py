@@ -273,11 +273,14 @@ def test_kw_audit_certifies_its_samples_without_exact_checks(monkeypatch):
     p = realize("splitA:n=2")
     regular_calls = _counting(monkeypatch, "is_regular")
     chi1_calls = _counting(monkeypatch, "chi1")
+    exact_calls = _counting(monkeypatch, "_slice_invariants")
     solve_calls = _counting(monkeypatch, "kw_solve")
     audit = kw_audit(p, **AUDIT)
     assert audit["samples_regular"] == audit["chi1_injective_on"] == 12
-    # kappa(0) only; chi1 in the solves only, one exact check per solve
-    assert len(regular_calls) == 1 and len(chi1_calls) == 3 and not solve_calls
+    # kappa(0) only; exact invariants in the solves only, one check per solve,
+    # on Gaussian integers
+    assert len(regular_calls) == 1 and len(exact_calls) == 3
+    assert not chi1_calls and not solve_calls
 
 
 def test_kw_audit_decides_a_residue_collision_exactly(monkeypatch):
@@ -285,14 +288,54 @@ def test_kw_audit_decides_a_residue_collision_exactly(monkeypatch):
     want = kw_audit(p, **AUDIT)
     monkeypatch.setattr(slices, "_invariant_residues", lambda pair, rows: (0, 0))
     chi1_calls = _counting(monkeypatch, "chi1")
+    exact_calls = _counting(monkeypatch, "_slice_invariants")
     solve_calls = _counting(monkeypatch, "kw_solve")
     assert kw_audit(p, **AUDIT) == want
     assert want["chi1_injective_on"] == 12
     # equal residues also make every slope residue 0, so each of the 3 solves
     # is kw_solve's, with 2r + 1 = 5 exact chi1 calls; samples 2..12 each take
-    # their own exact chi1 and that of every earlier sample: 11 + (1 + ... + 11)
-    assert len(solve_calls) == 3
-    assert len(chi1_calls) - 3 * 5 == 11 + 11 * 12 // 2
+    # their own exact invariants and those of every earlier sample:
+    # 11 + (1 + ... + 11)
+    assert len(solve_calls) == 3 and len(chi1_calls) == 3 * 5
+    assert len(exact_calls) == 11 + 11 * 12 // 2
+
+
+@pytest.mark.parametrize("spec", MATRIX_CATALOG + ("splitA:n=4", "glgl:n=3"))
+def test_slice_invariants_are_chi1_at_the_audit_points(monkeypatch, spec):
+    # every sample, round-trip answer and kappa(0) of a seed-1 audit
+    p = realize(spec)
+    points = []
+    draw, solve = slices._gaussian_draw, slices._certified_solve
+
+    def drawn(rng, count, re, im):
+        coeffs = draw(rng, count, re, im)
+        if re == 40:   # a sample, not a quotient target
+            points.append(coeffs)
+        return coeffs
+
+    monkeypatch.setattr(slices, "_gaussian_draw", drawn)
+    monkeypatch.setattr(slices, "_certified_solve",
+                        lambda *args: points.append(solve(*args)) or points[-1])
+    kw_audit(p, seed=1)
+    assert len(points) >= 50 + 1
+    section = build_kw_section(p)
+    table = slices._section_integers(section)
+    for coeffs in points:
+        assert slices._slice_invariants(p, table, coeffs) == chi1(p, section.slice_point(coeffs))
+
+
+@given(st.lists(st.builds(GaussRat, st.fractions(-40, 40, max_denominator=12),
+                          st.fractions(-5, 5, max_denominator=12)), min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_slice_invariants_scale_two_blocks_by_s_squared(coeffs):
+    # glgl reads the product of two blocks of s M, which is s^2 times the
+    # product of M's blocks; s = D L exceeds 1 wherever a coefficient or a
+    # section matrix has a denominator
+    p = realize("glgl:n=2")
+    section = build_kw_section(p)
+    table = slices._section_integers(section)
+    assert table[0] > 1 and len(slices._quotient_blocks(p)[0]) == 2
+    assert slices._slice_invariants(p, table, coeffs) == chi1(p, section.slice_point(coeffs))
 
 
 @pytest.mark.parametrize("spec", MATRIX_CATALOG)
@@ -327,11 +370,12 @@ def test_kw_audit_solves_fall_back_to_kw_solve(monkeypatch, force, exact_checks)
     force(monkeypatch)
     solve_calls = _counting(monkeypatch, "kw_solve")
     chi1_calls = _counting(monkeypatch, "chi1")
+    exact_calls = _counting(monkeypatch, "_slice_invariants")
     assert kw_audit(p, **AUDIT) == want
     # one kw_solve per solve, with 2r + 1 = 5 chi1 calls, after the exact
     # check that rejects a wrong preimage
     assert len(solve_calls) == 3
-    assert len(chi1_calls) == exact_checks + 3 * 5
+    assert len(chi1_calls) == 3 * 5 and len(exact_calls) == exact_checks
 
 
 def _is_small(c: GaussRat) -> bool:
@@ -356,7 +400,7 @@ def test_certified_solve_round_trips_at_a_points(spec, coords):
     t = chi1(p, y)
     want = kw_solve(section, t)
     base = slices._section_residues(section)
-    coeffs = slices._certified_solve(section, base, t)
+    coeffs = slices._certified_solve(section, base, slices._section_integers(section), t)
     assert coeffs == want and chi1(p, section.slice_point(coeffs)) == t
     # wherever kw_solve's coefficients are small, the residues read them back
     if all(map(_is_small, want)):
@@ -420,7 +464,7 @@ def test_kw_audit_guard_on_an_irregular_sample(monkeypatch):
 def test_kw_audit_guard_on_equal_invariants(monkeypatch):
     p = realize("splitA:n=1")
     monkeypatch.setattr(slices, "_invariant_residues", lambda pair, rows: (0,))
-    monkeypatch.setattr(slices, "chi1", lambda pair, x: (ZERO,))
+    monkeypatch.setattr(slices, "_slice_invariants", lambda pair, table, coeffs: (ZERO,))
     with pytest.raises(CatalogError, match="chi1 is not injective on the slice"):
         kw_audit(p, **AUDIT)
 
